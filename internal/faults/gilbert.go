@@ -1,7 +1,7 @@
 package faults
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/metrics"
@@ -89,7 +89,7 @@ func (lf *LinkFault) verdict(netsim.Frame) netsim.Impairment {
 	}
 	if lf.opts.ReorderRate > 0 && lf.opts.ReorderMax > 0 && lf.rng.Float64() < lf.opts.ReorderRate {
 		lf.Reorders++
-		imp.ExtraDelay = vtime.Duration(1 + lf.rng.Int63n(int64(lf.opts.ReorderMax)))
+		imp.ExtraDelay = vtime.Duration(1 + lf.rng.Int64N(int64(lf.opts.ReorderMax)))
 	}
 	return imp
 }

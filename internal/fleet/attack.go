@@ -19,10 +19,6 @@ import (
 // run each actor's events execute on its own region's shard, so the
 // attack adds no cross-shard traffic beyond the packets it sends.
 
-// attackRngBase offsets the attackers' rngFor streams past any node
-// index (rngFor streams are disjoint below one million).
-const attackRngBase = 500_000
-
 // maxCapturesPerActor bounds how many requests a tap keeps.
 const maxCapturesPerActor = 32
 
@@ -131,12 +127,12 @@ func (f *Fleet) scheduleAttack(inj *faults.Injector, at func(vtime.Duration) vti
 		len(ak.thieves), len(ak.thieves)*a.ForgeCount, a.ForgeWindow), nil)
 	for k, th := range ak.thieves {
 		th := th
-		rng := rngFor(f.Opts.Seed, attackRngBase+k)
+		rng := vtime.Stream(f.Opts.Seed, vtime.DomainFleetAttacker, uint64(k))
 		sched := th.Host().Sched()
 		for i := 0; i < a.ForgeCount; i++ {
-			victim := f.Nodes[rng.Intn(len(f.Nodes))].MN.Home()
+			victim := f.Nodes[rng.IntN(len(f.Nodes))].MN.Home()
 			off := a.ForgeAt + vtime.Duration(int64(a.ForgeWindow)*int64(i)/int64(a.ForgeCount))
-			off += vtime.Duration(rng.Int63n(int64(10 * millisecond)))
+			off += vtime.Duration(rng.Int64N(int64(10 * millisecond)))
 			// Alternate between naked forgeries (no extension) and ones
 			// carrying a fabricated MAC, covering both denial paths.
 			bogus := i%2 == 1

@@ -17,7 +17,7 @@ package fleet
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"mob4x4/internal/assert"
 	"mob4x4/internal/core"

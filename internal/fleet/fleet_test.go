@@ -136,7 +136,7 @@ func TestFleetMarkovLocality(t *testing.T) {
 		k := len(f.Cells)
 		var adjacent, far int
 		for _, n := range f.Nodes {
-			cur := n.rng.Intn(k) // stand-in for a current cell
+			cur := n.rng.IntN(k) // stand-in for a current cell
 			n.cell = cur
 			for i := 0; i < 200; i++ {
 				next := f.nextCell(n)

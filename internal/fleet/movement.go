@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"math/rand"
-
-	"mob4x4/internal/vtime"
-)
+import "mob4x4/internal/vtime"
 
 // Movement models. Each node owns a private RNG derived from (seed,
 // node index), so its itinerary is byte-reproducible per seed and
@@ -21,13 +17,6 @@ import (
 //     0.35 each, teleports uniformly with 0.1, and stays put with 0.2;
 //     dwell is uniform [2s,6s). Models campus-style locality.
 
-// rngFor derives node idx's private RNG from the fleet seed. The
-// multiplier keeps per-node streams disjoint for any fleet size below
-// one million nodes.
-func rngFor(seed int64, idx int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(idx)))
-}
-
 // nextCell draws the node's next destination cell, or -1 to stay put
 // this step (markov self-transition).
 func (f *Fleet) nextCell(n *Node) int {
@@ -41,7 +30,7 @@ func (f *Fleet) nextCell(n *Node) int {
 	switch f.Opts.Model {
 	case ModelMarkov:
 		if n.cell < 0 {
-			return n.rng.Intn(k)
+			return n.rng.IntN(k)
 		}
 		switch p := n.rng.Float64(); {
 		case p < 0.35:
@@ -49,12 +38,12 @@ func (f *Fleet) nextCell(n *Node) int {
 		case p < 0.70:
 			return (n.cell + 1) % k
 		case p < 0.80:
-			return n.rng.Intn(k)
+			return n.rng.IntN(k)
 		default:
 			return -1 // dwell in place
 		}
 	default: // ModelWaypoint
-		c := n.rng.Intn(k)
+		c := n.rng.IntN(k)
 		if c == n.cell {
 			// A waypoint is always somewhere else.
 			c = (c + 1) % k
@@ -66,9 +55,9 @@ func (f *Fleet) nextCell(n *Node) int {
 // dwell draws how long the node stays before its next movement step.
 func (f *Fleet) dwell(n *Node) vtime.Duration {
 	if f.Opts.Model == ModelMarkov {
-		return 2*second + vtime.Duration(n.rng.Int63n(int64(4*second)))
+		return 2*second + vtime.Duration(n.rng.Int64N(int64(4*second)))
 	}
-	return 3*second + vtime.Duration(n.rng.Int63n(int64(5*second)))
+	return 3*second + vtime.Duration(n.rng.Int64N(int64(5*second)))
 }
 
 // hop performs one movement step: draw a destination and a dwell, then

@@ -138,7 +138,7 @@ func (f *Fleet) Run() Result {
 	for _, n := range f.Nodes {
 		n := n
 		off := vtime.Duration(int64(opts.PlaceWindow) * int64(n.Idx) / int64(len(f.Nodes)))
-		off += vtime.Duration(n.rng.Int63n(int64(20 * millisecond)))
+		off += vtime.Duration(n.rng.Int64N(int64(20 * millisecond)))
 		sched.At(at(off), func() { f.hop(n) })
 	}
 
@@ -158,7 +158,7 @@ func (f *Fleet) Run() Result {
 	// travels with the node across migrations (see armCmd).
 	inj.At(at(opts.MassMoveAt), fmt.Sprintf("mass-move storm: %d nodes over %v", len(f.Nodes), opts.MassMoveWindow), nil)
 	for _, n := range f.Nodes {
-		j := vtime.Duration(n.rng.Int63n(int64(opts.MassMoveWindow)))
+		j := vtime.Duration(n.rng.Int64N(int64(opts.MassMoveWindow)))
 		n.cmdAt = at(opts.MassMoveAt).Add(j)
 	}
 

@@ -328,7 +328,7 @@ func (f *Fleet) buildNodes() {
 			ic:     ic,
 			sock:   ws,
 			fconn:  fconn,
-			rng:    rngFor(opts.Seed, i),
+			rng:    vtime.Stream(opts.Seed, vtime.DomainFleetNode, uint64(i)),
 			class:  class,
 			viaFA:  viaFA,
 			hier:   hier,

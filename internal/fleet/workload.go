@@ -26,7 +26,7 @@ func (f *Fleet) initPayloads() {
 // not survive a region crossing; the fresh phase draw is deterministic
 // because it sits in the node's own event order).
 func (f *Fleet) startTicker(n *Node) {
-	first := vtime.Duration(n.rng.Int63n(int64(second)))
+	first := vtime.Duration(n.rng.Int64N(int64(second)))
 	n.tickTimer = n.Host.Sched().After(first, func() { f.tick(n) })
 }
 
@@ -36,7 +36,7 @@ func (f *Fleet) tick(n *Node) {
 		return
 	}
 	f.sendWorkload(n)
-	n.tickTimer.Reset(second + vtime.Duration(n.rng.Int63n(int64(100*millisecond))))
+	n.tickTimer.Reset(second + vtime.Duration(n.rng.Int64N(int64(100*millisecond))))
 }
 
 // sendWorkload emits node n's class-specific request and records which

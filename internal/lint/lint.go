@@ -30,9 +30,10 @@
 //   - globalstate: shard-candidate packages hold no package-level mutable
 //     state; deliberate process-wide state (sync.Pool, leak counters)
 //     carries an annotation with a written justification.
-//   - sharedrand: no global math/rand stream and no sharing of one
-//     *rand.Rand between entities — every consumer owns a stream derived
-//     from (seed, index) so draws are independent of event interleaving.
+//   - sharedrand: no v1 math/rand, no global rand stream and no sharing
+//     of one *rand.Rand between entities — every consumer owns a
+//     math/rand/v2 stream derived from (seed, domain, index) so draws are
+//     independent of event interleaving.
 //   - bufretain: receive callbacks never retain a pooled frame payload
 //     (field store, channel send, deferred closure) past their return —
 //     the netsim.GetBuf/PutBuf ownership contract, checked.

@@ -111,7 +111,7 @@ func TestDiagnosticPositions(t *testing.T) {
 		{"panicpolicy", 2, 9, 3, "bare panic"},
 		{"mapiter", 3, 11, 2, "map iteration order is randomized"},
 		{"globalstate", 6, 13, 5, "package-level var seq"},
-		{"sharedrand", 5, 10, 5, "process-wide RNG stream"},
+		{"sharedrand", 17, 7, 8, "5 KB"},
 		{"bufretain", 7, 22, 4, "field last"},
 		{"shardpin", 7, 27, 28, "reading NICs through the far half"},
 	}

@@ -6,67 +6,58 @@ import (
 	"strings"
 )
 
-// sharedrandDraws are the math/rand package-level functions that consume
-// the process-global locked stream (plus Seed, which reseeds it). One
-// draw from the global stream makes the result depend on every other
-// goroutine's draws — the exact coupling the sharded engine must not
-// have. rand.New/rand.NewSource are constructors and stay legal.
-var sharedrandDraws = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-}
+// randStreamTypes are the math/rand and math/rand/v2 types that hold a
+// stream's state.
+var randStreamTypes = map[string]bool{"Rand": true, "Source": true, "PCG": true, "ChaCha8": true}
+
+// isRandPkg reports whether path is math/rand or math/rand/v2.
+func isRandPkg(path string) bool { return path == "math/rand" || path == "math/rand/v2" }
 
 // SharedRand returns the analyzer enforcing per-entity RNG streams in
-// internal/*: every consumer of randomness owns a *rand.Rand derived from
-// (seed, index) — vtime's Scheduler.NewStream or an explicit
-// rand.New(rand.NewSource(mix(seed, idx))) — so the draw sequence each
-// entity sees is a pure function of the seed, independent of how events
-// from different entities interleave. Three shapes break that:
+// internal/*: every consumer of randomness owns a math/rand/v2 *rand.Rand
+// derived from (seed, domain, index) — vtime.Stream or
+// Scheduler.NewStream — so the draw sequence each entity sees is a pure
+// function of the seed, independent of how events from different
+// entities interleave. Three shapes break that:
 //
-//   - the global math/rand stream (package-level Intn/Float64/...),
+//   - the global stream (package-level IntN/Float64/..., v1 or v2),
 //   - accessor methods named Rand that hand one entity's stream to
 //     another (two consumers of one stream couple their draw sequences
 //     to event order),
-//   - package-level *rand.Rand / rand.Source vars (a process-wide
-//     stream shared by every Sim and shard).
+//   - package-level *rand.Rand / rand.Source / *rand.PCG vars (a
+//     process-wide stream shared by every Sim and shard).
+//
+// It also flags any import of v1 math/rand: each v1 source is a 607-word
+// table, about 5 KB and 13 µs to seed, paid by every entity that mints
+// one.
 func SharedRand() *Analyzer {
 	a := &Analyzer{
 		Name: "sharedrand",
-		Doc:  "no global math/rand stream, no shared *rand.Rand between entities in internal/*; derive per-entity streams from (seed, index) via Scheduler.NewStream or rand.New(rand.NewSource(...))",
+		Doc:  "no v1 math/rand, no global rand stream, no shared *rand.Rand between entities in internal/*; derive per-entity math/rand/v2 streams from (seed, domain, index) via vtime.Stream or Scheduler.NewStream",
 	}
 	a.Run = func(pass *Pass) {
 		pkg := pass.Pkg
 		if !strings.HasPrefix(pkg.Path, pkg.ModulePath+"/internal/") {
 			return
 		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if v, ok := scope.Lookup(name).(*types.Var); ok && isRandStream(v.Type()) {
+				pass.Report(v.Pos(),
+					"package-level var %s is a process-wide RNG stream shared by every Sim and shard; derive a per-entity stream from (seed, index) instead",
+					name)
+			}
+		}
 		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"math/rand"` {
+					pass.Report(imp.Pos(),
+						"math/rand (v1) costs about 5 KB and 13 µs to seed per source; use a math/rand/v2 PCG stream from vtime.Stream or Scheduler.NewStream")
+				}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					checkRandCall(pass, n)
-				case *ast.GenDecl:
-					if n.Tok.String() != "var" {
-						return true
-					}
-					for _, spec := range n.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for _, name := range vs.Names {
-							obj := pkg.Info.Defs[name]
-							if obj == nil || obj.Parent() != pkg.Types.Scope() {
-								continue // not package-level
-							}
-							if isRandStream(obj.Type()) {
-								pass.Report(name.Pos(),
-									"package-level var %s is a process-wide RNG stream shared by every Sim and shard; derive a per-entity stream from (seed, index) instead",
-									name.Name)
-							}
-						}
-					}
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkRandCall(pass, call)
 				}
 				return true
 			})
@@ -75,26 +66,34 @@ func SharedRand() *Analyzer {
 	return a
 }
 
-// checkRandCall flags the two call shapes: a math/rand package-level draw
-// and a module-owned accessor method named Rand returning *rand.Rand.
+// checkRandCall flags the two call shapes: a package-level draw from
+// math/rand or math/rand/v2 and a module-owned accessor method named Rand
+// returning a stream.
 func checkRandCall(pass *Pass, call *ast.CallExpr) {
 	pkg := pass.Pkg
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+	fun := call.Fun
+	if ix, ok := fun.(*ast.IndexExpr); ok { // rand.N[T](...)
+		fun = ix.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	// Global stream: rand.Intn(...) et al.
+	// Global stream: every package-level function but the New*
+	// constructors draws from (or, v1's Seed, reseeds) the process-global
+	// locked stream, coupling the draw to every other goroutine's.
 	if id, ok := sel.X.(*ast.Ident); ok {
 		if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
-			if pn.Imported().Path() == "math/rand" && sharedrandDraws[sel.Sel.Name] {
+			_, isFunc := pkg.Info.Uses[sel.Sel].(*types.Func)
+			if path := pn.Imported().Path(); isRandPkg(path) && isFunc && !strings.HasPrefix(sel.Sel.Name, "New") {
 				pass.Report(sel.Pos(),
-					"rand.%s draws from the process-global math/rand stream, coupling this draw to every other goroutine; use a per-entity stream derived from (seed, index)",
-					sel.Sel.Name)
+					"rand.%s draws from the process-global %s stream, coupling this draw to every other goroutine; use a per-entity stream derived from (seed, index)",
+					sel.Sel.Name, path)
 			}
 			return
 		}
 	}
-	// Accessor: x.Rand() returning *rand.Rand from a module-owned method.
+	// Accessor: x.Rand() returning a stream from a module-owned method.
 	if sel.Sel.Name != "Rand" {
 		return
 	}
@@ -116,7 +115,8 @@ func checkRandCall(pass *Pass, call *ast.CallExpr) {
 		sel.Sel.Name)
 }
 
-// isRandStream reports whether t is *math/rand.Rand or math/rand.Source.
+// isRandStream reports whether t (or what it points to) is a stream type
+// of math/rand or math/rand/v2.
 func isRandStream(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -126,8 +126,5 @@ func isRandStream(t types.Type) bool {
 		return false
 	}
 	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "math/rand" {
-		return false
-	}
-	return obj.Name() == "Rand" || obj.Name() == "Source"
+	return obj.Pkg() != nil && isRandPkg(obj.Pkg().Path()) && randStreamTypes[obj.Name()]
 }

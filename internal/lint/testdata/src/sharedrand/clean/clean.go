@@ -1,21 +1,24 @@
-// Package sharedrandclean derives one stream per entity from
-// (seed, index): each entity's draw sequence is a pure function of the
-// seed, whatever order events interleave in. The sharedrand analyzer
-// must stay silent.
+// Package sharedrandclean derives one math/rand/v2 stream per entity
+// from (seed, domain, index): each entity's draw sequence is a pure
+// function of the seed, whatever order events interleave in. The
+// sharedrand analyzer must stay silent.
 package sharedrandclean
 
-import "math/rand"
+import "math/rand/v2"
+
+// linkDomain tags the second PCG seed word of every link stream.
+const linkDomain = 1 << 56
 
 // sched mints streams; it never hands out its own.
 type sched struct {
-	seed    int64
-	streams int64
+	seed    uint64
+	streams uint64
 }
 
 // NewStream derives an independent stream for the next entity index.
 func (s *sched) NewStream() *rand.Rand {
 	s.streams++
-	return rand.New(rand.NewSource(s.seed*1_000_003 + s.streams))
+	return rand.New(rand.NewPCG(s.seed, linkDomain|s.streams))
 }
 
 // link owns its stream for its whole lifetime.
@@ -31,4 +34,11 @@ func newLink(s *sched) *link {
 // Impair draws only from the link's own stream.
 func (l *link) Impair() bool {
 	return l.rng.Float64() < 0.5
+}
+
+// Reorder permutes with the link's own stream, including the draws
+// whose names the analyzer flags on the package-level stream.
+func (l *link) Reorder(xs []int) int64 {
+	l.rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	return l.rng.Int64N(100) + int64(l.rng.IntN(len(xs)+1))
 }

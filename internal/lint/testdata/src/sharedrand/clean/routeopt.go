@@ -2,7 +2,7 @@
 // backoff sequence is a pure function of (seed, index).
 package sharedrandclean
 
-import "math/rand"
+import "math/rand/v2"
 
 // pusher owns its jitter stream for its whole lifetime.
 type pusher struct {
@@ -11,5 +11,5 @@ type pusher struct {
 
 // retransmitJitter draws only from the pusher's own stream.
 func (p *pusher) retransmitJitter() int64 {
-	return p.rng.Int63n(50)
+	return p.rng.Int64N(50)
 }

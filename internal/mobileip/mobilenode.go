@@ -3,7 +3,7 @@ package mobileip
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"mob4x4/internal/assert"
 	"mob4x4/internal/core"
@@ -617,7 +617,7 @@ func (mn *MobileNode) armRegRetry() {
 	d := mn.regBackoff
 	if d > mn.cfg.RegRetryInterval {
 		if q := int64(d / 4); q > 0 {
-			d += vtime.Duration(mn.rng.Int63n(q))
+			d += vtime.Duration(mn.rng.Int64N(q))
 		}
 	}
 	if mn.regTimer == nil {

@@ -15,7 +15,7 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"strconv"
 
@@ -495,7 +495,7 @@ func (seg *Segment) send(from *NIC, f Frame) {
 			// above the link layer must detect this via checksums. Frames
 			// without a pooled buffer may alias sender-retained storage,
 			// so those are left alone.
-			bit := seg.rng.Int63n(int64(len(f.Payload)) * 8)
+			bit := seg.rng.Int64N(int64(len(f.Payload)) * 8)
 			f.Payload[bit/8] ^= 1 << uint(bit%8)
 			seg.CorruptedFrames++
 		}
@@ -508,7 +508,7 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	// it for its serialization time; propagation latency follows.
 	delay := seg.opts.Latency
 	if seg.opts.JitterMax > 0 {
-		delay += vtime.Duration(seg.rng.Int63n(int64(seg.opts.JitterMax)))
+		delay += vtime.Duration(seg.rng.Int64N(int64(seg.opts.JitterMax)))
 	}
 	if imp.ExtraDelay > 0 {
 		delay += imp.ExtraDelay

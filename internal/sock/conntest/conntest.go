@@ -14,7 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"os"
 	"sync"
@@ -85,8 +85,10 @@ func testBasicIO(t *testing.T, p Pipe) {
 		chunk = 512 // stay safely inside one datagram
 	}
 	src := make([]byte, total)
-	rnd := rand.New(rand.NewSource(42))
-	rnd.Read(src)
+	rnd := rand.New(rand.NewPCG(42, 0))
+	for i := range src {
+		src[i] = byte(rnd.Uint32())
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)

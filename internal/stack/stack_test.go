@@ -475,12 +475,14 @@ func TestEndToEndDeliveryProperty(t *testing.T) {
 		received[string(pkt.Payload[:8])] = append([]byte(nil), pkt.Payload...)
 	})
 
-	rng := sim.Sched.Rand()
+	rng := sim.Sched.NewStream()
 	sent := map[string][]byte{}
 	for i := 0; i < 60; i++ {
-		size := 8 + rng.Intn(8000)
+		size := 8 + rng.IntN(8000)
 		payload := make([]byte, size)
-		rng.Read(payload)
+		for j := range payload {
+			payload[j] = byte(rng.Uint32())
+		}
 		key := string(payload[:8])
 		sent[key] = payload
 		if err := a.SendIP(ipv4.Packet{

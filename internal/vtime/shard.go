@@ -41,11 +41,6 @@ import (
 	"mob4x4/internal/assert"
 )
 
-// shardSeedStep spaces per-shard scheduler seeds. Distinct from the
-// golden-ratio constant NewStream uses so shard-scheduler RNGs and minted
-// entity streams can never collide.
-const shardSeedStep = 0x7F4A7C15BF58476D
-
 // ringCap is the SPSC ring capacity per declared link (power of two).
 // Sized for the frame rate of one busy uplink between two horizon scans;
 // overflow falls back to the mutex inbox rather than blocking, so the cap
@@ -153,9 +148,9 @@ type Group struct {
 	anyLink bool
 }
 
-// NewGroup builds n region shards. Shard i's scheduler is seeded
-// deterministically from (seed, i) so every shard owns independent —
-// but reproducible — RNG streams.
+// NewGroup builds n region shards sharing seed; NewStream folds the shard
+// id into each stream's index, so every shard mints independent — but
+// reproducible — RNG streams.
 func NewGroup(seed int64, n int) *Group {
 	if n < 1 {
 		n = 1
@@ -163,7 +158,7 @@ func NewGroup(seed int64, n int) *Group {
 	g := &Group{shards: make([]*Scheduler, n)}
 	g.cond = sync.NewCond(&g.mu)
 	for i := 0; i < n; i++ {
-		s := NewScheduler(seed + int64(i)*shardSeedStep)
+		s := NewScheduler(seed)
 		s.origin = int32(i)
 		s.sh = &shardState{
 			group: g,

@@ -8,7 +8,7 @@
 package vtime
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"mob4x4/internal/assert"
@@ -113,8 +113,7 @@ type Scheduler struct {
 	// behavior on the wide nodes, with no interface conversions anywhere.
 	events  []event
 	seed    int64
-	rng     *rand.Rand
-	streams int64
+	streams uint64
 	stopped bool
 	// origin is this scheduler's shard id within its Group (0 for a
 	// standalone Scheduler); it tags every event the scheduler enqueues.
@@ -127,29 +126,44 @@ type Scheduler struct {
 	Processed uint64
 }
 
-// NewScheduler returns a scheduler positioned at the epoch, with a
-// deterministic random source derived from seed.
+// NewScheduler returns a scheduler positioned at the epoch whose minted
+// random streams derive from seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Scheduler{seed: seed}
 }
 
 // Now returns the current virtual instant.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Rand returns the scheduler's deterministic random source.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// Domain tags the second PCG seed word of a random stream with the kind of
+// entity that owns it. Domains occupy the top byte and indices the low 56
+// bits, so streams from different domains never share seed material,
+// whatever their indices.
+type Domain uint64
 
-// NewStream derives an independent random stream from (seed, index),
-// where index is the count of streams minted so far. Every entity that
-// draws randomness owns one such stream for its lifetime: its draw
-// sequence is then a pure function of the seed and construction order,
-// never of how unrelated events interleave — the property the sharded
-// engine needs to keep per-seed output byte-identical across shard
-// layouts. Golden-ratio spacing keeps minted sources far apart from each
-// other and from fleet's linear per-node derivation.
+const (
+	DomainEntity        Domain = (iota + 1) << 56 // Scheduler.NewStream: index = shard<<32 | stream count
+	DomainFleetNode                               // one fleet node's movement and workload, by node
+	DomainFleetAttacker                           // one fleet thief's forgery schedule, by attacker
+)
+
+// Stream is the one derivation of every random stream in the module: a
+// PCG generator (16 bytes of state, tens of ns to seed) keyed by the seed
+// and the domain-tagged index. index must stay below 2^56.
+func Stream(seed int64, d Domain, index uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), uint64(d)|index))
+}
+
+// NewStream derives an independent random stream from (seed, shard,
+// index), where index counts the streams this scheduler has minted. Every
+// entity that draws randomness owns one such stream for its lifetime: its
+// draw sequence is then a pure function of the seed and construction
+// order, never of how unrelated events interleave — the property the
+// sharded engine needs to keep per-seed output byte-identical across
+// shard layouts.
 func (s *Scheduler) NewStream() *rand.Rand {
 	s.streams++
-	return rand.New(rand.NewSource(s.seed ^ int64(uint64(s.streams)*0x9E3779B97F4A7C15)))
+	return Stream(s.seed, DomainEntity, uint64(s.origin)<<32|s.streams)
 }
 
 // At schedules fn to run at instant t. Scheduling in the past (before Now)

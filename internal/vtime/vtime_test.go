@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -183,9 +184,45 @@ func TestDeterministicRand(t *testing.T) {
 	a := NewScheduler(99)
 	b := NewScheduler(99)
 	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
-			t.Fatal("same seed, different streams")
+		sa, sb := a.NewStream(), b.NewStream()
+		for j := 0; j < 10; j++ {
+			if sa.Uint64() != sb.Uint64() {
+				t.Fatalf("stream %d: same seed, different draws", i+1)
+			}
 		}
+	}
+}
+
+// TestNewStreamAllocs pins the cost of minting a stream: the PCG source
+// and the Rand wrapping it, nothing else.
+func TestNewStreamAllocs(t *testing.T) {
+	s := NewScheduler(1)
+	if n := testing.AllocsPerRun(1000, func() { _ = s.NewStream() }); n > 2 {
+		t.Errorf("NewStream allocates %v times, want <= 2", n)
+	}
+}
+
+// TestStreamDomainsDisjoint checks that the first draws of every stream
+// family the module mints from one seed are pairwise distinct: entity
+// streams 1..4096 on each of four shards, and fleet node and attacker
+// streams 0..100000.
+func TestStreamDomainsDisjoint(t *testing.T) {
+	const seed = 1
+	seen := make(map[uint64]string, 4*4096+2*100_001)
+	note := func(draw uint64, who string) {
+		if prev, ok := seen[draw]; ok {
+			t.Fatalf("%s and %s start with the same draw %#x", prev, who, draw)
+		}
+		seen[draw] = who
+	}
+	for shard, s := range NewGroup(seed, 4).shards {
+		for i := 1; i <= 4096; i++ {
+			note(s.NewStream().Uint64(), fmt.Sprintf("shard %d stream %d", shard, i))
+		}
+	}
+	for i := uint64(0); i <= 100_000; i++ {
+		note(Stream(seed, DomainFleetNode, i).Uint64(), fmt.Sprintf("fleet node %d", i))
+		note(Stream(seed, DomainFleetAttacker, i).Uint64(), fmt.Sprintf("fleet attacker %d", i))
 	}
 }
 
