@@ -18,7 +18,7 @@ FUZZ_TARGETS = \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 
-.PHONY: check build vet lint test race fuzz-smoke bench benchgate chaos-smoke fleet-smoke adversary-smoke facade-smoke routeopt-smoke cover determinism
+.PHONY: check build vet lint test race smoke fuzz-smoke bench benchgate cover determinism
 
 check: build vet lint test
 
@@ -35,18 +35,11 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race matrix: the unit suite plus the chaos, fleet, and adversary
-# smokes, all under the race detector. The smokes matter here because
-# their drivers fan trials over -parallel workers — the only place
-# distinct goroutines touch scheduler-adjacent state concurrently. CI
-# runs the same legs (check/chaos-smoke/fleet-smoke/adversary-smoke).
+# The whole suite under the race detector, the seeded smokes included:
+# their drivers fan trials over -parallel workers, the only place distinct
+# goroutines touch scheduler-adjacent state concurrently. CI runs the same.
 race:
 	$(GO) test -race ./...
-	$(MAKE) chaos-smoke
-	$(MAKE) fleet-smoke
-	$(MAKE) adversary-smoke
-	$(MAKE) facade-smoke
-	$(MAKE) routeopt-smoke
 
 # Run the full benchmark suite and record it as BENCH_<date>.json.
 # Promote a run to the regression gate with:
@@ -74,60 +67,21 @@ cover:
 	$(GO) test -coverprofile=/tmp/mob4x4_cover.out ./internal/...
 	$(GO) run ./scripts -cover /tmp/mob4x4_cover.out -cover-floor $(COVER_FLOOR) -cover-pkg-floor $(COVER_PKG_FLOORS)
 
-# Seeded chaos soak under the race detector: fault injection +
-# self-healing invariants, byte-determinism across runs and worker
-# counts. Reproduce a CI failure locally with the seed it prints:
-#   CHAOS_SEED=<n> make chaos-smoke
-CHAOS_SEED ?= 1
-chaos-smoke:
-	@echo "chaos soak (CHAOS_SEED=$(CHAOS_SEED))"
-	CHAOS_SEED=$(CHAOS_SEED) $(GO) test ./internal/experiments -race -count=1 -run 'TestChaos'
-
-# Seeded fleet handoff-storm smoke under the race detector: small fleet,
-# full storm schedule, all invariants + the E14 determinism fixtures.
-# Reproduce a CI failure locally with the seed it prints:
-#   FLEET_SEED=<n> make fleet-smoke
-FLEET_SEED ?= 1
-fleet-smoke:
-	@echo "fleet handoff storm (FLEET_SEED=$(FLEET_SEED))"
-	FLEET_SEED=$(FLEET_SEED) $(GO) test ./internal/experiments -race -count=1 -run 'TestFleet'
-	$(GO) test ./internal/fleet -race -count=1
-
-# Seeded hijack-resistance smoke under the race detector: authenticated
-# fleet vs the full adversarial storm (E15) plus its clean twin, all
-# invariants checked. Reproduce a CI failure locally with the seed it
-# prints:
-#   ADV_SEED=<n> make adversary-smoke
-ADV_SEED ?= 1
-adversary-smoke:
-	@echo "adversarial storm (ADV_SEED=$(ADV_SEED))"
-	ADV_SEED=$(ADV_SEED) $(GO) test ./internal/experiments -race -count=1 -run 'TestAdversary'
-
-# Seeded route-optimization smoke under the race detector: the E17
-# six-way comparison (baseline / push / ha-push / compact / hier /
-# fallback) plus the routeopt unit suite. Reproduce a CI failure locally
-# with the seed it prints:
-#   RO_SEED=<n> make routeopt-smoke
-RO_SEED ?= 1
-routeopt-smoke:
-	@echo "route-optimization tier (RO_SEED=$(RO_SEED))"
-	RO_SEED=$(RO_SEED) $(GO) test ./internal/experiments -race -count=1 -run 'TestRouteOpt'
-	$(GO) test ./internal/routeopt -race -count=1
-
-# Socket-facade smoke under the race detector: the stdlib-style conn
-# conformance suite (TCP- and UDP-backed), net/http and DNS over the
-# facade, and the E16 httpgrid capture-determinism assertions. These are
-# the tests where real application goroutines drive the virtual clock.
-facade-smoke:
-	@echo "socket facade conformance + capture determinism"
-	$(GO) test ./internal/sock -race -count=1
-	$(GO) test ./internal/pcap -race -count=1
-	$(GO) test ./internal/experiments -race -count=1 -run 'TestHTTPGrid|TestWriteCaptures'
+# The seeded smokes under the race detector at one seed: chaos (E13),
+# the fleet storms (E14, E15, E17) with the fleet and routeopt unit
+# suites, and the socket facade with E16's capture determinism. At the
+# default SEED=1 they are part of `make race`; a failing smoke prints
+# the command that reproduces it:
+#   make smoke SEED=<n>
+SEED ?= 1
+smoke:
+	SEED=$(SEED) $(GO) test -race -count=1 ./internal/experiments -run 'TestChaos|TestFleet|TestAdversary|TestRouteOpt|TestHTTPGrid|TestWriteCaptures'
+	$(GO) test -race -count=1 ./internal/fleet ./internal/routeopt ./internal/sock ./internal/pcap
 
 # Runtime determinism gate (scripts/determinismdiff.go): build
-# ./cmd/mob4x4 once, run every experiment twice per seed plus once under
-# -parallel for the fan-out drivers and once per DET_SHARDS value for
-# the sharded-engine experiments (chaos/fleet), SHA-256 each run's full
+# ./cmd/mob4x4 once, run every registry entry twice per seed plus once
+# under -parallel for the fan-out drivers and once per DET_SHARDS value
+# for the entries under the sharded-engine contract, SHA-256 each run's full
 # stdout (tables, metrics dumps, report JSON, chaos series), fail on any
 # divergence — including sharded-vs-serial.
 # DET_SEEDS is capped at two seeds in CI on purpose: each extra seed

@@ -2,381 +2,256 @@
 // 4x4" (Cheshire & Baker, SIGCOMM '96) and prints the tables and paths
 // that regenerate each figure.
 //
-// Usage:
-//
-//	mob4x4 [-seed N] [-parallel N] [-shards N] [-metrics | -metrics-json]
-//	       [-pcap DIR] [-cpuprofile FILE] [-memprofile FILE] <experiment>
-//
-// Flags may also follow the experiment name (mob4x4 fig10 -metrics).
-// -parallel runs independent trials concurrently; -shards parallelizes
-// the region shards inside each fleet trial (both byte-identical for any
-// value, and freely combined). -pcap writes the packet captures of
-// capture-aware experiments (httpgrid) into the given directory as
-// classic .pcap files. -cpuprofile/-memprofile write pprof profiles for
-// the run.
-// With -metrics (text) or -metrics-json, the run's metrics registries
-// are dumped after the experiment output; grid/fig10 instead emit the
-// machine-readable 4x4 grid report (deterministic JSON, byte-identical
-// for any seed and worker count), and chaos emits each trial's final
-// snapshot plus the 2s-period drop-counter time series.
-//
-// Experiments:
-//
-//	fig1        basic Mobile IP: asymmetric routing via the home agent
-//	fig2        source-address filtering drops Out-DH (filter on)
-//	fig3        alias for fig2 with the Out-IE row highlighted
-//	fig4        triangle routing vs home-agent distance sweep
-//	fig5        smart correspondent: ICMP + DNS care-of discovery
-//	formats     packet formats of Figures 6-9 (s/d/S/D table)
-//	grid        the 4x4 matrix of Figure 10 (see also cmd/gridshow)
-//	fig10       alias for grid
-//	overhead    encapsulation size overhead and MTU crossing (Section 3.3)
-//	adaptive    start-strategy comparison (Section 7.1.2)
-//	durability  connection survival across movement (Section 2)
-//	webbrowse   Out-DT port heuristic vs full Mobile IP (Row D)
-//	fa          foreign-agent vs self-sufficient attachment (Section 2)
-//	transitions correspondent-side mode transitions (Section 7.2)
-//	multicast   local group join vs home-agent relay (Section 6.4)
-//	trace       traceroute to the home address, at home vs roamed
-//	httpgrid    unmodified net/http + DNS over the socket facade in all
-//	            16 (Out,In) pairs, with per-cell pcap capture hashes
-//	dualmobile  both endpoints mobile, session survives both roaming (§1)
-//	asymmetry   latency/bandwidth asymmetry of the two path directions (§2)
-//	savings     shared-resource load per correspondent capability (§3.2)
-//	chaos       fault injection & self-healing soak (-trials N for more)
-//	fleet       fleet-scale handoff storm (-nodes N -cells K -model M)
-//	adversary   authenticated fleet vs attack storm (same flags as fleet)
-//	routeopt    route-optimization tier: pushed binding updates, compact
-//	            encapsulation, hierarchical registration (fleet flags)
-//	report      every experiment rendered as one markdown document
-//	all         every experiment in order
+// Run `mob4x4 -h` for the flags and the experiment list; both are
+// generated from the experiment registry in internal/experiments. Flags
+// may also follow the experiment name (mob4x4 fig10 -metrics). `mob4x4
+// all` runs the registry's paper set in order and `mob4x4 report`
+// renders the same set as one markdown document.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"mob4x4/internal/experiments"
 	"mob4x4/internal/metrics"
 )
 
-func main() {
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 1, "worker goroutines for independent trials (grid/adaptive/durability/webbrowse/chaos/fleet/adversary/routeopt)")
-	trials := flag.Int("trials", 1, "independent chaos/fleet/adversary/routeopt trials (seeds seed..seed+N-1)")
-	nodes := flag.Int("nodes", 2000, "fleet: mobile node count")
-	cells := flag.Int("cells", 32, "fleet: visited cell count")
-	model := flag.String("model", "waypoint", "fleet: movement model (waypoint | markov)")
-	shards := flag.Int("shards", 1, "fleet: worker goroutines driving the region shards inside one trial (output is byte-identical for any value; other experiments accept and ignore it)")
-	metricsText := flag.Bool("metrics", false, "dump metrics after the experiment (grid/fig10: the machine-readable 4x4 report)")
-	metricsJSON := flag.Bool("metrics-json", false, "like -metrics, as JSON")
-	pcapDir := flag.String("pcap", "", "write capture-aware experiments' packet captures into `dir` (httpgrid)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to `file`")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mob4x4 [-seed N] [-parallel N] [-shards N] [-metrics | -metrics-json] [-cpuprofile FILE] [-memprofile FILE] <experiment>\nrun 'go doc mob4x4/cmd/mob4x4' for the experiment list\n")
-	}
-	flag.Parse()
-	if flag.NArg() < 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	name := flag.Arg(0)
-	if flag.NArg() > 1 {
-		// Allow flags after the experiment name: mob4x4 fig10 -metrics.
-		_ = flag.CommandLine.Parse(flag.Args()[1:])
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-	wantMetrics := *metricsText || *metricsJSON
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Profiles cover the whole dispatch below and are finalized on normal
-	// exit (error paths exit hard and abandon them, like the rest of the
-	// tooling expects).
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mob4x4: cpuprofile: %v\n", err)
-			os.Exit(1)
+// cli is the parsed command line.
+type cli struct {
+	cfg                             experiments.Config
+	metricsText, metricsJSON        bool
+	pcapDir, cpuprofile, memprofile string
+}
+
+// newFlagSet declares the CLI's flags into c, defaults from
+// experiments.DefaultConfig. Usage text that names experiments is
+// generated from the registry.
+func newFlagSet(c *cli, stderr io.Writer) *flag.FlagSet {
+	c.cfg = experiments.DefaultConfig()
+	reads := func(flag string) string {
+		return names(func(e experiments.Experiment) bool { return e.Reads(flag) })
+	}
+	fs := flag.NewFlagSet("mob4x4", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Int64Var(&c.cfg.Seed, "seed", c.cfg.Seed, "simulation seed")
+	fs.IntVar(&c.cfg.Parallel, "parallel", c.cfg.Parallel, "worker goroutines for independent trials ("+
+		names(func(e experiments.Experiment) bool { return e.Parallel })+")")
+	fs.IntVar(&c.cfg.Trials, "trials", c.cfg.Trials, "independent trials, seeds seed..seed+N-1 ("+reads("trials")+")")
+	fs.IntVar(&c.cfg.Nodes, "nodes", c.cfg.Nodes, "mobile node count ("+reads("nodes")+")")
+	fs.IntVar(&c.cfg.Cells, "cells", c.cfg.Cells, "visited cell count ("+reads("cells")+")")
+	fs.StringVar(&c.cfg.Model, "model", c.cfg.Model, "movement model, waypoint or markov ("+reads("model")+")")
+	fs.IntVar(&c.cfg.Shards, "shards", c.cfg.Shards, "worker goroutines driving the region shards inside one trial; output is byte-identical for any value ("+
+		names(func(e experiments.Experiment) bool { return e.Shards })+"; others ignore it)")
+	fs.BoolVar(&c.metricsText, "metrics", false, "dump the run's metrics after the experiment ("+
+		names(func(e experiments.Experiment) bool { return e.OwnMetrics })+" render their own form)")
+	fs.BoolVar(&c.metricsJSON, "metrics-json", false, "like -metrics, as JSON")
+	fs.StringVar(&c.pcapDir, "pcap", "", "write the packet captures into `dir` ("+reads("pcap")+")")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to `file`")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a pprof heap profile (post-run, after GC) to `file`")
+	fs.Usage = func() {
+		w := fs.Output()
+		fmt.Fprintf(w, "usage: mob4x4 [flags] <experiment> [flags]\n\nflags:\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(w, "\nexperiments (* = run by all and report):\n")
+		for _, e := range experiments.Registry {
+			mark, flags := " ", ""
+			if e.InAll {
+				mark = "*"
+			}
+			for _, f := range e.Flags {
+				flags += " -" + f
+			}
+			if flags != "" {
+				flags = " [" + flags[1:] + "]"
+			}
+			fmt.Fprintf(w, "  %-12s %s %s%s\n", strings.Join(append([]string{e.Name}, e.Aliases...), ", "), mark, e.Heading, flags)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mob4x4: cpuprofile: %v\n", err)
-			os.Exit(1)
+		fmt.Fprintf(w, "  %-14s every * experiment, in order\n  %-14s every * experiment as one markdown document\n", "all", "report")
+	}
+	return fs
+}
+
+// names lists the registry entries keep selects, slash-separated.
+func names(keep func(experiments.Experiment) bool) string {
+	var ns []string
+	for _, e := range experiments.Registry {
+		if keep(e) {
+			ns = append(ns, e.Name)
+		}
+	}
+	return strings.Join(ns, "/")
+}
+
+// parse reads the flags, the experiment name and any flags after it, and
+// validates them. Errors have been reported, with usage, when it returns.
+func parse(fs *flag.FlagSet, c *cli, args []string) (string, error) {
+	if err := fs.Parse(args); err != nil {
+		return "", err
+	}
+	name := fs.Arg(0)
+	if name != "" {
+		if err := fs.Parse(fs.Args()[1:]); err != nil {
+			return "", err
+		}
+	}
+	c.cfg.Metrics = c.metricsText || c.metricsJSON
+	err := c.cfg.Validate()
+	_, known := experiments.Lookup(name)
+	switch {
+	case name == "" || fs.NArg() != 0:
+		err = errors.New("want exactly one experiment")
+	case !known && name != "all" && name != "report":
+		err = fmt.Errorf("unknown experiment %q", name)
+	case c.metricsText && c.metricsJSON:
+		err = errors.New("-metrics and -metrics-json are mutually exclusive")
+	}
+	if err != nil {
+		fmt.Fprintf(fs.Output(), "mob4x4: %v\n", err)
+		fs.Usage()
+	}
+	return name, err
+}
+
+// run is the whole command; it returns the exit status: 0, 1 on a failed
+// write or a broken invariant, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	var c cli
+	fs := newFlagSet(&c, stderr)
+	name, err := parse(fs, &c, args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "mob4x4: cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if c.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // settle the live set so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: memprofile: %v\n", err)
-				os.Exit(1)
+			if err := writeHeapProfile(c.memprofile); err != nil {
+				fmt.Fprintf(stderr, "mob4x4: memprofile: %v\n", err)
+				code = 1
 			}
 		}()
 	}
-
-	// Every scenario built below registers its registry here; the dump
-	// after the experiment is sorted, so it is deterministic for any
-	// worker count.
+	// Every scenario built below registers its registry here; the dump is
+	// sorted, so it is deterministic for any worker count.
 	var coll metrics.Collector
-	if wantMetrics {
+	if c.cfg.Metrics {
 		experiments.SetCollector(&coll)
-	}
-	if *pcapDir != "" {
-		experiments.SetCaptureDir(*pcapDir)
+		defer experiments.SetCollector(nil)
 	}
 	// Capture files land after the experiment; the note goes to stderr so
 	// stdout stays byte-comparable across runs.
-	writeCaptures := func() {
-		if *pcapDir == "" {
-			return
-		}
-		n, err := experiments.WriteCaptures()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mob4x4: write captures: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mob4x4: wrote %d capture(s) to %s\n", n, *pcapDir)
-	}
-	defer writeCaptures()
-	dumpCollector := func() {
-		if *metricsJSON {
-			b, err := json.MarshalIndent(coll.Snapshots(), "", "  ")
+	if c.pcapDir != "" {
+		experiments.SetCaptureDir(c.pcapDir)
+		defer func() {
+			n, err := experiments.WriteCaptures()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: marshal metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(string(b))
-		} else if *metricsText {
-			if err := coll.WriteText(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	run := map[string]func(int64){
-		"fig1": func(s int64) { fmt.Print(experiments.RunFig1(s).String()) },
-		"fig2": func(s int64) {
-			fmt.Print(experiments.RunFig2(s, true).String())
-			fmt.Println()
-			fmt.Print(experiments.RunFig2(s, false).String())
-		},
-		"fig3": func(s int64) { fmt.Print(experiments.RunFig2(s, true).String()) },
-		"fig4": func(s int64) {
-			// Beyond d=16 the doubled triangle path exceeds the default
-			// TTL (64) and In-IE stops delivering at all — a real
-			// deployment consequence of triangle routing, but beyond
-			// the figure's sweep.
-			fmt.Print(experiments.Fig4Table(experiments.RunFig4(s, []int{0, 1, 2, 4, 8, 16})))
-		},
-		"fig5":    func(s int64) { fmt.Print(experiments.RunFig5(s).String()) },
-		"formats": func(int64) { fmt.Print(experiments.FormatsTable(experiments.RunFormats())) },
-		"grid": func(s int64) {
-			if wantMetrics {
-				// The machine-readable report: deterministic JSON,
-				// byte-identical for any seed and worker count.
-				fmt.Print(experiments.RunGridReport(s, *parallel).JSON())
+				fmt.Fprintf(stderr, "mob4x4: write captures: %v\n", err)
+				code = 1
 				return
 			}
-			grid := experiments.RunGridParallel(s, *parallel)
-			fmt.Print(experiments.GridTable(grid))
-			m, t, _ := experiments.GridAgreement(grid)
-			fmt.Printf("agreement with paper classification: %d/%d\n", m, t)
-		},
-		"overhead": func(s int64) {
-			fmt.Print(experiments.OverheadTable(experiments.RunOverhead(
-				[]int{64, 512, 1400, 1456, 1460, 1470, 1475, 1480, 1500, 4000, 8192}, 1500)))
-			fr := experiments.RunTunnelFragmentation(s, 1460)
-			fmt.Printf("\nend-to-end: %dB payload crossed the backbone in %d packets plain, %d tunneled (delivered=%v)\n",
-				fr.PayloadBytes, fr.PlainPackets, fr.TunnelPackets, fr.Delivered)
-		},
-		"adaptive": func(s int64) {
-			fmt.Print(experiments.AdaptiveTable(experiments.RunAdaptiveParallel(s, true, *parallel)))
-			fmt.Println()
-			fmt.Print(experiments.AdaptiveTable(experiments.RunAdaptiveParallel(s, false, *parallel)))
-		},
-		"durability": func(s int64) {
-			fmt.Print(experiments.DurabilityTable(experiments.RunDurabilityParallel(s, 3, *parallel)))
-		},
-		"webbrowse": func(s int64) {
-			rows := experiments.RunWebBrowseParallel(s, 10, *parallel)
-			fmt.Printf("Row D — web browsing, 10 sequential fetches of 8KiB:\n")
-			for _, r := range rows {
-				fmt.Printf("  %-9s completed=%d/%d  time=%-12v backbone=%dB\n",
-					r.Mode, r.Completed, r.Fetches, r.TotalTime, r.BackboneBytes)
-			}
-		},
-		"fa": func(s int64) {
-			rows := []experiments.FAResult{
-				experiments.RunForeignAgent(s, false),
-				experiments.RunForeignAgent(s, true),
-			}
-			fmt.Print(experiments.FATable(rows))
-		},
-		"transitions": func(s int64) { fmt.Println(experiments.RunCorrespondentTransitions(s).String()) },
-		"multicast": func(s int64) {
-			rows := []experiments.MulticastResult{
-				experiments.RunMulticast(s, true, 10),
-				experiments.RunMulticast(s, false, 10),
-			}
-			fmt.Print(experiments.MulticastTable(rows))
-		},
-		"trace": func(s int64) {
-			fmt.Print(experiments.TraceTable(experiments.RunTraceroutes(s)))
-		},
-		"httpgrid": func(s int64) {
-			fmt.Print(experiments.HTTPGridTable(experiments.RunHTTPGridParallel(s, *parallel)))
-		},
-		"dualmobile": func(s int64) {
-			fmt.Print(experiments.RunDualMobile(s).String())
-		},
-		"asymmetry": func(s int64) {
-			fmt.Print(experiments.RunAsymmetry(s).String())
-		},
-		"savings": func(s int64) {
-			fmt.Print(experiments.SavingsTable(experiments.RunSavings(s)))
-		},
-		"chaos": func(s int64) {
-			rows := experiments.RunChaosParallel(s, *trials, *parallel)
-			fmt.Print(experiments.ChaosTable(rows))
-			if wantMetrics {
-				for _, r := range rows {
-					fmt.Printf("== chaos seed=%d ==\n", r.Seed)
-					if *metricsJSON {
-						os.Stdout.Write(r.Metrics.JSON())
-					} else if err := r.Metrics.WriteText(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-						os.Exit(1)
-					}
-					err := metrics.WriteTSV(os.Stdout, r.Series,
-						"ip/delivered", "drop/gilbert_elliott", "drop/blackhole", "drop/down")
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write series: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for _, r := range rows {
-				if len(r.Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: chaos invariant violations (reproduce: mob4x4 -seed %d chaos)\n", r.Seed)
-					os.Exit(1)
-				}
-			}
-		},
-		"fleet": func(s int64) {
-			spec := experiments.FleetSpec{Nodes: *nodes, Cells: *cells, Model: *model, Shards: *shards}
-			rows := experiments.RunFleetParallel(s, *trials, *parallel, spec)
-			fmt.Print(experiments.FleetTable(rows))
-			if wantMetrics {
-				for _, r := range rows {
-					fmt.Printf("== fleet seed=%d ==\n", r.Seed)
-					if *metricsJSON {
-						os.Stdout.Write(r.Metrics.JSON())
-					} else if err := r.Metrics.WriteText(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for _, r := range rows {
-				if len(r.Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: fleet invariant violations (reproduce: mob4x4 -seed %d -nodes %d -cells %d -model %s fleet)\n",
-						r.Seed, *nodes, *cells, *model)
-					os.Exit(1)
-				}
-			}
-		},
-		"adversary": func(s int64) {
-			spec := experiments.AdversarySpec{Nodes: *nodes, Cells: *cells, Model: *model, Shards: *shards}
-			rows := experiments.RunAdversaryParallel(s, *trials, *parallel, spec)
-			fmt.Print(experiments.AdversaryTable(rows))
-			if wantMetrics {
-				for i := range rows {
-					r := &rows[i]
-					fmt.Printf("== adversary seed=%d (attacked run) ==\n", r.Attack.Seed)
-					if *metricsJSON {
-						os.Stdout.Write(r.Attack.Metrics.JSON())
-					} else if err := r.Attack.Metrics.WriteText(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for i := range rows {
-				if len(rows[i].Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: adversary invariant violations (reproduce: mob4x4 -seed %d -nodes %d -cells %d -model %s adversary)\n",
-						rows[i].Attack.Seed, *nodes, *cells, *model)
-					os.Exit(1)
-				}
-			}
-		},
-		"routeopt": func(s int64) {
-			spec := experiments.RouteOptSpec{Nodes: *nodes, Cells: *cells, Model: *model, Shards: *shards}
-			rows := experiments.RunRouteOptParallel(s, *trials, *parallel, spec)
-			fmt.Print(experiments.RouteOptTable(rows))
-			if wantMetrics {
-				for i := range rows {
-					for j := range rows[i].Trials {
-						tr := &rows[i].Trials[j]
-						fmt.Printf("== routeopt seed=%d config=%s ==\n", tr.Seed, tr.Name)
-						if *metricsJSON {
-							os.Stdout.Write(tr.Metrics.JSON())
-						} else if err := tr.Metrics.WriteText(os.Stdout); err != nil {
-							fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-							os.Exit(1)
-						}
-					}
-				}
-			}
-			for i := range rows {
-				if len(rows[i].Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: routeopt invariant violations (reproduce: mob4x4 -seed %d -nodes %d -cells %d -model %s routeopt)\n",
-						rows[i].Trials[0].Seed, *nodes, *cells, *model)
-					os.Exit(1)
-				}
-			}
-		},
-		"report": func(s int64) {
-			fmt.Print(experiments.Report(s))
-		},
+			fmt.Fprintf(stderr, "mob4x4: wrote %d capture(s) to %s\n", n, c.pcapDir)
+		}()
 	}
-	run["fig10"] = run["grid"]
-	order := []string{"fig1", "fig2", "fig4", "fig5", "formats", "grid", "overhead",
-		"adaptive", "durability", "webbrowse", "fa", "transitions", "multicast", "trace",
-		"httpgrid", "dualmobile", "asymmetry", "savings", "chaos"}
 
-	if name == "all" {
-		for _, exp := range order {
-			run[exp](*seed)
-			fmt.Println()
-		}
-		dumpCollector()
-		return
-	}
-	fn, ok := run[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mob4x4: unknown experiment %q\n", name)
-		flag.Usage()
-		os.Exit(2)
-	}
-	fn(*seed)
 	switch name {
-	case "grid", "fig10", "chaos", "fleet", "adversary", "routeopt":
-		// These print their own metrics form above.
+	case "report":
+		io.WriteString(stdout, experiments.Report(c.cfg))
+	case "all":
+		for _, e := range experiments.Registry {
+			if !e.InAll {
+				continue
+			}
+			if code := c.runOne(fs, e, stdout, stderr); code != 0 {
+				return code
+			}
+			fmt.Fprintln(stdout)
+		}
 	default:
-		dumpCollector()
+		e, _ := experiments.Lookup(name)
+		if code := c.runOne(fs, e, stdout, stderr); code != 0 || e.OwnMetrics {
+			return code
+		}
 	}
+	if c.cfg.Metrics {
+		if err := writeMetrics(stdout, c.metricsJSON, &coll); err != nil {
+			fmt.Fprintf(stderr, "mob4x4: write metrics: %v\n", err)
+			return 1
+		}
+	}
+	return 0
+}
+
+// runOne runs one entry and prints its text and, under -metrics, its own
+// dumps. A broken invariant exits 1 with a line that reproduces the
+// failing trial from the entry's declared flags.
+func (c *cli) runOne(fs *flag.FlagSet, e experiments.Experiment, stdout, stderr io.Writer) int {
+	out := e.Run(c.cfg)
+	io.WriteString(stdout, out.Text)
+	for i := 0; c.cfg.Metrics && i < len(out.Dumps); i++ {
+		d := &out.Dumps[i]
+		fmt.Fprintf(stdout, "== %s ==\n", d.Label)
+		if err := writeMetrics(stdout, c.metricsJSON, d.Metrics); err != nil {
+			fmt.Fprintf(stderr, "mob4x4: write metrics: %v\n", err)
+			return 1
+		}
+		io.WriteString(stdout, d.TSV)
+	}
+	if len(out.Violations) == 0 {
+		return 0
+	}
+	repro := fmt.Sprintf("-seed %d", out.Violations[0].Seed)
+	for _, f := range e.Flags {
+		if f != "trials" { // the seed already names the failing trial
+			repro += fmt.Sprintf(" -%s %s", f, fs.Lookup(f).Value)
+		}
+	}
+	fmt.Fprintf(stderr, "mob4x4: %s invariant violations (reproduce: mob4x4 %s %s)\n", e.Name, repro, e.Name)
+	return 1
+}
+
+// writeMetrics renders a snapshot or the run-wide collector as text or
+// indented JSON.
+func writeMetrics(w io.Writer, asJSON bool, v interface{ WriteText(io.Writer) error }) error {
+	if !asJSON {
+		return v.WriteText(w)
+	}
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		_, err = w.Write(append(b, '\n'))
+	}
+	return err
+}
+
+// writeHeapProfile writes a post-GC heap profile, so it shows retained
+// memory.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
 }

@@ -23,10 +23,6 @@ import (
 //     the benchgate envelope (25%) of the clean twin's;
 //   - byte-identical output across runs, -parallel and -shards.
 
-// AdversarySpec selects the fleet's shape, exactly like FleetSpec (the
-// adversarial schedule rides on fleet.AttackOptions defaults).
-type AdversarySpec = FleetSpec
-
 // envelopePct is the allowed quantile degradation under attack,
 // mirroring the benchmark gate's 25% envelope.
 const envelopePct = 25
@@ -42,16 +38,11 @@ type AdversaryResult struct {
 }
 
 // RunAdversary runs one E15 trial: the attacked fleet and its clean
-// twin. The result is a pure function of (seed, spec).
-func RunAdversary(seed int64, spec AdversarySpec) AdversaryResult {
-	base := fleet.Options{
-		Seed:    seed,
-		Nodes:   spec.Nodes,
-		Cells:   spec.Cells,
-		Model:   spec.Model,
-		Workers: spec.Shards,
-		Auth:    true,
-	}
+// twin. The result is a pure function of (seed, spec); the adversarial
+// schedule rides on fleet.AttackOptions defaults.
+func RunAdversary(seed int64, spec FleetSpec) AdversaryResult {
+	base := spec.options(seed)
+	base.Auth = true
 	attacked := base
 	attacked.Attack.Enabled = true
 	res := AdversaryResult{
@@ -83,17 +74,6 @@ func envelope(attack, clean *fleet.Result) []string {
 	return v
 }
 
-// RunAdversaryParallel runs trials E15 trials (seeds seed..seed+trials-1)
-// on up to workers goroutines; results are in seed order and identical
-// to the serial run regardless of worker count.
-func RunAdversaryParallel(seed int64, trials, workers int, spec AdversarySpec) []AdversaryResult {
-	rows := make([]AdversaryResult, trials)
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunAdversary(seed+int64(i), spec)
-	})
-	return rows
-}
-
 // AdversaryTable renders E15 trials: one attack-accounting line per
 // trial, the attack-vs-clean handoff quantiles, the legitimate fleet's
 // end state, and (single-trial runs only) the attacked run's fault log
@@ -123,16 +103,10 @@ func AdversaryTable(rows []AdversaryResult) string {
 			a.Renewals, a.RegistrationFails, a.PendingAfterDrain)
 	}
 	for i := range rows {
-		r := &rows[i]
-		for _, viol := range r.Violations {
-			fmt.Fprintf(&b, "  seed %d VIOLATION: %s\n", r.Attack.Seed, viol)
-		}
+		writeViolations(&b, rows[i].Attack.Seed, rows[i].Violations)
 	}
 	if len(rows) == 1 {
-		fmt.Fprintf(&b, "  fault log (vtime ns, attacked run):\n")
-		for _, line := range rows[0].Attack.FaultLog {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
+		writeFaultLog(&b, "vtime ns, attacked run", rows[0].Attack.FaultLog)
 	}
 	return b.String()
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,12 +11,16 @@ import (
 // worker count, and every hijack-resistance invariant must hold at CI
 // size.
 
-var adversaryTestSpec = AdversarySpec{Nodes: 24, Cells: 4}
+var adversaryTestSpec = FleetSpec{Nodes: 24, Cells: 4}
+
+func runAdversaryTrials(seed int64, trials, workers int) []AdversaryResult {
+	return runTrials(seed, trials, workers, func(s int64) AdversaryResult { return RunAdversary(s, adversaryTestSpec) })
+}
 
 func TestAdversaryReportParallelIdentical(t *testing.T) {
-	serial := RunAdversaryParallel(31, 2, 1, adversaryTestSpec)
+	serial := runAdversaryTrials(31, 2, 1)
 	want := AdversaryTable(serial)
-	rows := RunAdversaryParallel(31, 2, 4, adversaryTestSpec)
+	rows := runAdversaryTrials(31, 2, 4)
 	if got := AdversaryTable(rows); got != want {
 		t.Errorf("AdversaryTable differs between 1 and 4 workers:\n--- serial ---\n%s\n--- 4 workers ---\n%s",
 			want, got)
@@ -50,27 +52,15 @@ func TestAdversaryTableReportsViolations(t *testing.T) {
 	}
 }
 
-// adversarySeed lets CI reproduce a failing smoke: ADV_SEED=n make adversary-smoke.
-func adversarySeed(t *testing.T) int64 {
-	if s := os.Getenv("ADV_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad ADV_SEED %q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
-
 // TestAdversarySmoke is the CI hijack-resistance soak: one small
 // authenticated storm under attack, run with -race, must complete with
 // zero hijacks, exact attack attribution, and the legit fleet inside the
 // latency envelope of its clean twin.
 func TestAdversarySmoke(t *testing.T) {
-	seed := adversarySeed(t)
+	seed := smokeSeed(t)
 	r := RunAdversary(seed, adversaryTestSpec)
 	for _, v := range r.Violations {
-		t.Errorf("seed %d: %s (reproduce: ADV_SEED=%d make adversary-smoke)", seed, v, seed)
+		t.Errorf("seed %d: %s (reproduce: make smoke SEED=%d)", seed, v, seed)
 	}
 	a := &r.Attack
 	if a.Hijacks != 0 {

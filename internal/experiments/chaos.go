@@ -294,15 +294,25 @@ func chaosInvariants(r ChaosResult) []string {
 	return v
 }
 
-// RunChaosParallel runs trials chaos trials (seeds seed..seed+trials-1)
-// on up to workers goroutines; results are in seed order and identical
-// to the serial run regardless of worker count.
+// writeViolations renders one trial's invariant violations.
+func writeViolations(b *strings.Builder, seed int64, viols []string) {
+	for _, v := range viols {
+		fmt.Fprintf(b, "  seed %d VIOLATION: %s\n", seed, v)
+	}
+}
+
+// writeFaultLog renders a single-trial run's fault log.
+func writeFaultLog(b *strings.Builder, what string, lines []string) {
+	fmt.Fprintf(b, "  fault log (%s):\n", what)
+	for _, line := range lines {
+		fmt.Fprintf(b, "    %s\n", line)
+	}
+}
+
+// RunChaosParallel runs chaos trials seed..seed+trials-1 on up to
+// workers goroutines, in seed order.
 func RunChaosParallel(seed int64, trials, workers int) []ChaosResult {
-	rows := make([]ChaosResult, trials)
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunChaos(seed + int64(i))
-	})
-	return rows
+	return runTrials(seed, trials, workers, RunChaos)
 }
 
 // ChaosTable renders chaos trials, one block per trial.
@@ -319,16 +329,10 @@ func ChaosTable(rows []ChaosResult) string {
 			r.RegisteredAtEnd, r.PostHealPing, len(r.Violations))
 	}
 	for i := range rows {
-		r := &rows[i]
-		for _, viol := range r.Violations {
-			fmt.Fprintf(&b, "  seed %d VIOLATION: %s\n", r.Seed, viol)
-		}
+		writeViolations(&b, rows[i].Seed, rows[i].Violations)
 	}
 	if len(rows) == 1 {
-		fmt.Fprintf(&b, "  fault log (vtime ns):\n")
-		for _, line := range rows[0].FaultLog {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
+		writeFaultLog(&b, "vtime ns", rows[0].FaultLog)
 	}
 	return b.String()
 }

@@ -9,12 +9,14 @@ import (
 	"mob4x4/internal/netsim"
 )
 
-// chaosSeed lets CI reproduce a failing soak: CHAOS_SEED=n make chaos-smoke.
-func chaosSeed(t *testing.T) int64 {
-	if s := os.Getenv("CHAOS_SEED"); s != "" {
+// smokeSeed is the seed of the seeded smoke tests (chaos, fleet,
+// adversary, routeopt): 1, or SEED from the environment, so a failure
+// reproduces with `make smoke SEED=<n>`.
+func smokeSeed(t *testing.T) int64 {
+	if s := os.Getenv("SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			t.Fatalf("bad CHAOS_SEED %q: %v", s, err)
+			t.Fatalf("bad SEED %q: %v", s, err)
 		}
 		return v
 	}
@@ -25,16 +27,16 @@ func chaosSeed(t *testing.T) int64 {
 // trial must heal completely — no invariant violations, no timer leaks,
 // and (serial-only check) the pooled frame buffers balance at quiescence.
 func TestChaosInvariants(t *testing.T) {
-	seed := chaosSeed(t)
+	seed := smokeSeed(t)
 	base := netsim.BufOutstanding()
 	r := RunChaos(seed)
 	for _, v := range r.Violations {
-		t.Errorf("seed %d: %s (reproduce: CHAOS_SEED=%d)", seed, v, seed)
+		t.Errorf("seed %d: %s (reproduce: make smoke SEED=%d)", seed, v, seed)
 	}
 	// Buffer balance: only valid serially — sync.Pool is process-wide, so
 	// parallel trials elsewhere would skew the delta.
 	if d := netsim.BufOutstanding() - base; d != 0 {
-		t.Errorf("seed %d: %d pooled buffers outstanding at quiescence (reproduce: CHAOS_SEED=%d)", seed, d, seed)
+		t.Errorf("seed %d: %d pooled buffers outstanding at quiescence (reproduce: make smoke SEED=%d)", seed, d, seed)
 	}
 	if r.TCPEchoes == 0 || r.ProbesSent == 0 {
 		t.Errorf("seed %d: workloads idle (echoes=%d probes=%d)", seed, r.TCPEchoes, r.ProbesSent)
@@ -47,11 +49,11 @@ func TestChaosInvariants(t *testing.T) {
 // TestChaosDeterministicAcrossRuns pins byte-reproducibility: two runs of
 // the same seed produce identical results, including the fault log.
 func TestChaosDeterministicAcrossRuns(t *testing.T) {
-	seed := chaosSeed(t)
+	seed := smokeSeed(t)
 	a := RunChaos(seed)
 	b := RunChaos(seed)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("seed %d: same-seed runs diverged (reproduce: CHAOS_SEED=%d)\nrun1: %+v\nrun2: %+v", seed, seed, a, b)
+		t.Errorf("seed %d: same-seed runs diverged (reproduce: make smoke SEED=%d)\nrun1: %+v\nrun2: %+v", seed, seed, a, b)
 	}
 	if c := RunChaos(seed + 1); reflect.DeepEqual(stripSeed(a), stripSeed(c)) {
 		t.Errorf("seed %d and %d produced identical results (RNG not wired?)", seed, seed+1)
@@ -70,13 +72,13 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trial chaos soak")
 	}
-	seed := chaosSeed(t)
+	seed := smokeSeed(t)
 	const trials = 3
 	serial := RunChaosParallel(seed, trials, 1)
 	for _, workers := range []int{2, 4} {
 		par := RunChaosParallel(seed, trials, workers)
 		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("workers=%d diverged from serial (reproduce: CHAOS_SEED=%d)", workers, seed)
+			t.Errorf("workers=%d diverged from serial (reproduce: make smoke SEED=%d)", workers, seed)
 		}
 	}
 	for i := range serial {

@@ -16,8 +16,9 @@ import (
 // binding by the end of the run, with every drop accounted for, and the
 // whole trial byte-reproducible per seed.
 
-// FleetSpec selects the fleet's shape; the storm schedule and the rest
-// of the knobs ride on fleet.Options defaults.
+// FleetSpec selects the fleet's shape for all three fleet-derived storms
+// (fleet, adversary, routeopt); the storm schedule and the rest of the
+// knobs ride on fleet.Options defaults.
 type FleetSpec struct {
 	Nodes int
 	Cells int
@@ -25,10 +26,15 @@ type FleetSpec struct {
 
 	// Shards is the worker-goroutine count driving the region shards
 	// inside each trial (fleet.Options.Workers). Orthogonal to the
-	// trial-level parallelism of RunFleetParallel: that knob runs whole
+	// trial-level parallelism of Config.Parallel: that knob runs whole
 	// trials concurrently, this one parallelizes the regions of a single
 	// trial. Output is byte-identical for any value.
 	Shards int
+}
+
+// options is the fleet.Options of one trial of this shape at seed.
+func (spec FleetSpec) options(seed int64) fleet.Options {
+	return fleet.Options{Seed: seed, Nodes: spec.Nodes, Cells: spec.Cells, Model: spec.Model, Workers: spec.Shards}
 }
 
 // FleetResult is one fleet trial's deterministic outcome.
@@ -37,24 +43,7 @@ type FleetResult = fleet.Result
 // RunFleet runs one E14 trial. The result is a pure function of
 // (seed, spec).
 func RunFleet(seed int64, spec FleetSpec) FleetResult {
-	return fleet.New(fleet.Options{
-		Seed:    seed,
-		Nodes:   spec.Nodes,
-		Cells:   spec.Cells,
-		Model:   spec.Model,
-		Workers: spec.Shards,
-	}).Run()
-}
-
-// RunFleetParallel runs trials fleet trials (seeds seed..seed+trials-1)
-// on up to workers goroutines; results are in seed order and identical
-// to the serial run regardless of worker count.
-func RunFleetParallel(seed int64, trials, workers int, spec FleetSpec) []FleetResult {
-	rows := make([]FleetResult, trials)
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunFleet(seed+int64(i), spec)
-	})
-	return rows
+	return fleet.New(spec.options(seed)).Run()
 }
 
 // FleetTable renders fleet trials: a summary line per trial, the
@@ -91,16 +80,10 @@ func FleetTable(rows []FleetResult) string {
 			r.RegisteredAtEnd, r.Nodes, r.BindingsAtEnd, r.Renewals, r.RecoveryProbes, r.Expiries, r.PendingAfterDrain)
 	}
 	for i := range rows {
-		r := &rows[i]
-		for _, viol := range r.Violations {
-			fmt.Fprintf(&b, "  seed %d VIOLATION: %s\n", r.Seed, viol)
-		}
+		writeViolations(&b, rows[i].Seed, rows[i].Violations)
 	}
 	if len(rows) == 1 {
-		fmt.Fprintf(&b, "  fault log (vtime ns):\n")
-		for _, line := range rows[0].FaultLog {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
+		writeFaultLog(&b, "vtime ns", rows[0].FaultLog)
 	}
 	return b.String()
 }

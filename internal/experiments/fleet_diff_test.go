@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,11 +14,15 @@ import (
 // small fixture).
 var fleetTestSpec = FleetSpec{Nodes: 24, Cells: 4}
 
+func runFleetTrials(seed int64, trials, workers int) []FleetResult {
+	return runTrials(seed, trials, workers, func(s int64) FleetResult { return RunFleet(s, fleetTestSpec) })
+}
+
 func TestFleetReportParallelIdentical(t *testing.T) {
-	serial := RunFleetParallel(31, 3, 1, fleetTestSpec)
+	serial := runFleetTrials(31, 3, 1)
 	want := FleetTable(serial)
 	for _, workers := range []int{2, 4} {
-		rows := RunFleetParallel(31, 3, workers, fleetTestSpec)
+		rows := runFleetTrials(31, 3, workers)
 		if got := FleetTable(rows); got != want {
 			t.Errorf("FleetTable differs between 1 and %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 				workers, want, workers, got)
@@ -64,25 +66,13 @@ func TestFleetTableReportsViolations(t *testing.T) {
 	}
 }
 
-// fleetSeed lets CI reproduce a failing smoke: FLEET_SEED=n make fleet-smoke.
-func fleetSeed(t *testing.T) int64 {
-	if s := os.Getenv("FLEET_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad FLEET_SEED %q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
-
 // TestFleetSmoke is the CI fleet soak: one small storm under -race must
 // complete with every invariant intact.
 func TestFleetSmoke(t *testing.T) {
-	seed := fleetSeed(t)
+	seed := smokeSeed(t)
 	r := RunFleet(seed, fleetTestSpec)
 	for _, v := range r.Violations {
-		t.Errorf("seed %d: %s (reproduce: FLEET_SEED=%d make fleet-smoke)", seed, v, seed)
+		t.Errorf("seed %d: %s (reproduce: make smoke SEED=%d)", seed, v, seed)
 	}
 	if r.Handoffs == 0 || r.Moves == 0 {
 		t.Errorf("seed %d: storm moved nothing (moves=%d handoffs=%d)", seed, r.Moves, r.Handoffs)

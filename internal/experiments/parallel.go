@@ -48,46 +48,44 @@ func parallelEach(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// fanOut returns run(0) … run(n-1), computed on up to workers goroutines
+// and in index order for any worker count.
+func fanOut[R any](workers, n int, run func(i int) R) []R {
+	rows := make([]R, n)
+	parallelEach(workers, n, func(i int) { rows[i] = run(i) })
+	return rows
+}
+
+// runTrials is the seed-per-trial fan-out: trials independent trials,
+// seeds seed..seed+trials-1, results in seed order.
+func runTrials[R any](seed int64, trials, workers int, run func(seed int64) R) []R {
+	return fanOut(workers, trials, func(i int) R { return run(seed + int64(i)) })
+}
+
 // RunGridParallel is RunGrid with the 16 cells executed on up to workers
 // goroutines. Cell order (and every cell's content) is identical to the
 // serial RunGrid for the same seed.
 func RunGridParallel(seed int64, workers int) []GridCell {
 	combos := allGridCombos()
-	cells := make([]GridCell, len(combos))
-	parallelEach(workers, len(combos), func(i int) {
-		cells[i] = runGridCell(seed, combos[i])
-	})
-	return cells
+	return fanOut(workers, len(combos), func(i int) GridCell { return runGridCell(seed, combos[i]) })
 }
 
 // RunAdaptiveParallel is RunAdaptive with the start strategies executed on
 // up to workers goroutines, results in the serial order.
 func RunAdaptiveParallel(seed int64, filtering bool, workers int) []AdaptiveRow {
 	names := adaptiveStrategyNames()
-	rows := make([]AdaptiveRow, len(names))
-	parallelEach(workers, len(names), func(i int) {
-		rows[i] = runAdaptiveStrategy(seed, filtering, names[i])
-	})
-	return rows
+	return fanOut(workers, len(names), func(i int) AdaptiveRow { return runAdaptiveStrategy(seed, filtering, names[i]) })
 }
 
 // RunDurabilityParallel runs the home-address and temporary-address E11
 // trials concurrently and returns them in the usual [home, temporary]
 // order.
 func RunDurabilityParallel(seed int64, moves, workers int) []DurabilityResult {
-	rows := make([]DurabilityResult, 2)
-	parallelEach(workers, 2, func(i int) {
-		rows[i] = RunDurability(seed, i == 0, moves)
-	})
-	return rows
+	return fanOut(workers, 2, func(i int) DurabilityResult { return RunDurability(seed, i == 0, moves) })
 }
 
 // RunWebBrowseParallel runs the Mobile-IP and Out-DT Row-D trials
 // concurrently, returned in [mobileip, out-dt] order.
 func RunWebBrowseParallel(seed int64, n, workers int) []WebBrowseResult {
-	rows := make([]WebBrowseResult, 2)
-	parallelEach(workers, 2, func(i int) {
-		rows[i] = RunWebBrowse(seed, n, i == 0)
-	})
-	return rows
+	return fanOut(workers, 2, func(i int) WebBrowseResult { return RunWebBrowse(seed, n, i == 0) })
 }

@@ -6,36 +6,24 @@ import (
 )
 
 // TestReportCoversEverything smoke-tests the all-experiments document:
-// it must run to completion and contain each section with its headline
-// agreement intact.
+// it must run to completion and hold a section for exactly the entries
+// `mob4x4 all` runs, with the grid's headline agreement intact.
 func TestReportCoversEverything(t *testing.T) {
-	out := Report(3)
-	for _, want := range []string{
-		"E1 — Figure 1",
-		"E2/E3 — Figures 2 & 3",
-		"E4 — Figure 4",
-		"E5 — Figure 5",
-		"E6/E7 — Figures 6-9",
-		"E8 — Figure 10",
-		"agreement with the paper: 16/16",
-		"E9 — §3.3",
-		"E10 — §7.1.2",
-		"E11 — §2, durability",
-		"Row D — web browsing",
-		"§2 — attachment styles",
-		"E12 — §7.2",
-		"§6.4 — multicast",
-		"§1 — both hosts mobile",
-		"§2 — path asymmetry",
-		"§3.2 — shared-resource load",
-		"tunnel opacity",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
+	c := DefaultConfig()
+	c.Seed = 3
+	out := Report(c)
+	for _, e := range Registry {
+		if got := strings.Contains(out, "## "+e.Heading+"\n"); got != e.InAll {
+			t.Errorf("report has section %q = %v, want %v (InAll)", e.Heading, got, e.InAll)
 		}
 	}
-	// Deterministic per seed: the reproduction's core guarantee.
-	if Report(3) != out {
+	if want := "agreement with paper classification: 16/16"; !strings.Contains(out, want) {
+		t.Errorf("report missing %q", want)
+	}
+	// Deterministic per seed, for any worker count: the reproduction's
+	// core guarantee.
+	c.Parallel = 4
+	if Report(c) != out {
 		t.Error("report not deterministic for a fixed seed")
 	}
 }

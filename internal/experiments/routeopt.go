@@ -37,10 +37,6 @@ import (
 //     alive on In-IE triangle routing (acks and learns exactly zero);
 //   - byte-identical output across runs, -parallel and -shards.
 
-// RouteOptSpec selects the fleet's shape, exactly like FleetSpec (the
-// tier's knobs ride on fleet.RouteOptOptions defaults).
-type RouteOptSpec = FleetSpec
-
 // RouteOptTrial is one configuration's outcome.
 type RouteOptTrial struct {
 	Name string
@@ -54,45 +50,33 @@ type RouteOptResult struct {
 	Violations []string
 }
 
-// routeOptConfigs returns the trial matrix in render order.
-func routeOptConfigs() []struct {
+// routeOptConfigs is the trial matrix in render order.
+var routeOptConfigs = []struct {
 	name string
 	ro   fleet.RouteOptOptions
-} {
-	return []struct {
-		name string
-		ro   fleet.RouteOptOptions
-	}{
-		{"baseline", fleet.RouteOptOptions{Enabled: true}},
-		{"push", fleet.RouteOptOptions{PushUpdates: true}},
-		{"ha-push", fleet.RouteOptOptions{PushFromHA: true}},
-		{"compact", fleet.RouteOptOptions{Compact: true}},
-		{"hier", fleet.RouteOptOptions{Hierarchical: true}},
-		{"fallback", fleet.RouteOptOptions{PushUpdates: true, BlackholeUpdates: true}},
-	}
+}{
+	{"baseline", fleet.RouteOptOptions{Enabled: true}},
+	{"push", fleet.RouteOptOptions{PushUpdates: true}},
+	{"ha-push", fleet.RouteOptOptions{PushFromHA: true}},
+	{"compact", fleet.RouteOptOptions{Compact: true}},
+	{"hier", fleet.RouteOptOptions{Hierarchical: true}},
+	{"fallback", fleet.RouteOptOptions{PushUpdates: true, BlackholeUpdates: true}},
 }
 
 // RunRouteOpt runs one E17 set: all six configurations at one seed, up
 // to workers of them concurrently (they are independent fleets). The
-// result is a pure function of (seed, spec).
-func RunRouteOpt(seed int64, workers int, spec RouteOptSpec) RouteOptResult {
-	configs := routeOptConfigs()
-	res := RouteOptResult{Trials: make([]RouteOptTrial, len(configs))}
-	parallelEach(workers, len(configs), func(i int) {
-		o := fleet.Options{
-			Seed:    seed,
-			Nodes:   spec.Nodes,
-			Cells:   spec.Cells,
-			Model:   spec.Model,
-			Workers: spec.Shards,
-			// Foreign agents off everywhere: Compact forces it, and the
-			// other trials must run the identical movement schedule to
-			// be comparable.
-			FAEvery:  -1,
-			RouteOpt: configs[i].ro,
-		}
-		res.Trials[i] = RouteOptTrial{Name: configs[i].name, Result: fleet.New(o).Run()}
-	})
+// result is a pure function of (seed, spec); the tier's knobs ride on
+// fleet.RouteOptOptions defaults.
+func RunRouteOpt(seed int64, workers int, spec FleetSpec) RouteOptResult {
+	res := RouteOptResult{Trials: fanOut(workers, len(routeOptConfigs), func(i int) RouteOptTrial {
+		o := spec.options(seed)
+		// Foreign agents off everywhere: Compact forces it, and the other
+		// trials must run the identical movement schedule to be
+		// comparable.
+		o.FAEvery = -1
+		o.RouteOpt = routeOptConfigs[i].ro
+		return RouteOptTrial{Name: routeOptConfigs[i].name, Result: fleet.New(o).Run()}
+	})}
 	trial := func(name string) *fleet.Result {
 		for i := range res.Trials {
 			if res.Trials[i].Name == name {
@@ -142,23 +126,6 @@ func RunRouteOpt(seed int64, workers int, spec RouteOptSpec) RouteOptResult {
 	return res
 }
 
-// RunRouteOptParallel runs trials E17 sets (seeds seed..seed+trials-1).
-// The worker budget is shared: each set fans its six configurations out
-// on the same pool via parallelEach's sequential fallback, so results
-// are in seed order and identical to the serial run for any count.
-func RunRouteOptParallel(seed int64, trials, workers int, spec RouteOptSpec) []RouteOptResult {
-	rows := make([]RouteOptResult, trials)
-	if trials == 1 {
-		// A single set gets the whole budget for its configurations.
-		rows[0] = RunRouteOpt(seed, workers, spec)
-		return rows
-	}
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunRouteOpt(seed+int64(i), 1, spec)
-	})
-	return rows
-}
-
 // RouteOptTable renders E17: one line per configuration with the
 // handoff and recovery quantiles, bytes on the home uplink, and the
 // push/regional accounting — the with/without overhead table of the
@@ -187,9 +154,7 @@ func RouteOptTable(rows []RouteOptResult) string {
 				t.RegionalRegistrations, t.GFADownRelayed+t.GFAUpRelayed,
 				len(t.Result.Violations))
 		}
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  seed %d VIOLATION: %s\n", first.Seed, v)
-		}
+		writeViolations(&b, first.Seed, r.Violations)
 	}
 	return b.String()
 }

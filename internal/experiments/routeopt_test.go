@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,24 +11,27 @@ import (
 // run-to-run and across any -parallel worker count, and every
 // cross-configuration claim must hold at CI size.
 
-var routeOptTestSpec = RouteOptSpec{Nodes: 24, Cells: 4}
+var routeOptTestSpec = FleetSpec{Nodes: 24, Cells: 4}
 
+// TestRouteOptReportParallelIdentical drives the registry entry, so the
+// shared fan-out and its worker split (one set per worker when there are
+// several) are what is compared.
 func TestRouteOptReportParallelIdentical(t *testing.T) {
-	serial := RunRouteOptParallel(31, 2, 1, routeOptTestSpec)
-	want := RouteOptTable(serial)
-	rows := RunRouteOptParallel(31, 2, 4, routeOptTestSpec)
-	if got := RouteOptTable(rows); got != want {
+	e, _ := Lookup("routeopt")
+	c := Config{Seed: 31, Parallel: 1, Trials: 2, FleetSpec: routeOptTestSpec}
+	serial := e.Run(c)
+	c.Parallel = 4
+	par := e.Run(c)
+	if want, got := serial.Text, par.Text; got != want {
 		t.Errorf("RouteOptTable differs between 1 and 4 workers:\n--- serial ---\n%s\n--- 4 workers ---\n%s",
 			want, got)
 	}
-	for i := range rows {
-		for j := range rows[i].Trials {
-			a := string(serial[i].Trials[j].Metrics.JSON())
-			b := string(rows[i].Trials[j].Metrics.JSON())
-			if a != b {
-				t.Errorf("set %d trial %s metrics snapshot differs at 4 workers",
-					i, rows[i].Trials[j].Name)
-			}
+	if len(serial.Dumps) != 12 || len(par.Dumps) != len(serial.Dumps) {
+		t.Fatalf("got %d/%d dumps, want 12 (two sets of six configurations)", len(serial.Dumps), len(par.Dumps))
+	}
+	for i := range par.Dumps {
+		if a, b := string(serial.Dumps[i].Metrics.JSON()), string(par.Dumps[i].Metrics.JSON()); a != b {
+			t.Errorf("%s metrics snapshot differs at 4 workers", par.Dumps[i].Label)
 		}
 	}
 }
@@ -60,28 +61,16 @@ func TestRouteOptTableReportsViolations(t *testing.T) {
 	}
 }
 
-// routeOptSeed lets CI reproduce a failing smoke: RO_SEED=n make routeopt-smoke.
-func routeOptSeed(t *testing.T) int64 {
-	if s := os.Getenv("RO_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad RO_SEED %q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
-
 // TestRouteOptSmoke is the CI route-optimization soak: the six-way
 // comparison at one seed, run with -race, must complete with every
 // per-trial invariant and cross-trial claim intact — push shrinks the
 // recovery tail, compact shrinks uplink bytes, hier shrinks the median
 // handoff, and the blackholed fallback loses no conversation.
 func TestRouteOptSmoke(t *testing.T) {
-	seed := routeOptSeed(t)
+	seed := smokeSeed(t)
 	r := RunRouteOpt(seed, 4, routeOptTestSpec)
 	for _, v := range r.Violations {
-		t.Errorf("seed %d: %s (reproduce: RO_SEED=%d make routeopt-smoke)", seed, v, seed)
+		t.Errorf("seed %d: %s (reproduce: make smoke SEED=%d)", seed, v, seed)
 	}
 	for i := range r.Trials {
 		tr := &r.Trials[i]

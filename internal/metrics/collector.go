@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"io"
 	"sort"
 	"sync"
@@ -72,5 +73,8 @@ func (c *Collector) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Snapshots returns the sorted labeled snapshots (for JSON dumps).
+// Snapshots returns the sorted labeled snapshots.
 func (c *Collector) Snapshots() []LabeledSnapshot { return c.snapshotAll() }
+
+// MarshalJSON renders the collector as its Snapshots.
+func (c *Collector) MarshalJSON() ([]byte, error) { return json.Marshal(c.snapshotAll()) }

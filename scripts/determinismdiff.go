@@ -1,16 +1,18 @@
 package main
 
 // determinismdiff is the runtime determinism gate (same binary as
-// benchdiff, selected with -determinism): it builds ./cmd/mob4x4 once,
-// runs every experiment twice per seed with identical arguments, and —
-// for the experiments that fan trials out over worker goroutines — once
-// more under -parallel N. The full stdout of each run (tables, metrics
-// dumps, report JSON, chaos TSV series) is SHA-256 hashed; any pair of
-// hashes that should match and does not is a determinism violation and
-// the gate exits 1. This is the dynamic counterpart to the mapiter/
-// globalstate/sharedrand/bufretain analyzers: the analyzers prove the
-// sources of nondeterminism are absent, this proves the composed system
-// actually emits byte-identical output per seed, worker count included.
+// benchdiff, selected with -determinism): it builds ./cmd/mob4x4 once and
+// runs every entry of the experiment registry (internal/experiments)
+// twice per seed with the entry's GateArgs, once more under -parallel N
+// when the entry fans trials out over worker goroutines, and once per
+// -shards value when it is under the sharded-engine contract. The full
+// stdout of each run (tables, metrics dumps, report JSON, chaos TSV
+// series) is SHA-256 hashed; any pair of hashes that should match and
+// does not is a determinism violation and the gate exits 1. This is the
+// dynamic counterpart to the mapiter/globalstate/sharedrand/bufretain
+// analyzers: the analyzers prove the sources of nondeterminism are
+// absent, this proves the composed system actually emits byte-identical
+// output per seed, worker count included.
 
 import (
 	"crypto/sha256"
@@ -18,62 +20,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+
+	"mob4x4/internal/experiments"
 )
-
-// detExperiment is one experiment invocation under the gate. Args omit
-// -seed and -parallel; the driver appends those.
-type detExperiment struct {
-	name string
-	args []string
-	// parallelOK marks experiments whose driver accepts -parallel
-	// (independent trials fanned over workers); those also get a
-	// parallel-vs-serial byte comparison.
-	parallelOK bool
-	// shardsOK marks experiments under the sharded-engine contract:
-	// each run with -shards N must be byte-identical to serial for
-	// every N (fleet drives region shards; chaos accepts and ignores
-	// the flag, making the same promise trivially).
-	shardsOK bool
-}
-
-// detExperiments is the full E-series surface. Every experiment that can
-// dump metrics does, so the hash covers counters and histograms, not
-// just the human tables. The chaos and fleet rows use small topologies:
-// the gate is about byte-equality, not scale, and CI pays for every run
-// three times.
-var detExperiments = []detExperiment{
-	{name: "fig1"},
-	{name: "fig2"},
-	{name: "fig3"},
-	{name: "fig4"},
-	{name: "fig5"},
-	{name: "formats"},
-	{name: "grid", args: []string{"-metrics-json"}, parallelOK: true},
-	{name: "overhead", args: []string{"-metrics-json"}},
-	{name: "adaptive", parallelOK: true},
-	{name: "durability", parallelOK: true},
-	{name: "webbrowse", parallelOK: true},
-	{name: "fa", args: []string{"-metrics-json"}},
-	{name: "transitions"},
-	{name: "multicast"},
-	{name: "trace"},
-	// httpgrid's stdout includes each cell's capture SHA-256, so this row
-	// compares the captured pcap bytes themselves — repeats, -parallel
-	// and -shards (accepted and ignored: cells are single-region) must
-	// all reproduce the same wire traffic, timestamps included, even
-	// though real net/http goroutines drive the virtual clock.
-	{name: "httpgrid", parallelOK: true, shardsOK: true},
-	{name: "dualmobile"},
-	{name: "asymmetry"},
-	{name: "savings", args: []string{"-metrics-json"}},
-	{name: "chaos", args: []string{"-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "fleet", args: []string{"-nodes", "60", "-cells", "6", "-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "adversary", args: []string{"-nodes", "60", "-cells", "6", "-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "routeopt", args: []string{"-nodes", "24", "-cells", "4", "-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "report"},
-}
 
 // runDeterminism executes the gate; it returns false on any divergence
 // or run failure.
@@ -103,71 +55,47 @@ func runDeterminism(seedList string, parallel int, shardList string) bool {
 		return false
 	}
 
+	// One row per registry entry, with the entry's own arguments, plus
+	// the report document. Every entry that can dump metrics does, so the
+	// hash covers counters and histograms, not just the human tables.
 	ok := true
-	for _, e := range detExperiments {
+	for _, e := range append(slices.Clip(experiments.Registry), experiments.Experiment{Name: "report"}) {
 		for _, seed := range seeds {
-			serial := append([]string{"-seed", strconv.FormatInt(seed, 10)}, e.args...)
-			serial = append(serial, e.name)
-			h1, err := hashRun(bin, serial)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d run 1: %v\n", e.name, seed, err)
-				ok = false
-				continue
-			}
-			h2, err := hashRun(bin, serial)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d run 2: %v\n", e.name, seed, err)
-				ok = false
-				continue
-			}
-			if h1 != h2 {
-				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: two identical serial runs diverged (%s != %s)\n",
-					e.name, seed, h1[:12], h2[:12])
-				ok = false
-				continue
-			}
+			// Two plain runs, then the worker-count variants; every run
+			// must hash like the first.
+			variants := [][]string{nil, nil}
 			status := "run-to-run ok"
-			if e.parallelOK && parallel > 1 {
-				par := append([]string{"-seed", strconv.FormatInt(seed, 10), "-parallel", strconv.Itoa(parallel)}, e.args...)
-				par = append(par, e.name)
-				h3, err := hashRun(bin, par)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d -parallel %d: %v\n", e.name, seed, parallel, err)
-					ok = false
-					continue
-				}
-				if h3 != h1 {
-					fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: -parallel %d output diverged from serial (%s != %s)\n",
-						e.name, seed, parallel, h3[:12], h1[:12])
-					ok = false
-					continue
-				}
+			if e.Parallel && parallel > 1 {
+				variants = append(variants, []string{"-parallel", strconv.Itoa(parallel)})
 				status = fmt.Sprintf("run-to-run and -parallel %d ok", parallel)
 			}
-			if e.shardsOK {
-				diverged := false
+			if e.Shards {
 				for _, n := range shardCounts {
-					sh := append([]string{"-seed", strconv.FormatInt(seed, 10), "-shards", strconv.FormatInt(n, 10)}, e.args...)
-					sh = append(sh, e.name)
-					h4, err := hashRun(bin, sh)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d -shards %d: %v\n", e.name, seed, n, err)
-						ok, diverged = false, true
-						break
-					}
-					if h4 != h1 {
-						fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: -shards %d output diverged from serial (%s != %s)\n",
-							e.name, seed, n, h4[:12], h1[:12])
-						ok, diverged = false, true
-						break
-					}
-				}
-				if diverged {
-					continue
+					variants = append(variants, []string{"-shards", strconv.FormatInt(n, 10)})
 				}
 				status += fmt.Sprintf(", -shards {%s} ok", shardList)
 			}
-			fmt.Printf("determinism: %-12s seed=%-3d %s (%s)\n", e.name, seed, h1[:12], status)
+			first := ""
+			for i, v := range variants {
+				args := append([]string{"-seed", strconv.FormatInt(seed, 10)}, v...)
+				h, err := hashRun(bin, append(append(args, e.GateArgs...), e.Name))
+				if err == nil && i > 0 && h != first {
+					err = fmt.Errorf("output diverged from serial run 1 (%s != %s)", h[:12], first[:12])
+				}
+				if err != nil {
+					label := strings.Join(v, " ")
+					if v == nil {
+						label = fmt.Sprintf("serial run %d", i+1)
+					}
+					fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d %s: %v\n", e.Name, seed, label, err)
+					ok, first = false, ""
+					break
+				}
+				first = h
+			}
+			if first != "" {
+				fmt.Printf("determinism: %-12s seed=%-3d %s (%s)\n", e.Name, seed, first[:12], status)
+			}
 		}
 	}
 	return ok
