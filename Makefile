@@ -18,9 +18,9 @@ FUZZ_TARGETS = \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 
-.PHONY: check build vet lint test race smoke fuzz-smoke bench benchgate cover determinism
+.PHONY: check build vet lint test examples race smoke fuzz-smoke bench benchgate cover determinism
 
-check: build vet lint test
+check: build vet lint test examples
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,17 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# Run every program under examples/ and diff its stdout against the
+# committed examples/<name>/golden.txt; any difference or non-zero exit
+# fails. After an intended output change, regenerate one with
+#   go run ./examples/<name> > examples/<name>/golden.txt
+examples:
+	@set -e; for dir in examples/*/; do \
+		dir=$${dir%/}; echo "$$dir"; \
+		$(GO) run ./$$dir > /tmp/mob4x4_example.txt; \
+		diff -u $$dir/golden.txt /tmp/mob4x4_example.txt; \
+	done
 
 # The whole suite under the race detector, the seeded smokes included:
 # their drivers fan trials over -parallel workers, the only place distinct

@@ -32,16 +32,18 @@ func main() {
 		s.Roam()
 		s.MN.SetPrivacy(privacy)
 		careOf := s.MN.CareOf().String()
+		log, stop := s.Net.Sim.Trace.Capture()
 		// Two pings: the first teaches the correspondent (if aware),
 		// the second uses whatever mode it learned.
 		s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 10*experiments.Second)
 
 		p := s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 10*experiments.Second)
+		stop()
 
 		// Did the care-of address ever appear in traffic near the
 		// correspondent (at its border router)?
 		careOfVisible := false
-		for _, e := range s.Net.Sim.Trace.Events() {
+		for _, e := range *log {
 			if e.Where == "farGW" && e.Kind == netsim.EventForward &&
 				strings.Contains(e.Detail, careOf) {
 				careOfVisible = true

@@ -66,6 +66,8 @@ func main() {
 
 	// 4. The correspondent pings the PERMANENT home address; the home
 	// agent captures and tunnels; the reply comes back directly.
+	// A capture window records every packet event of the exchange.
+	log, stop := net.Sim.Trace.Capture()
 	chIC := icmphost.Install(chHost)
 	chIC.OnEchoReply = func(src ipv4.Addr, msg icmp.Message) {
 		fmt.Printf("echo reply seq=%d from %s at t=%v\n", msg.Seq, src, net.Sim.Now())
@@ -74,10 +76,11 @@ func main() {
 		_ = chIC.Ping(ipv4.Zero, mn.Home(), 1, seq, []byte("hello"))
 		net.RunFor(1e9)
 	}
+	stop()
 
 	// 5. The packet trail: tunnel entry and exit are visible in the trace.
 	fmt.Println("\ntrace (tunnel events only):")
-	for _, e := range net.Sim.Trace.Events() {
+	for _, e := range *log {
 		if e.Kind == netsim.EventEncap || e.Kind == netsim.EventDecap {
 			fmt.Println(" ", e)
 		}

@@ -74,8 +74,6 @@ func newAdaptiveSelector(strategy string, filtering bool) *core.Selector {
 func runAdaptiveStrategy(seed int64, filtering bool, strategy string) AdaptiveRow {
 	sel := newAdaptiveSelector(strategy, filtering)
 	s := Build(Options{Seed: seed, HomeFilter: filtering, Selector: sel})
-	// This experiment reads only endpoint statistics, never trace events.
-	s.Net.Sim.Trace.Discard()
 	s.Roam()
 
 	// Wire the Section 7.1.2 feedback loop: transport

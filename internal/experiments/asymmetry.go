@@ -112,8 +112,7 @@ func RunAsymmetry(seed int64) AsymmetryResult {
 
 	// One echo for the latency asymmetry. (Reuse the Scenario helper's
 	// trace reconstruction by hand.)
-	tr := n.Sim.Trace
-	evStart := len(tr.Events())
+	log, stop := n.Sim.Trace.Capture()
 	echoGot := false
 	chSock, err := chHost.OpenUDP(ipv4.Zero, 0, func(src ipv4.Addr, sp uint16, dst ipv4.Addr, pl []byte) {
 		echoGot = true
@@ -126,10 +125,11 @@ func RunAsymmetry(seed int64) AsymmetryResult {
 	assert.NoError(err, "asymmetry: open MH socket")
 	_ = chSock.SendTo(mn.Home(), 4242, []byte("probe"))
 	n.RunFor(10 * Second)
+	stop()
 	res.Delivered = echoGot
 
 	var reqID, repID uint64
-	for _, e := range tr.Events()[evStart:] {
+	for _, e := range *log {
 		if e.Kind == netsim.EventSend && e.Where == "ch" && reqID == 0 {
 			reqID = e.PktID
 		}
@@ -137,8 +137,8 @@ func RunAsymmetry(seed int64) AsymmetryResult {
 			repID = e.PktID
 		}
 	}
-	res.RequestOneWay = packetTransit(tr.PacketEvents(reqID))
-	res.ReplyOneWay = packetTransit(tr.PacketEvents(repID))
+	res.RequestOneWay = packetTransit(log.Packet(reqID))
+	res.ReplyOneWay = packetTransit(log.Packet(repID))
 	if res.ReplyOneWay > 0 {
 		res.Ratio = float64(res.RequestOneWay) / float64(res.ReplyOneWay)
 	}

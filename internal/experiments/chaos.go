@@ -91,8 +91,6 @@ func RunChaos(seed int64) ChaosResult {
 		RegMaxRetries:    3,
 		RegProbeInterval: 4 * Second,
 	})
-	// Chaos reads counters and the fault log, never trace events.
-	s.Net.Sim.Trace.Discard()
 	// Sample the registry every 2s of vtime for the recovery trajectory.
 	samp := metrics.NewSampler(s.Net.Sched(), s.Net.Sim.Metrics, 2*Second)
 	// Enough retransmission budget to outlast the longest outage window.

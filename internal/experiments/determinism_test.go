@@ -11,13 +11,15 @@ import (
 func TestSimulationIsDeterministic(t *testing.T) {
 	capture := func() []string {
 		s := Build(Options{Seed: 77, Notices: true, CHAware: true, CHDecap: true})
+		log, stop := s.Net.Sim.Trace.Capture()
+		defer stop()
 		s.Roam()
 		s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 10*Second)
 		s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 10*Second)
 		s.RoamB()
 		s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 10*Second)
 		var out []string
-		for _, e := range s.Net.Sim.Trace.Events() {
+		for _, e := range *log {
 			out = append(out, e.String())
 		}
 		return out
@@ -40,6 +42,8 @@ func TestSimulationIsDeterministic(t *testing.T) {
 func TestSeedsProduceDistinctRuns(t *testing.T) {
 	sig := func(seed int64) string {
 		s := Build(Options{Seed: seed})
+		log, stop := s.Net.Sim.Trace.Capture()
+		defer stop()
 		// Add loss so the RNG matters.
 		for _, seg := range s.Net.Sim.Segments() {
 			_ = seg
@@ -50,8 +54,8 @@ func TestSeedsProduceDistinctRuns(t *testing.T) {
 			p := s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 10*Second)
 			out += fmt.Sprintf("%v/", p.RTT)
 		}
-		// Use tracer packet count as part of the signature.
-		out += fmt.Sprintf("%d", len(s.Net.Sim.Trace.Events()))
+		// Use the captured event count as part of the signature.
+		out += fmt.Sprintf("%d", len(*log))
 		return out
 	}
 	// Same seed twice: identical.

@@ -40,8 +40,6 @@ func RunDurability(seed int64, useHomeAddress bool, moves int) DurabilityResult 
 	}
 
 	s := Build(Options{Seed: seed, Selector: core.NewSelector(core.StartOptimistic)})
-	// E11 reads only connection state and echo counts, never trace events.
-	s.Net.Sim.Trace.Discard()
 	s.Roam()
 
 	// Echo server on the far correspondent.
@@ -129,8 +127,6 @@ func RunWebBrowse(seed int64, n int, useMobileIP bool) WebBrowseResult {
 	res := WebBrowseResult{Mode: "out-dt", Fetches: n}
 	sel := core.NewSelector(core.StartPessimistic) // Out-IE for home traffic
 	s := Build(Options{Seed: seed, Selector: sel})
-	// Row D reads only segment byte counters, never trace events.
-	s.Net.Sim.Trace.Discard()
 	s.Roam()
 
 	const page = 8 * 1024

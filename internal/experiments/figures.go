@@ -89,21 +89,23 @@ func RunFig2(seed int64, filterOn bool) Fig2Result {
 		prevIC := s.CHHomeIC.OnEchoRequest
 		s.CHHomeIC.OnEchoRequest = func(src ipv4.Addr, _ icmp.Message) { delivered++ }
 		dropsBefore := homeBoundaryDrops(s)
-		var lastReqID uint64
+		log, stop := s.Net.Sim.Trace.Capture()
 		for i := 0; i < count; i++ {
 			_ = s.MHICMP.Ping(ipv4.Zero, s.CHHome.FirstAddr(), 0x0f02, uint16(i+1), []byte("fig2"))
 			s.Net.RunFor(2 * Second)
 		}
+		stop()
 		s.CHHomeIC.OnEchoRequest = prevIC
 		row.Delivered = delivered
 		row.FilterDrops = homeBoundaryDrops(s) - dropsBefore
 		// Path of the last request.
-		for _, e := range s.Net.Sim.Trace.Events() {
+		var lastReqID uint64
+		for _, e := range *log {
 			if e.Kind == netsim.EventSend && e.Where == "mh" {
 				lastReqID = e.PktID
 			}
 		}
-		row.Path = s.Net.Sim.Trace.Path(lastReqID)
+		row.Path = log.Path(lastReqID)
 		res.Rows = append(res.Rows, row)
 	}
 	return res

@@ -142,9 +142,6 @@ func runGridCellTopo(seed int64, combo core.Combo, topo gridTopo) GridCell {
 		BackboneLatency: topo.BackboneLatency,
 		MetricsLabel:    fmt.Sprintf("grid/%s/%s", combo.Out, combo.In),
 	})
-	// Everything the grid measures comes from the metrics registry; the
-	// event trace is pure overhead here.
-	s.Net.Sim.Trace.Discard()
 	careOf := s.Roam()
 
 	// Pick the correspondent: same-segment for Row C, distant otherwise.

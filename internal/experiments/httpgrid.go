@@ -94,7 +94,6 @@ func runHTTPGridCell(seed int64, combo core.Combo) HTTPCell {
 		WithServices: true,
 		MetricsLabel: fmt.Sprintf("httpgrid/%s/%s", combo.Out, combo.In),
 	})
-	s.Net.Sim.Trace.Discard()
 	careOf := s.Roam()
 
 	// Same-segment correspondent for Row C, distant otherwise.

@@ -7,7 +7,6 @@ import (
 	"mob4x4/internal/assert"
 	"mob4x4/internal/icmphost"
 	"mob4x4/internal/ipv4"
-	"mob4x4/internal/netsim"
 	"mob4x4/internal/stack"
 )
 
@@ -52,7 +51,7 @@ func RunMulticast(seed int64, localJoin bool, packets int) MulticastResult {
 		sIfc = sender.AddIface("eth0", s.HomeLAN.Seg, s.HomeLAN.NextAddr(), s.HomeLAN.Prefix)
 	}
 
-	fwdBefore := s.Net.Sim.Trace.Count(netsim.EventForward)
+	fwdBefore := s.Net.Sim.Metrics.IPForwarded.Value()
 	tunBefore := s.MN.Stats.InTunneled
 	for i := 0; i < packets; i++ {
 		_ = sender.SendMulticast(sIfc, ipv4.Packet{
@@ -65,7 +64,7 @@ func RunMulticast(seed int64, localJoin bool, packets int) MulticastResult {
 
 	res.PacketsGot = got
 	res.Tunneled = s.MN.Stats.InTunneled - tunBefore
-	res.RouterForwards = s.Net.Sim.Trace.Count(netsim.EventForward) - fwdBefore
+	res.RouterForwards = s.Net.Sim.Metrics.IPForwarded.Value() - fwdBefore
 	return res
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mob4x4/internal/core"
-	"mob4x4/internal/netsim"
 )
 
 // SavingsRow quantifies the paper's §3.2 motivation — indirect delivery
@@ -50,7 +49,7 @@ func RunSavings(seed int64) []SavingsRow {
 			s.CHNearC.LearnBinding(core.Binding{Home: s.MN.Home(), CareOf: careOf}, 0)
 		}
 
-		fwdBefore := s.Net.Sim.Trace.Count(netsim.EventForward)
+		fwdBefore := s.Net.Sim.Metrics.IPForwarded.Value()
 		bytesBefore := backboneBytes(s)
 		row := SavingsRow{Setup: cfg.name}
 		var totalRTT float64
@@ -62,7 +61,7 @@ func RunSavings(seed int64) []SavingsRow {
 				totalRTT += float64(p.RTT) / 1e6
 			}
 		}
-		row.RouterForwards = s.Net.Sim.Trace.Count(netsim.EventForward) - fwdBefore
+		row.RouterForwards = s.Net.Sim.Metrics.IPForwarded.Value() - fwdBefore
 		row.BackboneBytes = backboneBytes(s) - bytesBefore
 		if row.Delivered > 0 {
 			row.MeanRTT = totalRTT / float64(row.Delivered)

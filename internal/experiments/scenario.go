@@ -136,6 +136,8 @@ type Scenario struct {
 	MH2Ifc  *stack.Iface
 	MN2     *mobileip.MobileNode
 	MH2TCP  *tcplite.Endpoint
+
+	pingSeq uint16 // last ICMP sequence number PingFrom used
 }
 
 // Build constructs the scenario.
@@ -362,14 +364,15 @@ type PingResult struct {
 }
 
 // PingFrom sends one echo request from the given host's ICMP endpoint to
-// dst and reports the outcome. The tracer must be enabled.
+// dst and reports the outcome, reconstructing hops and paths from a trace
+// capture of the exchange.
 func (s *Scenario) PingFrom(ic *icmphost.ICMP, host *stack.Host, dst ipv4.Addr, timeout vtime.Duration) PingResult {
-	tr := s.Net.Sim.Trace
-	startEvents := len(tr.Events())
+	log, stop := s.Net.Sim.Trace.Capture()
 	start := s.Net.Sim.Now()
 
 	var res PingResult
-	seq := uint16(len(tr.Events())%60000 + 1)
+	s.pingSeq++
+	seq := s.pingSeq
 	done := false
 	prev := ic.OnEchoReply
 	ic.OnEchoReply = func(src ipv4.Addr, msg icmp.Message) {
@@ -386,11 +389,11 @@ func (s *Scenario) PingFrom(ic *icmphost.ICMP, host *stack.Host, dst ipv4.Addr, 
 	_ = ic.Ping(ipv4.Zero, dst, 0x4d4d, seq, []byte("probe"))
 	s.Net.RunFor(timeout)
 
-	// Reconstruct per-direction hop counts from the trace: the request
-	// is the first send from this host in the window; the reply is the
-	// send whose destination is this host... simpler: count forwards per
-	// packet id attributed to request vs reply by looking at send order.
-	evs := tr.Events()[startEvents:]
+	// Reconstruct per-direction hop counts from the capture: the request
+	// is the first send from this host in the window, the reply the first
+	// later send from any other host.
+	stop()
+	evs := *log
 	var reqID, repID uint64
 	for _, e := range evs {
 		if e.Kind == netsim.EventSend && e.Where == host.Name() && reqID == 0 {
@@ -403,13 +406,13 @@ func (s *Scenario) PingFrom(ic *icmphost.ICMP, host *stack.Host, dst ipv4.Addr, 
 				repID = e.PktID
 			}
 		}
-		res.RequestHops = tr.Hops(reqID)
-		res.RequestPath = tr.Path(reqID)
-		res.RequestOneWay = packetTransit(tr.PacketEvents(reqID))
+		res.RequestHops = evs.Hops(reqID)
+		res.RequestPath = evs.Path(reqID)
+		res.RequestOneWay = packetTransit(evs.Packet(reqID))
 		if repID != 0 {
-			res.ReplyHops = tr.Hops(repID)
-			res.ReplyPath = tr.Path(repID)
-			res.ReplyOneWay = packetTransit(tr.PacketEvents(repID))
+			res.ReplyHops = evs.Hops(repID)
+			res.ReplyPath = evs.Path(repID)
+			res.ReplyOneWay = packetTransit(evs.Packet(repID))
 		}
 	}
 	return res

@@ -60,10 +60,12 @@ func (inj *Injector) After(d vtime.Duration, what string, fn func()) {
 
 func (inj *Injector) note(what string) {
 	inj.log = append(inj.log, fmt.Sprintf("%d %s", int64(inj.sim.Now()), what))
-	inj.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventNote, Time: inj.sim.Now(), Where: "faults",
-		Detail: what,
-	})
+	if tr := inj.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventNote, Time: inj.sim.Now(), Where: "faults",
+			Detail: what,
+		})
+	}
 }
 
 // Log returns the fired-fault log: one "<vtime-ns> <action>" line per

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,6 +34,8 @@ func send(tx, rx *netsim.NIC, payload []byte) {
 
 func TestInjectorLogAndTrace(t *testing.T) {
 	sim := netsim.NewSim(1)
+	log, stop := sim.Trace.Capture()
+	defer stop()
 	inj := NewInjector(sim)
 	fired := 0
 	inj.At(5e9, "first fault", func() { fired++ })
@@ -51,8 +54,14 @@ func TestInjectorLogAndTrace(t *testing.T) {
 	if fired != 2 {
 		t.Errorf("fired %d actions, want 2", fired)
 	}
-	if n := sim.Trace.Count(netsim.EventNote); n != 3 {
-		t.Errorf("EventNote count = %d, want 3", n)
+	var notes []string
+	for _, e := range *log {
+		if e.Kind == netsim.EventNote && e.Where == "faults" {
+			notes = append(notes, fmt.Sprintf("%d %s", int64(e.Time), e.Detail))
+		}
+	}
+	if !reflect.DeepEqual(notes, want) {
+		t.Errorf("traced notes = %q, want %q", notes, want)
 	}
 	if got := inj.LogText(); !strings.HasSuffix(got, "\n") || strings.Count(got, "\n") != 3 {
 		t.Errorf("LogText() = %q, want 3 newline-terminated lines", got)

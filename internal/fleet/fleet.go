@@ -492,9 +492,6 @@ func New(opts Options) *Fleet {
 	f.rs = make([]*regionState, regions)
 	for i := range sims {
 		sims[i] = cluster.NewSim(f.group.Shard(i))
-		// Fleet runs read counters, never trace events; tracing at this
-		// scale would dominate the run.
-		sims[i].Trace.Discard()
 		f.rs[i] = &regionState{
 			handoffHist: sims[i].Metrics.Histogram("fleet/handoff_ns", handoffBuckets()),
 			mHandoffs:   sims[i].Metrics.Counter("fleet/handoffs"),

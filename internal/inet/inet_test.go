@@ -69,6 +69,8 @@ func TestShortestPathChosen(t *testing.T) {
 	// l0's gateway connects to bb0; l2's to bb1. h0->h2 must cross
 	// exactly g0, bb0, bb1, g2 = 4 router hops.
 	n, lans := buildTriangle(t)
+	log, stop := n.Sim.Trace.Capture()
+	defer stop()
 	n.AddHost("h0", lans[0])
 	n.AddHost("h2", lans[2])
 	n.ComputeRoutes()
@@ -78,14 +80,14 @@ func TestShortestPathChosen(t *testing.T) {
 	}
 	// Count forwards of the request via the tracer.
 	var reqID uint64
-	for _, e := range n.Sim.Trace.Events() {
+	for _, e := range *log {
 		if e.Kind == netsim.EventSend && e.Where == "h0" {
 			reqID = e.PktID
 			break
 		}
 	}
-	if hops := n.Sim.Trace.Hops(reqID); hops != 4 {
-		t.Errorf("hops = %d, want 4\npath: %s", hops, n.Sim.Trace.Path(reqID))
+	if hops := log.Hops(reqID); hops != 4 {
+		t.Errorf("hops = %d, want 4\npath: %s", hops, log.Path(reqID))
 	}
 }
 

@@ -92,7 +92,6 @@ func TestAuthenticatorTamperDetection(t *testing.T) {
 func authedAgent(tb testing.TB, n int) (net *inet.Network, ha *HomeAgent, auth *Authenticator, home, src ipv4.Addr) {
 	tb.Helper()
 	net = inet.New(1)
-	net.Sim.Trace.Discard()
 	lan := net.AddLAN("home", "36.1.0.0/16", netsim.SegmentOpts{Latency: 1e6})
 	haHost := net.AddHost("ha", lan)
 	var err error

@@ -13,7 +13,6 @@ import (
 func benchAgent(tb testing.TB, n int) (*HomeAgent, *inet.LAN) {
 	tb.Helper()
 	net := inet.New(1)
-	net.Sim.Trace.Discard()
 	home := net.AddLAN("home", "36.1.0.0/16", netsim.SegmentOpts{Latency: 1e6})
 	haHost := net.AddHost("ha", home)
 	ha, err := NewHomeAgent(haHost, haHost.Ifaces()[0], HomeAgentConfig{})

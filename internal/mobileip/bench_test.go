@@ -13,7 +13,6 @@ import (
 // update (proxy ARP, claim, timers), and the reply back.
 func BenchmarkRegistration(b *testing.B) {
 	w := buildWorld(b, worldOpts{})
-	w.net.Sim.Trace.Enabled = false
 	careOf := w.visitLAN.NextAddr()
 	w.mn.MoveTo(w.visitLAN.Seg, careOf, w.visitLAN.Prefix, w.visitLAN.Gateway)
 	w.net.RunFor(3e9)
@@ -43,7 +42,6 @@ func BenchmarkRegistration(b *testing.B) {
 // internet to the mobile host.
 func BenchmarkTunnelForwarding(b *testing.B) {
 	w := buildWorld(b, worldOpts{selector: core.NewSelector(core.StartOptimistic)})
-	w.net.Sim.Trace.Enabled = false
 	w.roam(b)
 	var delivered int
 	w.mhHost.Handle(99, func(_ *stack.Iface, pkt ipv4.Packet) { delivered++ })
@@ -77,7 +75,6 @@ func BenchmarkModeDecision(b *testing.B) {
 			m := mode
 			sel.AddRule(core.Rule{Prefix: ipv4.MustParsePrefix("0.0.0.0/0"), ForceMode: &m})
 			w := buildWorld(b, worldOpts{selector: sel, chDecap: true})
-			w.net.Sim.Trace.Enabled = false
 			w.roam(b)
 			dst := w.chFar.FirstAddr()
 			b.ReportAllocs()

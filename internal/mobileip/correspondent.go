@@ -145,10 +145,12 @@ func (c *Correspondent) LearnBinding(b core.Binding, lifetimeSec uint16) {
 			c.Stats.BindingsExpired++
 		})
 	}
-	c.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventRegister, Time: c.host.Sim().Now(), Where: c.host.Name(),
-		Detail: fmt.Sprintf("learned binding %s -> %s (on-link=%v)", b.Home, b.CareOf, onLink),
-	})
+	if tr := c.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventRegister, Time: c.host.Sim().Now(), Where: c.host.Name(),
+			Detail: fmt.Sprintf("learned binding %s -> %s (on-link=%v)", b.Home, b.CareOf, onLink),
+		})
+	}
 }
 
 // ForgetBinding drops what we know about a mobile host (delivery failure).
@@ -172,15 +174,13 @@ func (c *Correspondent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 		return
 	}
 	c.Stats.Decapsulated++
-	var detail string
-	if c.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("decap from %s: inner %s > %s", outer.Src, inner.Src, inner.Dst)
+	if tr := c.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventDecap, Time: c.host.Sim().Now(), Where: c.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: fmt.Sprintf("decap from %s: inner %s > %s", outer.Src, inner.Src, inner.Dst),
+		})
 	}
-	c.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventDecap, Time: c.host.Sim().Now(), Where: c.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = c.host.Resubmit(inner)
 }
 
@@ -258,15 +258,13 @@ func (c *Correspondent) tunnelOutput(inner ipv4.Packet) {
 		netsim.PutBuf(buf)
 		return
 	}
-	var detail string
-	if c.host.Sim().Trace.Detailing() {
-		detail = chTunnelDetail(inner.Src, careOf, inner.Dst)
+	if tr := c.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventEncap, Time: c.host.Sim().Now(), Where: c.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: chTunnelDetail(inner.Src, careOf, inner.Dst),
+		})
 	}
-	c.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventEncap, Time: c.host.Sim().Now(), Where: c.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = c.host.Resubmit(outer)
 	netsim.PutBuf(buf)
 }

@@ -1,6 +1,8 @@
 package mobileip_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mob4x4/internal/core"
@@ -55,12 +57,29 @@ func TestAwareCHSwitchesToInDE(t *testing.T) {
 	var replies int
 	ic.OnEchoReply = func(src ipv4.Addr, msg icmp.Message) { replies++ }
 
+	log, stop := w.net.Sim.Trace.Capture()
 	for seq := uint16(1); seq <= 3; seq++ {
 		_ = ic.Ping(ipv4.Zero, w.mn.Home(), 9, seq, nil)
 		w.net.RunFor(3e9)
 	}
+	stop()
 	if replies != 3 {
 		t.Fatalf("replies = %d", replies)
+	}
+	// The correspondent's own trace: it learns the binding from the
+	// notice, then tunnels the next two requests straight to the care-of
+	// address (Figure 5).
+	var got []string
+	for _, e := range *log {
+		if e.Where == w.chFar.Name() && (e.Kind == netsim.EventRegister || e.Kind == netsim.EventEncap) {
+			got = append(got, e.Detail)
+		}
+	}
+	ch, home, careOf := w.chFar.FirstAddr(), w.mn.Home(), w.mn.CareOf()
+	tunnel := fmt.Sprintf("CH tunnel %s > %s (inner dst %s)", ch, careOf, home)
+	want := []string{fmt.Sprintf("learned binding %s -> %s (on-link=false)", home, careOf), tunnel, tunnel}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("correspondent events = %q, want %q", got, want)
 	}
 	// First ping went via the HA; the notice then switched the CH to
 	// In-DE for the rest.
@@ -92,7 +111,7 @@ func TestSameSegmentCHUsesInDH(t *testing.T) {
 	ic := icmphost.Install(w.chNear)
 	var replies int
 	ic.OnEchoReply = func(src ipv4.Addr, msg icmp.Message) { replies++ }
-	fwdBefore := w.net.Sim.Trace.Count(netsim.EventForward)
+	fwdBefore := w.net.Sim.Metrics.IPForwarded.Value()
 	_ = ic.Ping(ipv4.Zero, w.mn.Home(), 2, 1, nil)
 	w.net.RunFor(3e9)
 
@@ -103,7 +122,7 @@ func TestSameSegmentCHUsesInDH(t *testing.T) {
 		t.Errorf("SentInDH = %d", w.chNearC.Stats.SentInDH)
 	}
 	// Zero router involvement in either direction (Row C).
-	if got := w.net.Sim.Trace.Count(netsim.EventForward) - fwdBefore; got != 0 {
+	if got := w.net.Sim.Metrics.IPForwarded.Value() - fwdBefore; got != 0 {
 		t.Errorf("routers forwarded %d packets on a same-segment exchange", got)
 	}
 	if w.ha.Stats.Forwarded != 0 {

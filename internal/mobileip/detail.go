@@ -6,7 +6,7 @@ import (
 
 // Trace-detail builders for the tunnel hot paths, byte-identical to the
 // fmt.Sprintf strings they replaced but assembled with ipv4.Addr.AppendText
-// into stack buffers. Call sites gate on Tracer.Detailing().
+// into stack buffers. Call sites build them only when Tracer.On().
 
 // tunnelDetail renders "tunnel SRC > DST (inner ISRC > IDST)".
 func tunnelDetail(src, dst, innerSrc, innerDst ipv4.Addr) string {

@@ -1,6 +1,7 @@
 package mobileip_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mob4x4/internal/ipv4"
@@ -128,17 +129,42 @@ func TestDeregistrationIsAcknowledged(t *testing.T) {
 func TestTunnelTraceEventsRecorded(t *testing.T) {
 	w := buildWorld(t, worldOpts{})
 	w.roam(t)
-	encBefore := w.net.Sim.Trace.Count(netsim.EventEncap)
-	decBefore := w.net.Sim.Trace.Count(netsim.EventDecap)
+	log, stop := w.net.Sim.Trace.Capture()
 	_ = w.chFar.SendIP(ipv4.Packet{
 		Header:  ipv4.Header{Protocol: 99, Dst: w.mn.Home()},
 		Payload: []byte("x"),
 	})
 	w.net.RunFor(2e9)
-	if w.net.Sim.Trace.Count(netsim.EventEncap) != encBefore+1 {
+	stop()
+	if countKind(*log, netsim.EventEncap) != 1 {
 		t.Error("encap event missing")
 	}
-	if w.net.Sim.Trace.Count(netsim.EventDecap) != decBefore+1 {
+	if countKind(*log, netsim.EventDecap) != 1 {
 		t.Error("decap event missing")
 	}
+	// The tunnel's two ends, as Figure 1 draws them.
+	ch, home, careOf := w.chFar.FirstAddr(), w.mn.Home(), w.mn.CareOf()
+	ha := w.haHost.Ifaces()[0].Addr()
+	want := map[netsim.EventKind]string{
+		netsim.EventEncap: fmt.Sprintf("ha: tunnel %s > %s (inner %s > %s)", ha, careOf, ch, home),
+		netsim.EventDecap: fmt.Sprintf("mh: detunnel: inner %s > %s", ch, home),
+	}
+	for _, e := range *log {
+		if w, ok := want[e.Kind]; ok {
+			if got := e.Where + ": " + e.Detail; got != w {
+				t.Errorf("%s event = %q, want %q", e.Kind, got, w)
+			}
+		}
+	}
+}
+
+// countKind counts the events of one kind in a capture.
+func countKind(l netsim.Log, kind netsim.EventKind) int {
+	n := 0
+	for _, e := range l {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

@@ -131,10 +131,12 @@ func (fa *ForeignAgent) Crash() {
 	}
 	fa.visitors = make(map[ipv4.Addr]*visitor)
 	fa.windows = make(map[ipv4.Addr]*replayWindow)
-	fa.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventNote, Time: fa.host.Sim().Now(), Where: fa.host.Name(),
-		Detail: "foreign agent crashed: visitor table lost",
-	})
+	if tr := fa.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventNote, Time: fa.host.Sim().Now(), Where: fa.host.Name(),
+			Detail: "foreign agent crashed: visitor table lost",
+		})
+	}
 }
 
 // Restart brings a crashed agent back with an empty visitor table.
@@ -144,10 +146,12 @@ func (fa *ForeignAgent) Restart() {
 	}
 	fa.crashed = false
 	fa.Stats.Restarts++
-	fa.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventNote, Time: fa.host.Sim().Now(), Where: fa.host.Name(),
-		Detail: "foreign agent restarted",
-	})
+	if tr := fa.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventNote, Time: fa.host.Sim().Now(), Where: fa.host.Name(),
+			Detail: "foreign agent restarted",
+		})
+	}
 }
 
 // Crashed reports whether the agent is currently down.
@@ -282,14 +286,12 @@ func (fa *ForeignAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 		return // not one of our visitors
 	}
 	fa.Stats.Delivered++
-	var detail string
-	if fa.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("FA delivers inner %s > %s on-link", inner.Src, inner.Dst)
+	if tr := fa.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventDecap, Time: fa.host.Sim().Now(), Where: fa.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: fmt.Sprintf("FA delivers inner %s > %s on-link", inner.Src, inner.Dst),
+		})
 	}
-	fa.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventDecap, Time: fa.host.Sim().Now(), Where: fa.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = fa.host.SendIPLinkDirect(fa.iface, inner.Dst, inner)
 }

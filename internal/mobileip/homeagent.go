@@ -212,10 +212,12 @@ func (ha *HomeAgent) Crash() {
 	for _, st := range ha.auth {
 		st.window = replayWindow{}
 	}
-	ha.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventNote, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-		Detail: "home agent crashed: bindings lost",
-	})
+	if tr := ha.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventNote, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+			Detail: "home agent crashed: bindings lost",
+		})
+	}
 }
 
 // Restart brings a crashed agent back with an empty binding table. It
@@ -229,10 +231,12 @@ func (ha *HomeAgent) Restart() {
 	}
 	ha.crashed = false
 	ha.Stats.Restarts++
-	ha.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventNote, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-		Detail: "home agent restarted: awaiting re-registrations",
-	})
+	if tr := ha.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventNote, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+			Detail: "home agent restarted: awaiting re-registrations",
+		})
+	}
 }
 
 // Crashed reports whether the agent is currently down.
@@ -391,14 +395,12 @@ func (ha *HomeAgent) register(req *Request) {
 	b.expiresAt = ha.host.Sched().Now().Add(lifetime)
 	ha.wheel.schedule(ha.host.Sched(), b.expiresAt, req.Home, b.gen, ha.fireExpiry)
 	ha.bindGauge.Set(int64(ha.bindings.len()))
-	var detail string
-	if ha.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("binding %s -> %s lifetime=%ds", req.Home, req.CareOf, req.Lifetime)
+	if tr := ha.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventRegister, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+			Detail: fmt.Sprintf("binding %s -> %s lifetime=%ds", req.Home, req.CareOf, req.Lifetime),
+		})
 	}
-	ha.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventRegister, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-		Detail: detail,
-	})
 	if ha.OnBind != nil {
 		ha.OnBind(req.Home, req.CareOf)
 	}
@@ -429,14 +431,12 @@ func (ha *HomeAgent) deregister(home ipv4.Addr) {
 	ha.bindGauge.Set(int64(ha.bindings.len()))
 	ha.host.Unclaim(home)
 	ha.iface.Proxy().Remove(home)
-	var detail string
-	if ha.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("binding %s cleared", home)
+	if tr := ha.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventRegister, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+			Detail: fmt.Sprintf("binding %s cleared", home),
+		})
 	}
-	ha.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventRegister, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-		Detail: detail,
-	})
 }
 
 // forwardToMobile implements Figure 1's thick arrow: encapsulate the
@@ -461,15 +461,13 @@ func (ha *HomeAgent) forwardToMobile(home ipv4.Addr, pkt ipv4.Packet) {
 	}
 	ha.Stats.Forwarded++
 	ha.mForwarded.Inc()
-	var detail string
-	if ha.host.Sim().Trace.Detailing() {
-		detail = tunnelDetail(ha.Addr(), b.careOf, pkt.Src, pkt.Dst)
+	if tr := ha.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventEncap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+			PktID:  pkt.TraceID,
+			Detail: tunnelDetail(ha.Addr(), b.careOf, pkt.Src, pkt.Dst),
+		})
 	}
-	ha.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventEncap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-		PktID:  pkt.TraceID,
-		Detail: detail,
-	})
 	_ = ha.host.Resubmit(outer)
 	netsim.PutBuf(buf)
 
@@ -535,14 +533,12 @@ func (ha *HomeAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	}
 	ha.Stats.ReverseRelayed++
 	ha.mReverse.Inc()
-	var detail string
-	if ha.host.Sim().Trace.Detailing() {
-		detail = decapDetail("reverse tunnel: ", inner.Src, inner.Dst)
+	if tr := ha.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventDecap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: decapDetail("reverse tunnel: ", inner.Src, inner.Dst),
+		})
 	}
-	ha.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventDecap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = ha.host.Resubmit(inner)
 }

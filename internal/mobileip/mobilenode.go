@@ -641,14 +641,12 @@ func (mn *MobileNode) onRegRetry() {
 		mn.setRegistered(false)
 		mn.Stats.RegistrationFails++
 		mn.mRegFails.Inc()
-		var detail string
-		if mn.host.Sim().Trace.Detailing() {
-			detail = "registration abandoned: retries exhausted"
+		if tr := mn.host.Sim().Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventRegister, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
+				Detail: "registration abandoned: retries exhausted",
+			})
 		}
-		mn.host.Sim().Trace.Record(netsim.Event{
-			Kind: netsim.EventRegister, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
-			Detail: detail,
-		})
 		if mn.OnRegistrationLost != nil {
 			mn.OnRegistrationLost()
 		}
@@ -736,14 +734,12 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	mn.setRegistered(true)
 	mn.Stats.Registrations++
 	mn.mRegs.Inc()
-	var detail string
-	if mn.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("registered %s -> %s lifetime=%ds", mn.cfg.Home, mn.careOf, rep.Lifetime)
+	if tr := mn.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventRegister, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
+			Detail: fmt.Sprintf("registered %s -> %s lifetime=%ds", mn.cfg.Home, mn.careOf, rep.Lifetime),
+		})
 	}
-	mn.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventRegister, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
-		Detail: detail,
-	})
 	// Renew at 80% of the granted lifetime.
 	renewAt := vtime.Duration(rep.Lifetime) * 1e9 * 8 / 10
 	mn.renewAt = mn.host.Sim().Now().Add(renewAt)
@@ -826,15 +822,13 @@ func (mn *MobileNode) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 		mn.host.InjectLocal(inner)
 		return
 	}
-	var detail string
-	if mn.host.Sim().Trace.Detailing() {
-		detail = decapDetail("detunnel: ", inner.Src, inner.Dst)
+	if tr := mn.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventDecap, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: decapDetail("detunnel: ", inner.Src, inner.Dst),
+		})
 	}
-	mn.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventDecap, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = mn.host.Resubmit(inner)
 }
 
@@ -961,15 +955,13 @@ func (mn *MobileNode) tunnelOutput(inner ipv4.Packet, decapsulator ipv4.Addr, mo
 		return
 	}
 	mn.reg.OutWireBytes[mode].Add(uint64(outer.TotalLen()))
-	var detail string
-	if mn.host.Sim().Trace.Detailing() {
-		detail = tunnelDetail(careOf, decapsulator, inner.Src, inner.Dst)
+	if tr := mn.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventEncap, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: tunnelDetail(careOf, decapsulator, inner.Src, inner.Dst),
+		})
 	}
-	mn.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventEncap, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = mn.host.Resubmit(outer)
 	netsim.PutBuf(buf)
 }

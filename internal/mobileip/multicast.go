@@ -99,11 +99,13 @@ func (ha *HomeAgent) tapMulticast(ifc *stack.Iface, pkt ipv4.Packet) bool {
 		// unicast journey and needs its own TTL.
 		outer.TTL = ipv4.DefaultTTL
 		ha.Stats.MulticastRelayed++
-		ha.host.Sim().Trace.Record(netsim.Event{
-			Kind: netsim.EventEncap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
-			PktID:  pkt.TraceID,
-			Detail: fmt.Sprintf("multicast relay %s -> %s via %s", pkt.Dst, home, b.careOf),
-		})
+		if tr := ha.host.Sim().Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventEncap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
+				PktID:  pkt.TraceID,
+				Detail: fmt.Sprintf("multicast relay %s -> %s via %s", pkt.Dst, home, b.careOf),
+			})
+		}
 		_ = ha.host.Resubmit(outer)
 		netsim.PutBuf(buf)
 	}

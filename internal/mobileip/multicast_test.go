@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mob4x4/internal/ipv4"
-	"mob4x4/internal/netsim"
 	"mob4x4/internal/stack"
 )
 
@@ -58,7 +57,7 @@ func TestMulticastHomeRelayIsSelfDefeating(t *testing.T) {
 	// cannot tap its own transmissions: taps see received packets).
 	sender := stack.NewHost(w.net.Sim, "mcastsrc")
 	sIfc := sender.AddIface("eth0", w.homeLAN.Seg, w.homeLAN.NextAddr(), w.homeLAN.Prefix)
-	fwdBefore := w.net.Sim.Trace.Count(netsim.EventForward)
+	fwdBefore := w.net.Sim.Metrics.IPForwarded.Value()
 	for i := 0; i < 3; i++ {
 		_ = sender.SendMulticast(sIfc, ipv4.Packet{
 			Header:  ipv4.Header{Protocol: 97, Src: sender.FirstAddr(), Dst: group},
@@ -78,7 +77,7 @@ func TestMulticastHomeRelayIsSelfDefeating(t *testing.T) {
 	}
 	// The self-defeating part: every group packet crossed the backbone
 	// (forwarding events), where a local join would have crossed none.
-	if fwd := w.net.Sim.Trace.Count(netsim.EventForward) - fwdBefore; fwd == 0 {
+	if fwd := w.net.Sim.Metrics.IPForwarded.Value() - fwdBefore; fwd == 0 {
 		t.Error("relay mode used no routers?")
 	}
 }

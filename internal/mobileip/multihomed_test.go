@@ -36,7 +36,8 @@ func TestMultihomedInterfaceBindingIsOutDT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encapBefore := w.net.Sim.Trace.Count(netsim.EventEncap)
+	log, stop := w.net.Sim.Trace.Capture()
+	defer stop()
 	if err := sock.SendTo(w.chFar.FirstAddr(), 9999, []byte("direct")); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMultihomedInterfaceBindingIsOutDT(t *testing.T) {
 	if len(got) != 1 || got[0] != wirelessAddr {
 		t.Fatalf("delivery = %v, want from %s", got, wirelessAddr)
 	}
-	if w.net.Sim.Trace.Count(netsim.EventEncap) != encapBefore {
+	if countKind(*log, netsim.EventEncap) != 0 {
 		t.Error("bound-interface traffic was tunneled")
 	}
 	if w.mn.Stats.OutByMode[core.OutDT] == 0 {
@@ -62,7 +63,7 @@ func TestMultihomedInterfaceBindingIsOutDT(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.net.RunFor(2e9)
-	if w.net.Sim.Trace.Count(netsim.EventEncap) == encapBefore {
+	if countKind(*log, netsim.EventEncap) == 0 {
 		t.Error("unbound traffic was not tunneled under the pessimistic selector")
 	}
 }

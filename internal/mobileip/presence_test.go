@@ -8,7 +8,6 @@ import (
 	"mob4x4/internal/icmphost"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/mobileip"
-	"mob4x4/internal/netsim"
 )
 
 // TestPresenceAnnouncementEnablesInDH: the visiting mobile host announces
@@ -37,13 +36,13 @@ func TestPresenceAnnouncementEnablesInDH(t *testing.T) {
 	ic := icmphost.Install(w.chNear)
 	replies := 0
 	ic.OnEchoReply = func(src ipv4.Addr, msg icmp.Message) { replies++ }
-	fwdBefore := w.net.Sim.Trace.Count(netsim.EventForward)
+	fwdBefore := w.net.Sim.Metrics.IPForwarded.Value()
 	_ = ic.Ping(ipv4.Zero, w.mn.Home(), 6, 1, nil)
 	w.net.RunFor(2e9)
 	if replies != 1 {
 		t.Fatal("In-DH ping failed")
 	}
-	if got := w.net.Sim.Trace.Count(netsim.EventForward) - fwdBefore; got != 0 {
+	if got := w.net.Sim.Metrics.IPForwarded.Value() - fwdBefore; got != 0 {
 		t.Errorf("same-segment exchange used %d router forwards", got)
 	}
 }

@@ -14,7 +14,6 @@ func TestSteadyStateHopZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	sim := NewSim(1)
-	sim.Trace.Discard()
 	seg := sim.NewSegment("lan", SegmentOpts{})
 	a := sim.NewNIC("a")
 	dst := sim.NewNIC("b")

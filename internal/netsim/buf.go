@@ -125,7 +125,9 @@ func runDelivery(a any) {
 	if len(d.dests) == 0 {
 		seg.DroppedNoDest++
 		seg.sim.Metrics.Drop(metrics.DropNoDest)
-		seg.sim.Trace.record(Event{Kind: EventDropNoDest, Time: seg.sim.Now(), Where: seg.name})
+		if tr := seg.sim.Trace; tr.On() {
+			tr.Record(Event{Kind: EventDropNoDest, Time: seg.sim.Now(), Where: seg.name})
+		}
 	}
 	for _, n := range d.dests {
 		if n.segment != seg {

@@ -1,10 +1,15 @@
 package netsim
 
-import "testing"
+import (
+	"testing"
+
+	"mob4x4/internal/metrics"
+)
 
 // TestSegmentDropAccounting pins the contract that every dropped frame is
-// accounted exactly once: the segment counter for its drop reason
-// increments by one AND the matching trace event is recorded exactly once.
+// accounted exactly once: the segment counter and the registry's drop
+// cause for its reason each increment by one AND the matching trace event
+// is recorded exactly once.
 func TestSegmentDropAccounting(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -12,6 +17,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 		prep    func(sim *Sim, seg *Segment, sender, receiver *NIC)
 		payload int
 		counter func(seg *Segment) uint64
+		cause   metrics.DropCause
 		kind    EventKind
 	}{
 		{
@@ -19,6 +25,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 			opts:    SegmentOpts{MTU: 100},
 			payload: 200,
 			counter: func(seg *Segment) uint64 { return seg.DroppedMTU },
+			cause:   metrics.DropMTU,
 			kind:    EventDropMTU,
 		},
 		{
@@ -26,6 +33,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 			opts:    SegmentOpts{LossRate: 1.0},
 			payload: 50,
 			counter: func(seg *Segment) uint64 { return seg.DroppedLoss },
+			cause:   metrics.DropLoss,
 			kind:    EventDropLoss,
 		},
 		{
@@ -36,6 +44,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 			},
 			payload: 50,
 			counter: func(seg *Segment) uint64 { return seg.DroppedNoDest },
+			cause:   metrics.DropNoDest,
 			kind:    EventDropNoDest,
 		},
 		{
@@ -46,6 +55,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 			},
 			payload: 50,
 			counter: func(seg *Segment) uint64 { return seg.DroppedDown },
+			cause:   metrics.DropDown,
 			kind:    EventDropDown,
 		},
 		{
@@ -56,6 +66,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 			},
 			payload: 50,
 			counter: func(seg *Segment) uint64 { return seg.DroppedFault },
+			cause:   metrics.DropFault, // the zero Impairment.Cause
 			kind:    EventDropFault,
 		},
 	}
@@ -73,17 +84,22 @@ func TestSegmentDropAccounting(t *testing.T) {
 				tc.prep(sim, seg, sender, receiver)
 			}
 			base := BufOutstanding()
+			log, stop := sim.Trace.Capture()
 
 			buf := GetBuf()
 			buf.B = append(buf.B, make([]byte, tc.payload)...)
 			sender.Send(Frame{Dst: receiver.MAC(), Type: EtherTypeIPv4, Payload: buf.B, Buf: buf})
 			sim.Sched.Run()
+			stop()
 
 			if got := tc.counter(seg); got != 1 {
 				t.Errorf("drop counter = %d, want exactly 1", got)
 			}
-			if got := sim.Trace.Count(tc.kind); got != 1 {
-				t.Errorf("Trace.Count(%s) = %d, want exactly 1", tc.kind, got)
+			if got := sim.Metrics.DropCount(tc.cause); got != 1 {
+				t.Errorf("Metrics.DropCount(%s) = %d, want exactly 1", tc.cause, got)
+			}
+			if got := countKind(*log, tc.kind); got != 1 {
+				t.Errorf("%s events = %d, want exactly 1", tc.kind, got)
 			}
 			if delivered != 0 {
 				t.Errorf("frame delivered despite %s drop", tc.name)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"strconv"
 
 	"mob4x4/internal/assert"
 	"mob4x4/internal/metrics"
@@ -389,7 +388,9 @@ func (seg *Segment) Down() bool { return seg.down }
 func (seg *Segment) dropDown(f Frame) {
 	seg.DroppedDown++
 	seg.sim.Metrics.Drop(metrics.DropDown)
-	seg.sim.Trace.record(Event{Kind: EventDropDown, Time: seg.sim.Now(), Where: seg.name})
+	if tr := seg.sim.Trace; tr.On() {
+		tr.Record(Event{Kind: EventDropDown, Time: seg.sim.Now(), Where: seg.name})
+	}
 	PutBuf(f.Buf)
 }
 
@@ -454,19 +455,12 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	if len(f.Payload) > seg.opts.MTU {
 		seg.DroppedMTU++
 		seg.sim.Metrics.Drop(metrics.DropMTU)
-		var detail string
-		if seg.sim.Trace.Detailing() {
-			var buf [40]byte
-			b := append(buf[:0], "payload "...)
-			b = strconv.AppendInt(b, int64(len(f.Payload)), 10)
-			b = append(b, " > mtu "...)
-			b = strconv.AppendInt(b, int64(seg.opts.MTU), 10)
-			detail = string(b)
+		if tr := seg.sim.Trace; tr.On() {
+			tr.Record(Event{
+				Kind: EventDropMTU, Time: seg.sim.Now(), Where: seg.name,
+				Detail: fmt.Sprintf("payload %d > mtu %d", len(f.Payload), seg.opts.MTU),
+			})
 		}
-		seg.sim.Trace.record(Event{
-			Kind: EventDropMTU, Time: seg.sim.Now(), Where: seg.name,
-			Detail: detail,
-		})
 		PutBuf(f.Buf)
 		return
 	}
@@ -476,7 +470,9 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	if seg.opts.LossRate > 0 && seg.rng.Float64() < seg.opts.LossRate {
 		seg.DroppedLoss++
 		seg.sim.Metrics.Drop(metrics.DropLoss)
-		seg.sim.Trace.record(Event{Kind: EventDropLoss, Time: seg.sim.Now(), Where: seg.name})
+		if tr := seg.sim.Trace; tr.On() {
+			tr.Record(Event{Kind: EventDropLoss, Time: seg.sim.Now(), Where: seg.name})
+		}
 		PutBuf(f.Buf)
 		return
 	}
@@ -486,7 +482,9 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		if imp.Drop {
 			seg.DroppedFault++
 			seg.sim.Metrics.Drop(imp.Cause)
-			seg.sim.Trace.record(Event{Kind: EventDropFault, Time: seg.sim.Now(), Where: seg.name})
+			if tr := seg.sim.Trace; tr.On() {
+				tr.Record(Event{Kind: EventDropFault, Time: seg.sim.Now(), Where: seg.name})
+			}
 			PutBuf(f.Buf)
 			return
 		}

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
+
+	"mob4x4/internal/metrics"
 )
 
 func TestUnicastDelivery(t *testing.T) {
@@ -88,17 +91,27 @@ func TestMTUDrop(t *testing.T) {
 	a.Attach(seg)
 	b.Attach(seg)
 
+	log, stop := sim.Trace.Capture()
 	a.Send(Frame{Dst: b.MAC(), Payload: make([]byte, 101)})
 	a.Send(Frame{Dst: b.MAC(), Payload: make([]byte, 100)})
 	sim.Sched.Run()
+	stop()
 	if got != 1 {
 		t.Errorf("got %d frames, want 1", got)
 	}
 	if seg.DroppedMTU != 1 {
 		t.Errorf("DroppedMTU = %d", seg.DroppedMTU)
 	}
-	if sim.Trace.Count(EventDropMTU) != 1 {
-		t.Error("MTU drop not traced")
+	if sim.Metrics.DropCount(metrics.DropMTU) != 1 {
+		t.Error("MTU drop not counted")
+	}
+	if len(*log) != 1 {
+		t.Fatalf("captured %d events, want 1: %v", len(*log), *log)
+	}
+	if e := (*log)[0]; e.Kind != EventDropMTU || e.Where != "lan" || e.Detail != "payload 101 > mtu 100" {
+		t.Errorf("MTU drop event = %+v", e)
+	} else if s := e.String(); s != "        0s drop-mtu     lan            payload 101 > mtu 100" {
+		t.Errorf("String() = %q", s)
 	}
 }
 
@@ -205,6 +218,7 @@ func TestAllocMACUnique(t *testing.T) {
 
 func TestTracerPathAndHops(t *testing.T) {
 	tr := NewTracer()
+	log, stop := tr.Capture()
 	id := tr.NextPacketID()
 	tr.Record(Event{Kind: EventSend, Where: "a", PktID: id})
 	tr.Record(Event{Kind: EventForward, Where: "r1", PktID: id})
@@ -212,35 +226,92 @@ func TestTracerPathAndHops(t *testing.T) {
 	tr.Record(Event{Kind: EventDeliver, Where: "b", PktID: id})
 	other := tr.NextPacketID()
 	tr.Record(Event{Kind: EventForward, Where: "rX", PktID: other})
+	tunneled := tr.NextPacketID()
+	for _, e := range []Event{
+		{Kind: EventSend, Where: "ch"}, {Kind: EventEncap, Where: "ha"},
+		{Kind: EventDecap, Where: "mh"}, {Kind: EventDropTTL, Where: "r9"},
+	} {
+		e.PktID = tunneled
+		tr.Record(e)
+	}
+	stop()
 
-	if got := tr.Hops(id); got != 2 {
+	if got := log.Hops(id); got != 2 {
 		t.Errorf("Hops = %d", got)
 	}
-	if got := tr.Path(id); got != "a -> r1 -> r2 -> b" {
+	if got := log.Path(id); got != "a -> r1 -> r2 -> b" {
 		t.Errorf("Path = %q", got)
 	}
-	if got := len(tr.PacketEvents(id)); got != 4 {
-		t.Errorf("PacketEvents = %d", got)
+	if got := log.Path(tunneled); got != "ch -> ha[encap] -> mh[decap] -> X(drop-ttl@r9)" {
+		t.Errorf("tunneled Path = %q", got)
 	}
-	if tr.Count(EventForward) != 3 {
-		t.Errorf("Count = %d", tr.Count(EventForward))
+	if got := len(log.Packet(id)); got != 4 {
+		t.Errorf("Packet = %d events", got)
 	}
-	tr.Reset()
-	if len(tr.Events()) != 0 || tr.Count(EventForward) != 0 {
-		t.Error("Reset incomplete")
+	if got := countKind(*log, EventForward); got != 3 {
+		t.Errorf("forward events = %d", got)
 	}
 }
 
-func TestTracerDisabledStillCounts(t *testing.T) {
+// TestTracerOffByDefault pins the zero-cost default: a fresh tracer has
+// no hook, and Record without one is a no-op.
+func TestTracerOffByDefault(t *testing.T) {
 	tr := NewTracer()
-	tr.Enabled = false
-	tr.Record(Event{Kind: EventDropFilter, Where: "gw"})
-	if len(tr.Events()) != 0 {
-		t.Error("disabled tracer stored events")
+	if tr.On() {
+		t.Fatal("new tracer has a hook installed")
 	}
-	if tr.Count(EventDropFilter) != 1 {
-		t.Error("disabled tracer lost counts")
+	tr.Record(Event{Kind: EventDropFilter, Where: "gw"}) // must not panic
+}
+
+// TestCaptureWindowsNest pins the nesting contract: an inner window sees
+// only its own events, the outer one sees everything, and each stop
+// restores the hook that was installed before its window opened.
+func TestCaptureWindowsNest(t *testing.T) {
+	tr := NewTracer()
+	outer, stopOuter := tr.Capture()
+	tr.Record(Event{Kind: EventNote, Detail: "before"})
+	inner, stopInner := tr.Capture()
+	tr.Record(Event{Kind: EventNote, Detail: "during"})
+	stopInner()
+	tr.Record(Event{Kind: EventNote, Detail: "after"})
+	if !tr.On() {
+		t.Fatal("closing the inner window removed the outer hook")
 	}
+	stopOuter()
+	if tr.On() {
+		t.Fatal("closing the outer window left a hook installed")
+	}
+	tr.Record(Event{Kind: EventNote, Detail: "outside"})
+
+	details := func(l Log) (out []string) {
+		for _, e := range l {
+			out = append(out, e.Detail)
+		}
+		return out
+	}
+	if got := details(*inner); !reflect.DeepEqual(got, []string{"during"}) {
+		t.Errorf("inner window = %q", got)
+	}
+	if got := details(*outer); !reflect.DeepEqual(got, []string{"before", "during", "after"}) {
+		t.Errorf("outer window = %q", got)
+	}
+
+	_, _ = tr.Capture()
+	tr.Discard()
+	if tr.On() {
+		t.Error("Discard left a hook installed")
+	}
+}
+
+// countKind counts the events of one kind in a capture.
+func countKind(l Log, kind EventKind) int {
+	n := 0
+	for _, e := range l {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func TestEventKindStrings(t *testing.T) {
@@ -262,7 +333,6 @@ func TestEventKindStrings(t *testing.T) {
 
 func BenchmarkSegmentThroughput(b *testing.B) {
 	sim := NewSim(1)
-	sim.Trace.Enabled = false
 	seg := sim.NewSegment("lan", SegmentOpts{})
 	a := sim.NewNIC("a")
 	dst := sim.NewNIC("b")

@@ -11,8 +11,8 @@ import (
 type EventKind int
 
 // Tracer event kinds. The per-hop events (EventForward, EventDeliver,
-// EventDropFilter, ...) are what the experiment harness uses to count hops,
-// verify which router dropped a packet, and render paper-figure paths.
+// EventDropFilter, ...) let a capture reader count a packet's hops, see
+// which router dropped it, and render paper-figure paths.
 const (
 	EventSend        EventKind = iota + 1 // host originated a packet
 	EventForward                          // router forwarded a packet
@@ -87,27 +87,18 @@ func (e Event) String() string {
 	return fmt.Sprintf("%10v %-12s %-14s %s", e.Time, e.Kind, e.Where, e.Detail)
 }
 
-// traceChunk is the tracer's storage granularity: events are stored in
-// fixed-capacity chunks so recording never copies old events (the old
-// single-slice store re-copied the whole history on every append growth,
-// which dominated tracer cost in long runs).
-const traceChunk = 256
-
-// Tracer collects events. Recording can be disabled for benchmarks (counts
-// are still kept); Discard additionally releases the stored events.
+// Tracer hands per-packet events to an optional hook. With no hook
+// installed (the default) nothing is recorded: record sites gate on On, so
+// they neither build an Event nor format its Detail. Counts live in the
+// metrics registry, not here; the tracer exists for the few readers that
+// need a packet's path, which open a Capture window around it.
 type Tracer struct {
-	Enabled  bool
-	noDetail bool // events recorded, Detail strings skipped
-	chunks   [][]Event
-	n        int // total stored events
-	counts   [32]uint64
-	nextPkt  uint64
+	hook    func(Event)
+	nextPkt uint64
 }
 
-// NewTracer returns an enabled tracer.
-func NewTracer() *Tracer {
-	return &Tracer{Enabled: true}
-}
+// NewTracer returns a tracer with no hook installed.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // NextPacketID allocates a trace id for a new packet entering the network.
 func (t *Tracer) NextPacketID() uint64 {
@@ -115,110 +106,68 @@ func (t *Tracer) NextPacketID() uint64 {
 	return t.nextPkt
 }
 
-// Recording reports whether events are being stored.
-func (t *Tracer) Recording() bool { return t.Enabled }
+// On reports whether a hook is installed. Record sites call Record only
+// when it is true.
+func (t *Tracer) On() bool { return t.hook != nil }
 
-// Detailing reports whether event Detail strings should be built. Hot
-// paths gate the construction of Detail strings on it: counts and events
-// are maintained either way, but formatting work is wasted when nobody
-// will read the text. Experiments that walk events structurally (by
-// Kind/Where/PktID, e.g. hop counting) call DiscardDetails to keep the
-// trace and drop the strings.
-func (t *Tracer) Detailing() bool { return t.Enabled && !t.noDetail }
-
-// DiscardDetails keeps recording events but stops the construction of
-// their Detail strings, the most expensive part of tracing.
-func (t *Tracer) DiscardDetails() { t.noDetail = true }
-
-// Discard turns off event storage and releases the events stored so far,
-// keeping counts. Benchmarks and sweeps that never inspect paths call this
-// right after building a scenario.
-func (t *Tracer) Discard() {
-	t.Enabled = false
-	t.chunks = nil
-	t.n = 0
+// Record hands e to the installed hook, if any.
+func (t *Tracer) Record(e Event) {
+	if t.hook != nil {
+		t.hook(e)
+	}
 }
 
-func (t *Tracer) record(e Event) {
-	if k := int(e.Kind); k >= 0 && k < len(t.counts) {
-		t.counts[k]++
+// captureCap presizes a capture's log. One echo exchange records 5 to 50
+// events across every PingFrom window `mob4x4 all` opens, so such a
+// window allocates its log once.
+const captureCap = 64
+
+// Capture opens a capture window: every event recorded until stop is
+// called is appended to the returned log and also handed to the hook
+// installed before the window, so windows nest. stop restores that hook.
+func (t *Tracer) Capture() (log *Log, stop func()) {
+	l := make(Log, 0, captureCap)
+	log = &l
+	prev := t.hook
+	t.hook = func(e Event) {
+		*log = append(*log, e)
+		if prev != nil {
+			prev(e)
+		}
 	}
-	if !t.Enabled {
-		return
-	}
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == traceChunk {
-		t.chunks = append(t.chunks, make([]Event, 0, traceChunk))
-		last++
-	}
-	t.chunks[last] = append(t.chunks[last], e)
-	t.n++
+	return log, func() { t.hook = prev }
 }
 
-// Record appends an event (exported for packages stack/mobileip).
-func (t *Tracer) Record(e Event) { t.record(e) }
+// Discard removes any installed hook.
+func (t *Tracer) Discard() { t.hook = nil }
 
-// Count returns how many events of the given kind were recorded since the
-// last Reset, regardless of Enabled.
-func (t *Tracer) Count(kind EventKind) uint64 {
-	if k := int(kind); k >= 0 && k < len(t.counts) {
-		return t.counts[k]
-	}
-	return 0
-}
+// Log is the event sequence one Capture window recorded, in order.
+type Log []Event
 
-// Len returns the number of stored events. Use with EventsFrom to walk a
-// window of the trace without copying it.
-func (t *Tracer) Len() int { return t.n }
-
-// Events returns all recorded events as one contiguous slice (copied).
-// Callers that only need a suffix should use Len/EventsFrom.
-func (t *Tracer) Events() []Event { return t.EventsFrom(0) }
-
-// EventsFrom returns the events at indices [start, Len()). When the window
-// lies inside the newest chunk — the common "what happened since I noted
-// Len()" pattern — the returned slice aliases the store and allocates
-// nothing; otherwise it is a fresh copy.
-func (t *Tracer) EventsFrom(start int) []Event {
-	if start < 0 {
-		start = 0
+// Packet returns the events for one packet trace id, in order. It counts
+// them first so the result is allocated once.
+func (l Log) Packet(pktID uint64) []Event {
+	n := 0
+	for _, e := range l {
+		if e.PktID == pktID {
+			n++
+		}
 	}
-	if start >= t.n {
-		return nil
-	}
-	ci, off := start/traceChunk, start%traceChunk
-	if ci == len(t.chunks)-1 {
-		return t.chunks[ci][off:]
-	}
-	out := make([]Event, 0, t.n-start)
-	out = append(out, t.chunks[ci][off:]...)
-	for _, c := range t.chunks[ci+1:] {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// PacketEvents returns the events for one packet trace id, in order.
-func (t *Tracer) PacketEvents(pktID uint64) []Event {
-	var out []Event
-	for _, c := range t.chunks {
-		for _, e := range c {
-			if e.PktID == pktID {
-				out = append(out, e)
-			}
+	out := make([]Event, 0, n)
+	for _, e := range l {
+		if e.PktID == pktID {
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
 // Hops returns the number of forwarding hops (EventForward) for a packet.
-func (t *Tracer) Hops(pktID uint64) int {
+func (l Log) Hops(pktID uint64) int {
 	n := 0
-	for _, c := range t.chunks {
-		for _, e := range c {
-			if e.PktID == pktID && e.Kind == EventForward {
-				n++
-			}
+	for _, e := range l {
+		if e.PktID == pktID && e.Kind == EventForward {
+			n++
 		}
 	}
 	return n
@@ -226,37 +175,28 @@ func (t *Tracer) Hops(pktID uint64) int {
 
 // Path renders a packet's journey as "A -> B -> C" using the Where fields
 // of its send/forward/deliver events.
-func (t *Tracer) Path(pktID uint64) string {
+func (l Log) Path(pktID uint64) string {
 	var parts []string
-	for _, c := range t.chunks {
-		for _, e := range c {
-			if e.PktID != pktID {
-				continue
+	for _, e := range l {
+		if e.PktID != pktID {
+			continue
+		}
+		switch e.Kind {
+		case EventSend, EventForward, EventDeliver, EventEncap, EventDecap:
+			label := e.Where
+			if e.Kind == EventEncap {
+				label += "[encap]"
 			}
-			switch e.Kind {
-			case EventSend, EventForward, EventDeliver, EventEncap, EventDecap:
-				label := e.Where
-				if e.Kind == EventEncap {
-					label += "[encap]"
-				}
-				if e.Kind == EventDecap {
-					label += "[decap]"
-				}
-				if len(parts) == 0 || parts[len(parts)-1] != label {
-					parts = append(parts, label)
-				}
-			case EventDropFilter, EventDropTTL, EventDropNoRoute, EventDropMTU, EventDropLoss,
-				EventDropNoDest, EventDropDown, EventDropFault:
-				parts = append(parts, fmt.Sprintf("X(%s@%s)", e.Kind, e.Where))
+			if e.Kind == EventDecap {
+				label += "[decap]"
 			}
+			if len(parts) == 0 || parts[len(parts)-1] != label {
+				parts = append(parts, label)
+			}
+		case EventDropFilter, EventDropTTL, EventDropNoRoute, EventDropMTU, EventDropLoss,
+			EventDropNoDest, EventDropDown, EventDropFault:
+			parts = append(parts, fmt.Sprintf("X(%s@%s)", e.Kind, e.Where))
 		}
 	}
 	return strings.Join(parts, " -> ")
-}
-
-// Reset clears events and counts.
-func (t *Tracer) Reset() {
-	t.chunks = nil
-	t.n = 0
-	t.counts = [32]uint64{}
 }

@@ -51,7 +51,6 @@ func arpUDPCapture() *pcap.Writer {
 // segment with the given encapsulation codec.
 func tcpHandshakeCapture(codec encap.Codec) *pcap.Writer {
 	s := experiments.Build(experiments.Options{Seed: 5, Codec: codec})
-	s.Net.Sim.Trace.Discard()
 	s.Roam()
 
 	// Capture only the conversation, not the registration chatter.

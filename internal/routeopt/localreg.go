@@ -158,10 +158,12 @@ func (lr *LocalRegistrar) onRetry() {
 		lr.awaiting = false
 		lr.Stats.Fails++
 		lr.mFails.Inc()
-		lr.mn.Host().Sim().Trace.Record(netsim.Event{
-			Kind: netsim.EventNote, Time: lr.mn.Host().Sim().Now(), Where: lr.mn.Host().Name(),
-			Detail: "regional registration abandoned: retries exhausted",
-		})
+		if tr := lr.mn.Host().Sim().Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventNote, Time: lr.mn.Host().Sim().Now(), Where: lr.mn.Host().Name(),
+				Detail: "regional registration abandoned: retries exhausted",
+			})
+		}
 		return
 	}
 	lr.Stats.Retransmits++

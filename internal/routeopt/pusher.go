@@ -234,10 +234,12 @@ func (p *pusher) onRetry(i int) {
 		s.awaiting = false
 		p.stats.Abandons++
 		p.m.abandons.Inc()
-		p.host.Sim().Trace.Record(netsim.Event{
-			Kind: netsim.EventNote, Time: p.host.Sim().Now(), Where: p.host.Name(),
-			Detail: "binding update abandoned: retries exhausted",
-		})
+		if tr := p.host.Sim().Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventNote, Time: p.host.Sim().Now(), Where: p.host.Name(),
+				Detail: "binding update abandoned: retries exhausted",
+			})
+		}
 		return
 	}
 	p.sendUpdate(i, p.cfg.lifetime, true)
@@ -271,10 +273,12 @@ func (p *pusher) handleAck(src ipv4.Addr, a BindingAck, hasAuth bool, payload []
 			p.stats.Nacks++
 			p.m.nacks.Inc()
 			s.active = false
-			p.host.Sim().Trace.Record(netsim.Event{
-				Kind: netsim.EventNote, Time: p.host.Sim().Now(), Where: p.host.Name(),
-				Detail: fmt.Sprintf("binding update refused by %s: code %d", src, a.Code),
-			})
+			if tr := p.host.Sim().Trace; tr.On() {
+				tr.Record(netsim.Event{
+					Kind: netsim.EventNote, Time: p.host.Sim().Now(), Where: p.host.Name(),
+					Detail: fmt.Sprintf("binding update refused by %s: code %d", src, a.Code),
+				})
+			}
 		}
 		return
 	}

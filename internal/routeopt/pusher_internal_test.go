@@ -15,7 +15,6 @@ import (
 func testPusher(tb testing.TB, maxPeers int, auth *mobileip.Authenticator) (*pusher, *inet.Network) {
 	tb.Helper()
 	net := inet.New(7)
-	net.Sim.Trace.Discard()
 	lan := net.AddLAN("lan", "36.1.0.0/16", netsim.SegmentOpts{Latency: 1e6})
 	mh := net.AddHost("mh", lan)
 	net.AddHost("peer", lan)

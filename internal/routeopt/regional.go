@@ -232,14 +232,12 @@ func (g *RegionalAgent) admit(req *mobileip.Request, lifetime uint16) {
 	b.expiresAt = g.host.Sched().Now().Add(vtime.Duration(lifetime) * 1e9)
 	g.Stats.Registrations++
 	g.mRegs.Inc()
-	var detail string
-	if g.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("regional binding %s -> %s lifetime=%ds", req.Home, req.CareOf, lifetime)
+	if tr := g.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventRegister, Time: g.host.Sim().Now(), Where: g.host.Name(),
+			Detail: fmt.Sprintf("regional binding %s -> %s lifetime=%ds", req.Home, req.CareOf, lifetime),
+		})
 	}
-	g.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventRegister, Time: g.host.Sim().Now(), Where: g.host.Name(),
-		Detail: detail,
-	})
 	if g.OnRegister != nil {
 		g.OnRegister(req.Home, req.CareOf)
 	}
@@ -305,15 +303,13 @@ func (g *RegionalAgent) retunnel(inner ipv4.Packet, dst, home ipv4.Addr) {
 		netsim.PutBuf(buf)
 		return
 	}
-	var detail string
-	if g.host.Sim().Trace.Detailing() {
-		detail = fmt.Sprintf("retunnel %s -> %s: inner %s > %s", g.addr, dst, inner.Src, inner.Dst)
+	if tr := g.host.Sim().Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventEncap, Time: g.host.Sim().Now(), Where: g.host.Name(),
+			PktID:  inner.TraceID,
+			Detail: fmt.Sprintf("retunnel %s -> %s: inner %s > %s", g.addr, dst, inner.Src, inner.Dst),
+		})
 	}
-	g.host.Sim().Trace.Record(netsim.Event{
-		Kind: netsim.EventEncap, Time: g.host.Sim().Now(), Where: g.host.Name(),
-		PktID:  inner.TraceID,
-		Detail: detail,
-	})
 	_ = g.host.Resubmit(outer)
 	netsim.PutBuf(buf)
 }

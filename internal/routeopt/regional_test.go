@@ -1,6 +1,8 @@
 package routeopt_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"mob4x4/internal/faults"
@@ -163,10 +165,29 @@ func (w *metroWorld) chPing(t testing.TB, seq uint16) int {
 
 func TestHierarchicalDeliveryBothDirections(t *testing.T) {
 	w := buildMetro(t, metroOpts{})
-	w.enterMetro(t)
+	log, stop := w.net.Sim.Trace.Capture()
+	careOf := w.enterMetro(t)
 
 	if got := w.chPing(t, 1); got != 1 {
 		t.Fatalf("replies = %d", got)
+	}
+	stop()
+	// The regional agent's own trace events: the binding it installs,
+	// then one re-tunnel per direction (into the cell, up to the HA).
+	var got []string
+	for _, e := range *log {
+		if e.Where == w.gfaHost.Name() && (e.Kind == netsim.EventRegister || e.Kind == netsim.EventEncap) {
+			got = append(got, e.Kind.String()+": "+e.Detail)
+		}
+	}
+	home, ch, gfa := w.mn.Home(), w.chFar.FirstAddr(), w.gfa.Addr()
+	want := []string{
+		fmt.Sprintf("register: regional binding %s -> %s lifetime=60s", home, careOf),
+		fmt.Sprintf("encap: retunnel %s -> %s: inner %s > %s", gfa, careOf, ch, home),
+		fmt.Sprintf("encap: retunnel %s -> %s: inner %s > %s", gfa, w.haHost.FirstAddr(), home, ch),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("regional agent events = %q, want %q", got, want)
 	}
 	// Down: HA tunneled to the regional agent, which re-tunneled into
 	// the cell. Up: the MH reverse-tunneled (Out-IE, pessimistic

@@ -1,6 +1,7 @@
 package routeopt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mob4x4/internal/core"
@@ -230,11 +231,23 @@ func TestUnauthenticatedPushNacked(t *testing.T) {
 	w.roam(t)
 	w.teachUpdater(t)
 
+	log, stop := w.net.Sim.Trace.Capture()
 	w.up.PushBinding()
 	w.net.RunFor(2e9)
+	stop()
 
 	if w.up.Stats.Nacks != 1 || w.recv.Stats.Refused != 1 {
 		t.Fatalf("nacks=%d refused=%d, want 1/1", w.up.Stats.Nacks, w.recv.Stats.Refused)
+	}
+	var notes []string
+	for _, e := range *log {
+		if e.Kind == netsim.EventNote {
+			notes = append(notes, e.Detail)
+		}
+	}
+	refused := fmt.Sprintf("binding update refused by %s: code %d", w.chFar.FirstAddr(), routeopt.AckDeniedUnknownHome)
+	if len(notes) != 1 || notes[0] != refused {
+		t.Errorf("notes = %q, want [%q]", notes, refused)
 	}
 	if got := w.up.ActivePeers(); got != 0 {
 		t.Errorf("ActivePeers = %d after nack, want 0", got)

@@ -19,7 +19,6 @@ func TestForwardingSteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	sim, a, _, dst := threeNets(t)
-	sim.Trace.Discard()
 	delivered := 0
 	dst.Handle(99, func(_ *Iface, pkt ipv4.Packet) { delivered++ })
 	payload := make([]byte, 1400)

@@ -72,12 +72,14 @@ func (i *Iface) armARPTimer(target ipv4.Addr, job *resolveJob) {
 		i.host.Stats.DropNoARP += uint64(len(job.pkts))
 		i.host.Stats.DroppedARPExpired += uint64(len(job.pkts))
 		i.host.metrics.DropN(metrics.DropNoARP, uint64(len(job.pkts)))
-		for _, p := range job.pkts {
-			i.host.sim.Trace.Record(netsim.Event{
-				Kind: netsim.EventDropNoRoute, Time: i.host.sim.Now(),
-				Where: i.host.name, PktID: p.TraceID,
-				Detail: "ARP resolution failed for " + target.String(),
-			})
+		if tr := i.host.sim.Trace; tr.On() {
+			detail := "ARP resolution failed for " + target.String()
+			for _, p := range job.pkts {
+				tr.Record(netsim.Event{
+					Kind: netsim.EventDropNoRoute, Time: i.host.sim.Now(),
+					Where: i.host.name, PktID: p.TraceID, Detail: detail,
+				})
+			}
 		}
 	})
 }

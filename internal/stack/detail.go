@@ -10,8 +10,9 @@ import (
 
 // This file holds the allocation-light support for the stack's hot paths:
 // manual trace-detail builders (byte-identical to the fmt.Sprintf strings
-// they replaced, but built with strconv into stack buffers and only when
-// the tracer is recording) and the pooled deferred-local-delivery job.
+// they replaced, but built with strconv into stack buffers: one allocation
+// per detail where Sprintf takes several, which Capture windows pay on
+// every event) and the pooled deferred-local-delivery job.
 
 // pktDetail renders "src > dst proto=N len=N".
 func pktDetail(src, dst ipv4.Addr, proto uint8, length int) string {

@@ -93,13 +93,11 @@ func (f *FilterPolicy) checkEgress(iface *Iface, pkt *ipv4.Packet) bool {
 func (h *Host) traceFilterDrop(direction string, iface *Iface, pkt *ipv4.Packet) {
 	h.Stats.DropFilter++
 	h.metrics.Drop(metrics.DropFilter)
-	var detail string
-	if h.sim.Trace.Detailing() {
-		detail = filterDetail(direction, iface.nic.Name(), pkt.Src, pkt.Dst)
+	if tr := h.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventDropFilter, Time: h.sim.Now(), Where: h.name,
+			PktID:  pkt.TraceID,
+			Detail: filterDetail(direction, iface.nic.Name(), pkt.Src, pkt.Dst),
+		})
 	}
-	h.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventDropFilter, Time: h.sim.Now(), Where: h.name,
-		PktID:  pkt.TraceID,
-		Detail: detail,
-	})
 }

@@ -272,28 +272,24 @@ func (i *Iface) SetAddr(addr ipv4.Addr, prefix ipv4.Prefix) {
 func (i *Iface) Attach(seg *netsim.Segment) {
 	i.nic.Attach(seg)
 	i.cache.Flush()
-	var detail string
-	if i.host.sim.Trace.Detailing() {
-		detail = "iface " + i.nic.Name() + " attached to " + segName(seg)
+	if tr := i.host.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventMove, Time: i.host.sim.Now(), Where: i.host.name,
+			Detail: "iface " + i.nic.Name() + " attached to " + segName(seg),
+		})
 	}
-	i.host.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventMove, Time: i.host.sim.Now(), Where: i.host.name,
-		Detail: detail,
-	})
 }
 
 // Detach disconnects the interface.
 func (i *Iface) Detach() {
 	i.nic.Detach()
 	i.cache.Flush()
-	var detail string
-	if i.host.sim.Trace.Detailing() {
-		detail = "iface " + i.nic.Name() + " detached"
+	if tr := i.host.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventMove, Time: i.host.sim.Now(), Where: i.host.name,
+			Detail: "iface " + i.nic.Name() + " detached",
+		})
 	}
-	i.host.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventMove, Time: i.host.sim.Now(), Where: i.host.name,
-		Detail: detail,
-	})
 }
 
 func segName(seg *netsim.Segment) string {

@@ -25,14 +25,12 @@ func (h *Host) SendIP(pkt ipv4.Packet) error {
 	}
 	h.Stats.IPSent++
 	h.metrics.IPSent.Inc()
-	var detail string
-	if h.sim.Trace.Detailing() {
-		detail = pktDetail(pkt.Src, pkt.Dst, pkt.Protocol, pkt.TotalLen())
+	if tr := h.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventSend, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
+			Detail: pktDetail(pkt.Src, pkt.Dst, pkt.Protocol, pkt.TotalLen()),
+		})
 	}
-	h.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventSend, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
-		Detail: detail,
-	})
 	return h.output(pkt, true)
 }
 
@@ -89,14 +87,12 @@ func (h *Host) output(pkt ipv4.Packet, useOverride bool) error {
 	if !ok {
 		h.Stats.DropNoRoute++
 		h.metrics.Drop(metrics.DropNoRoute)
-		var detail string
-		if h.sim.Trace.Detailing() {
-			detail = dstDetail(pkt.Dst)
+		if tr := h.sim.Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventDropNoRoute, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
+				Detail: dstDetail(pkt.Dst),
+			})
 		}
-		h.sim.Trace.Record(netsim.Event{
-			Kind: netsim.EventDropNoRoute, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
-			Detail: detail,
-		})
 		return fmt.Errorf("%s: no route to %s", h.name, pkt.Dst)
 	}
 
@@ -174,14 +170,12 @@ func (h *Host) SendIPLinkDirect(ifc *Iface, linkDst ipv4.Addr, pkt ipv4.Packet) 
 	}
 	h.Stats.IPSent++
 	h.metrics.IPSent.Inc()
-	var detail string
-	if h.sim.Trace.Detailing() {
-		detail = linkDirectDetail(pkt.Src, pkt.Dst, pkt.Protocol, linkDst)
+	if tr := h.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventSend, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
+			Detail: linkDirectDetail(pkt.Src, pkt.Dst, pkt.Protocol, linkDst),
+		})
 	}
-	h.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventSend, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
-		Detail: detail,
-	})
 	return h.transmit(ifc, linkDst, pkt)
 }
 
@@ -252,9 +246,11 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 	if pkt.TTL <= 1 {
 		h.Stats.DropTTL++
 		h.metrics.Drop(metrics.DropTTL)
-		h.sim.Trace.Record(netsim.Event{
-			Kind: netsim.EventDropTTL, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
-		})
+		if tr := h.sim.Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventDropTTL, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
+			})
+		}
 		if h.TTLExceeded != nil {
 			h.TTLExceeded(in, pkt)
 		}
@@ -266,14 +262,12 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 	if !ok {
 		h.Stats.DropNoRoute++
 		h.metrics.Drop(metrics.DropNoRoute)
-		var detail string
-		if h.sim.Trace.Detailing() {
-			detail = dstDetail(pkt.Dst)
+		if tr := h.sim.Trace; tr.On() {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventDropNoRoute, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
+				Detail: dstDetail(pkt.Dst),
+			})
 		}
-		h.sim.Trace.Record(netsim.Event{
-			Kind: netsim.EventDropNoRoute, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
-			Detail: detail,
-		})
 		return
 	}
 	if rt.IsVirtual() {
@@ -291,14 +285,12 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 		// the paper's overhead discussion is about.
 		h.metrics.TunnelForwards.Inc()
 	}
-	var detail string
-	if h.sim.Trace.Detailing() {
-		detail = fwdDetail(pkt.Src, pkt.Dst, pkt.TTL)
+	if tr := h.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventForward, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
+			Detail: fwdDetail(pkt.Src, pkt.Dst, pkt.TTL),
+		})
 	}
-	h.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventForward, Time: h.sim.Now(), Where: h.name, PktID: pkt.TraceID,
-		Detail: detail,
-	})
 	_ = h.transmit(rt.Iface, nexthop, pkt)
 }
 
@@ -329,14 +321,12 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 	}
 	h.Stats.IPDelivered++
 	h.metrics.IPDelivered.Inc()
-	var detail string
-	if h.sim.Trace.Detailing() {
-		detail = pktDetail(full.Src, full.Dst, full.Protocol, full.TotalLen())
+	if tr := h.sim.Trace; tr.On() {
+		tr.Record(netsim.Event{
+			Kind: netsim.EventDeliver, Time: h.sim.Now(), Where: h.name, PktID: full.TraceID,
+			Detail: pktDetail(full.Src, full.Dst, full.Protocol, full.TotalLen()),
+		})
 	}
-	h.sim.Trace.Record(netsim.Event{
-		Kind: netsim.EventDeliver, Time: h.sim.Now(), Where: h.name, PktID: full.TraceID,
-		Detail: detail,
-	})
 	if h.DeliveryHook != nil {
 		h.DeliveryHook(ifc, full)
 	}

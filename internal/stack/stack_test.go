@@ -2,6 +2,9 @@ package stack
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mob4x4/internal/ipv4"
@@ -431,7 +434,6 @@ func TestNextIPIDMonotonic(t *testing.T) {
 // packets fully marshalled, checksummed, forwarded and delivered.
 func BenchmarkForwardingRate(b *testing.B) {
 	sim, a, _, dst := threeNets(b)
-	sim.Trace.Enabled = false
 	delivered := 0
 	dst.Handle(99, func(_ *Iface, pkt ipv4.Packet) { delivered++ })
 	payload := make([]byte, 1400)
@@ -505,5 +507,45 @@ func TestEndToEndDeliveryProperty(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("packet %x corrupted (len %d vs %d)", key, len(got), len(want))
 		}
+	}
+}
+
+// TestTraceEventDetails runs a forwarded packet, a routing failure and a
+// detach under a capture and pins each event's kind, place and Detail.
+func TestTraceEventDetails(t *testing.T) {
+	sim, a, r, b := threeNets(t)
+	log, stop := sim.Trace.Capture()
+	_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: b.FirstAddr()}, Payload: []byte("trace")})
+	_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: ipv4.MustParseAddr("10.9.9.9")}})
+	sim.Sched.Run()
+	// A spoofed source link-delivered to r, which filters it on ingress.
+	r.Filter = &FilterPolicy{
+		DomainPrefixes:      []ipv4.Prefix{ipv4.MustParsePrefix("10.2.0.0/24")},
+		IngressSourceFilter: true,
+	}
+	r.Ifaces()[0].Outside = true
+	_ = a.SendIPLinkDirect(a.Ifaces()[0], r.FirstAddr(), ipv4.Packet{Header: ipv4.Header{
+		Protocol: 99, Src: ipv4.MustParseAddr("10.2.0.77"), Dst: b.FirstAddr()}})
+	sim.Sched.Run()
+	b.Ifaces()[0].Detach()
+	stop()
+
+	var got []string
+	for _, e := range *log {
+		got = append(got, fmt.Sprintf("%s %s pkt=%d %s", e.Kind, e.Where, e.PktID, e.Detail))
+	}
+	want := []string{
+		// SendIP records before routing picks the source address.
+		"send a pkt=1 0.0.0.0 > 10.2.0.2 proto=99 len=25",
+		"send a pkt=2 0.0.0.0 > 10.9.9.9 proto=99 len=20",
+		"forward r pkt=1 10.1.0.2 > 10.2.0.2 ttl=63",
+		"drop-noroute r pkt=2 dst=10.9.9.9",
+		"deliver b pkt=1 10.1.0.2 > 10.2.0.2 proto=99 len=25",
+		"send a pkt=3 10.2.0.77 > 10.2.0.2 proto=99 link-direct via 10.1.0.1",
+		"drop-filter r pkt=3 ingress filter on r:if1: src=10.2.0.77 dst=10.2.0.2",
+		"move b pkt=0 iface b:eth0 detached",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("events:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

@@ -240,7 +240,6 @@ func TestFeedbackSignals(t *testing.T) {
 // virtual-time pacing.
 func BenchmarkTransferThroughput(b *testing.B) {
 	n, ch, sh := pair(b, 0)
-	n.Sim.Trace.Enabled = false
 	cep := tcplite.New(ch)
 	sep := tcplite.New(sh)
 	var rx int
