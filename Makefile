@@ -18,15 +18,20 @@ FUZZ_TARGETS = \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 
-.PHONY: check build vet lint test examples race smoke fuzz-smoke bench benchgate cover determinism
+.PHONY: check build vet fmt lint test examples race smoke fuzz-smoke bench benchgate cover determinism
 
-check: build vet lint test examples
+check: build vet fmt lint test examples
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Check only: fail, listing the files, if any Go file is not gofmt-clean.
+# Fix with gofmt -w <file>.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # The repo-specific analyzer suite; see DESIGN.md "Static analysis".
 lint:

@@ -91,6 +91,13 @@ func (m InMode) String() string {
 	}
 }
 
+// Mode is either axis of the grid, for code that names the cells of a
+// per-mode array the same way on both.
+type Mode interface {
+	OutMode | InMode
+	String() string
+}
+
 // Valid reports whether m is one of the four defined outgoing modes.
 func (m OutMode) Valid() bool { return m >= OutIE && m <= OutDT }
 

@@ -63,18 +63,18 @@ func TestCompactElisionShapes(t *testing.T) {
 		{
 			// MN Out-DE: tunnel ends at the inner destination; the home
 			// source rides in the header.
-			name:  "mn-direct-tunnel",
-			src:   compactCareOf,
-			dst:   compactCH,
-			inner: compactInner(compactHome, compactCH),
+			name:     "mn-direct-tunnel",
+			src:      compactCareOf,
+			dst:      compactCH,
+			inner:    compactInner(compactHome, compactCH),
 			overhead: 8,
 		},
 		{
 			// MN Out-IE reverse tunnel: nothing elidable — worst case.
-			name:  "mn-reverse-tunnel",
-			src:   compactCareOf,
-			dst:   compactHA,
-			inner: compactInner(compactHome, compactCH),
+			name:     "mn-reverse-tunnel",
+			src:      compactCareOf,
+			dst:      compactHA,
+			inner:    compactInner(compactHome, compactCH),
 			overhead: 12,
 		},
 	}

@@ -67,8 +67,10 @@ func FuzzDecapsulateGRE(f *testing.F)    { fuzzDecapsulate(f, GRE{}) }
 // endpoint shapes: agent side (no home; dst-is-home headers must be
 // rejected, not guessed) and mobile side (home configured, restoration
 // engaged).
-func FuzzDecapsulateCompact(f *testing.F)     { fuzzDecapsulate(f, Compact{}) }
-func FuzzDecapsulateCompactHome(f *testing.F) { fuzzDecapsulate(f, Compact{Home: ipv4.AddrFrom(36, 1, 1, 3)}) }
+func FuzzDecapsulateCompact(f *testing.F) { fuzzDecapsulate(f, Compact{}) }
+func FuzzDecapsulateCompactHome(f *testing.F) {
+	fuzzDecapsulate(f, Compact{Home: ipv4.AddrFrom(36, 1, 1, 3)})
+}
 
 // FuzzDecapsulateGREKeyed exercises the key-checking path separately:
 // with a key configured, mismatched and absent keys must be rejected

@@ -82,3 +82,28 @@ func TestSleepWakeSessionResumes(t *testing.T) {
 		t.Error("no echo after wake; session did not resume")
 	}
 }
+
+// TestTwoHomeAgentsBindingsSum: with two home agents in one Sim, the
+// registry's ha/bindings level is the sum of both agents' tables, read
+// from their state, not whichever agent wrote a gauge last.
+func TestTwoHomeAgentsBindingsSum(t *testing.T) {
+	s := Build(Options{Seed: 31, SecondMobile: true})
+	s.Roam()
+	s.MN2.MoveTo(s.VisitB.Seg, s.VisitB.NextAddr(), s.VisitB.Prefix, s.VisitB.Gateway)
+	s.Net.RunFor(8 * Second)
+
+	want := int64(s.HA.Bindings() + s.HA2.Bindings())
+	if want != 2 {
+		t.Fatalf("HA bindings %d + HA2 bindings %d, want one each", s.HA.Bindings(), s.HA2.Bindings())
+	}
+	levels := map[string]int64{}
+	for _, g := range s.Net.Sim.Metrics.Snapshot().Gauges {
+		levels[g.Name] = g.Value
+	}
+	if got := levels["ha/bindings"]; got != want {
+		t.Errorf("ha/bindings = %d, want %d", got, want)
+	}
+	if got := levels["mn/registered"]; got != 2 {
+		t.Errorf("mn/registered = %d, want 2", got)
+	}
+}

@@ -50,13 +50,14 @@ type GridCell struct {
 	// Mobile-node mode accounting over the whole exchange window: how
 	// many packets (and bytes) the MN sent and received in each of the
 	// four modes, indexed by core.OutMode/core.InMode.
-	MNOutPackets, MNOutBytes [metrics.NumModes]uint64
-	MNInPackets, MNInBytes   [metrics.NumModes]uint64
+	MNOutPackets, MNOutBytes [core.NumOutModes]uint64
+	MNInPackets, MNInBytes   [core.NumInModes]uint64
 
 	// Bytes-on-wire per mode over the same window: tunnel headers
 	// included, so MNOutWireBytes-MNOutBytes is the measured (not
 	// analytic) encapsulation overhead the route-opt tier shrinks.
-	MNOutWireBytes, MNInWireBytes [metrics.NumModes]uint64
+	MNOutWireBytes [core.NumOutModes]uint64
+	MNInWireBytes  [core.NumInModes]uint64
 
 	// Drops per cause over the exchange window (all-zero on the healthy
 	// grid topology).
@@ -175,12 +176,6 @@ func runGridCellTopo(seed int64, combo core.Combo, topo gridTopo) GridCell {
 			tun: reg.TunnelForwards.Value(),
 		}
 	}
-	read4 := func(cs *[metrics.NumModes]metrics.Counter) (v [metrics.NumModes]uint64) {
-		for i := range cs {
-			v[i] = cs[i].Value()
-		}
-		return v
-	}
 
 	// MH echo service with the reply source pinned. The mark is taken
 	// before the echo goes out so the reply's synchronous encapsulation
@@ -210,9 +205,7 @@ func runGridCellTopo(seed int64, combo core.Combo, topo gridTopo) GridCell {
 	// Baselines before the probe: the CH's own encapsulation (In-DE)
 	// happens synchronously inside SendTo.
 	base := mark()
-	outP0, outB0 := read4(&reg.OutPackets), read4(&reg.OutBytes)
-	inP0, inB0 := read4(&reg.InPackets), read4(&reg.InBytes)
-	outW0, inW0 := read4(&reg.OutWireBytes), read4(&reg.InWireBytes)
+	mn0 := s.MN.Stats
 	var drops0 [metrics.NumDropCauses]uint64
 	for c := range drops0 {
 		drops0[c] = reg.DropCount(metrics.DropCause(c))
@@ -237,16 +230,14 @@ func runGridCellTopo(seed int64, combo core.Combo, topo gridTopo) GridCell {
 			cell.RepTunnelHops = atCH.tun - atMH.tun
 		}
 	}
-	outP1, outB1 := read4(&reg.OutPackets), read4(&reg.OutBytes)
-	inP1, inB1 := read4(&reg.InPackets), read4(&reg.InBytes)
-	outW1, inW1 := read4(&reg.OutWireBytes), read4(&reg.InWireBytes)
-	for m := 0; m < metrics.NumModes; m++ {
-		cell.MNOutPackets[m] = outP1[m] - outP0[m]
-		cell.MNOutBytes[m] = outB1[m] - outB0[m]
-		cell.MNInPackets[m] = inP1[m] - inP0[m]
-		cell.MNInBytes[m] = inB1[m] - inB0[m]
-		cell.MNOutWireBytes[m] = outW1[m] - outW0[m]
-		cell.MNInWireBytes[m] = inW1[m] - inW0[m]
+	mn1 := s.MN.Stats
+	for m := range cell.MNOutPackets {
+		cell.MNOutPackets[m] = mn1.OutByMode[m] - mn0.OutByMode[m]
+		cell.MNOutBytes[m] = mn1.OutBytes[m] - mn0.OutBytes[m]
+		cell.MNInPackets[m] = mn1.InByMode[m] - mn0.InByMode[m]
+		cell.MNInBytes[m] = mn1.InBytes[m] - mn0.InBytes[m]
+		cell.MNOutWireBytes[m] = mn1.OutWireBytes[m] - mn0.OutWireBytes[m]
+		cell.MNInWireBytes[m] = mn1.InWireBytes[m] - mn0.InWireBytes[m]
 	}
 	for c := range cell.Drops {
 		cell.Drops[c] = reg.DropCount(metrics.DropCause(c)) - drops0[c]
@@ -348,13 +339,14 @@ type GridCellMetrics struct {
 	// overhead is visible per (Out, In) pair.
 	MNOutWireBytes map[string]uint64 `json:"mn_out_wire_bytes,omitempty"`
 	MNInWireBytes  map[string]uint64 `json:"mn_in_wire_bytes,omitempty"`
-	Drops         map[string]uint64 `json:"drops,omitempty"`
-	Requirements  string            `json:"requirements,omitempty"`
+	Drops          map[string]uint64 `json:"drops,omitempty"`
+	Requirements   string            `json:"requirements,omitempty"`
 }
 
-// nonzeroByName converts a per-mode counter array into a name-keyed map,
-// dropping zero entries (nil when all are zero, so omitempty fires).
-func nonzeroByName(v [metrics.NumModes]uint64, names [metrics.NumModes]string) map[string]uint64 {
+// nonzeroByName converts a per-mode counter array into a map keyed by
+// mode name, dropping zero entries (nil when all are zero, so omitempty
+// fires).
+func nonzeroByName[M core.Mode](v [core.NumOutModes]uint64) map[string]uint64 {
 	var m map[string]uint64
 	for i, n := range v {
 		if n == 0 {
@@ -363,7 +355,7 @@ func nonzeroByName(v [metrics.NumModes]uint64, names [metrics.NumModes]string) m
 		if m == nil {
 			m = make(map[string]uint64)
 		}
-		m[names[i]] = n
+		m[M(i).String()] = n
 	}
 	return m
 }
@@ -389,14 +381,14 @@ func CellMetrics(c GridCell) GridCellMetrics {
 		RepEncaps:     c.RepEncaps,
 		RepDecaps:     c.RepDecaps,
 		RepTunnelHops: c.RepTunnelHops,
-		MNOutPackets:  nonzeroByName(c.MNOutPackets, metrics.OutModeNames),
-		MNOutBytes:    nonzeroByName(c.MNOutBytes, metrics.OutModeNames),
-		MNInPackets:   nonzeroByName(c.MNInPackets, metrics.InModeNames),
-		MNInBytes:     nonzeroByName(c.MNInBytes, metrics.InModeNames),
+		MNOutPackets:  nonzeroByName[core.OutMode](c.MNOutPackets),
+		MNOutBytes:    nonzeroByName[core.OutMode](c.MNOutBytes),
+		MNInPackets:   nonzeroByName[core.InMode](c.MNInPackets),
+		MNInBytes:     nonzeroByName[core.InMode](c.MNInBytes),
 
-		MNOutWireBytes: nonzeroByName(c.MNOutWireBytes, metrics.OutModeNames),
-		MNInWireBytes:  nonzeroByName(c.MNInWireBytes, metrics.InModeNames),
-		Requirements:  c.Requirements,
+		MNOutWireBytes: nonzeroByName[core.OutMode](c.MNOutWireBytes),
+		MNInWireBytes:  nonzeroByName[core.InMode](c.MNInWireBytes),
+		Requirements:   c.Requirements,
 	}
 	for cause, n := range c.Drops {
 		if n == 0 {

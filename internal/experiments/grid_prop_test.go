@@ -60,20 +60,20 @@ func checkGridCell(t *testing.T, c GridCell) {
 	// Mode accounting: the MN saw exactly one packet in under the
 	// forced In mode, sent exactly one out under the forced Out mode,
 	// and nothing under any other mode.
-	for m := 0; m < metrics.NumModes; m++ {
+	for m := 0; m < core.NumOutModes; m++ {
 		wantIn := uint64(0)
 		if m == int(combo.In) {
 			wantIn = 1
 		}
 		if c.MNInPackets[m] != wantIn {
-			t.Errorf("%v: MNInPackets[%s] = %d, want %d", combo, metrics.InModeNames[m], c.MNInPackets[m], wantIn)
+			t.Errorf("%v: MNInPackets[%s] = %d, want %d", combo, core.InMode(m), c.MNInPackets[m], wantIn)
 		}
 		wantOut := uint64(0)
 		if m == int(combo.Out) {
 			wantOut = 1
 		}
 		if c.MNOutPackets[m] != wantOut {
-			t.Errorf("%v: MNOutPackets[%s] = %d, want %d", combo, metrics.OutModeNames[m], c.MNOutPackets[m], wantOut)
+			t.Errorf("%v: MNOutPackets[%s] = %d, want %d", combo, core.OutMode(m), c.MNOutPackets[m], wantOut)
 		}
 	}
 	// The echo mirrors the payload, so the inner reply is byte-for-byte

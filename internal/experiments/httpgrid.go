@@ -11,7 +11,6 @@ import (
 	"mob4x4/internal/core"
 	"mob4x4/internal/dnssim"
 	"mob4x4/internal/ipv4"
-	"mob4x4/internal/metrics"
 	"mob4x4/internal/pcap"
 	"mob4x4/internal/sock"
 	"mob4x4/internal/udp"
@@ -163,14 +162,8 @@ func runHTTPGridCell(seed int64, combo core.Combo) HTTPCell {
 
 	// Mode accounting across the HTTP exchange. The counters live on the
 	// event loop; Do gives a consistent read.
-	reg := s.Net.Sim.Metrics
-	readModes := func() (out, in [metrics.NumModes]uint64) {
-		d.Do(func() {
-			for i := 0; i < metrics.NumModes; i++ {
-				out[i] = reg.OutPackets[i].Value()
-				in[i] = reg.InPackets[i].Value()
-			}
-		})
+	readModes := func() (out [core.NumOutModes]uint64, in [core.NumInModes]uint64) {
+		d.Do(func() { out, in = s.MN.Stats.OutByMode, s.MN.Stats.InByMode })
 		return out, in
 	}
 	outP0, inP0 := readModes()
@@ -187,7 +180,7 @@ func runHTTPGridCell(seed int64, combo core.Combo) HTTPCell {
 	}
 
 	outP1, inP1 := readModes()
-	dominant := func(p0, p1 [metrics.NumModes]uint64) int {
+	dominant := func(p0, p1 [core.NumOutModes]uint64) int {
 		k, max := 0, uint64(0)
 		for i := range p1 {
 			if delta := p1[i] - p0[i]; delta > max {

@@ -79,8 +79,12 @@ func TestGilbertElliottBadStateDropsEverything(t *testing.T) {
 	if *delivered != 0 {
 		t.Errorf("delivered %d frames through a 100%%-loss bad state", *delivered)
 	}
-	if got := sim.Metrics.DropCount(metrics.DropGilbertElliott); got != 10 || seg.DroppedFault != 10 {
-		t.Errorf("gilbert_elliott drops = %d, DroppedFault = %d, want 10/10", got, seg.DroppedFault)
+	var total uint64
+	for c := 0; c < metrics.NumDropCauses; c++ {
+		total += sim.Metrics.DropCount(metrics.DropCause(c))
+	}
+	if got := sim.Metrics.DropCount(metrics.DropGilbertElliott); got != 10 || total != 10 {
+		t.Errorf("gilbert_elliott drops = %d, all drops = %d, want 10/10", got, total)
 	}
 	if !lf.InBadState() {
 		t.Error("chain should be pinned in the bad state")
@@ -201,8 +205,8 @@ func TestCutLinkWindow(t *testing.T) {
 	if *delivered != 2 {
 		t.Errorf("delivered %d probes, want 2 (before and after the window)", *delivered)
 	}
-	if seg.DroppedDown != 1 {
-		t.Errorf("DroppedDown = %d, want 1 (the mid-window probe)", seg.DroppedDown)
+	if n := sim.Metrics.DropCount(metrics.DropDown); n != 1 {
+		t.Errorf("drop/down = %d, want 1 (the mid-window probe)", n)
 	}
 	if seg.Down() {
 		t.Error("segment still down after heal")

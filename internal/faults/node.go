@@ -11,7 +11,7 @@ import (
 // Injector.At so the action lands in the fault log at its firing vtime.
 
 // CutLink takes seg administratively down at time at and brings it back
-// up after d. Frames sent during the window are dropped (DroppedDown).
+// up after d. Frames sent during the window are dropped (drop/down).
 func (inj *Injector) CutLink(at vtime.Time, seg *netsim.Segment, d vtime.Duration) {
 	inj.At(at, "cut link "+seg.Name(), func() { seg.SetDown(true) })
 	inj.At(at.Add(d), "heal link "+seg.Name(), func() { seg.SetDown(false) })

@@ -389,8 +389,7 @@ type Node struct {
 // measurement phase (workers joined) merges the slices.
 type regionState struct {
 	handoffHist *metrics.Histogram // this region's fleet/handoff_ns
-	mHandoffs   *metrics.Counter   // this region's fleet/handoffs
-	handoffs    uint64
+	handoffs    *metrics.Counter   // this region's fleet/handoffs
 	modeMix     [core.NumOutModes][core.NumInModes]uint64
 
 	// expectFilterDrops is set the moment a node in this region emits a
@@ -494,7 +493,7 @@ func New(opts Options) *Fleet {
 		sims[i] = cluster.NewSim(f.group.Shard(i))
 		f.rs[i] = &regionState{
 			handoffHist: sims[i].Metrics.Histogram("fleet/handoff_ns", handoffBuckets()),
-			mHandoffs:   sims[i].Metrics.Counter("fleet/handoffs"),
+			handoffs:    sims[i].Metrics.Counter("fleet/handoffs"),
 			trafficOn:   true,
 			movementOn:  true,
 		}
@@ -519,8 +518,7 @@ func (f *Fleet) careOf(c, idx int) ipv4.Addr {
 func (f *Fleet) onRegistered(n *Node) {
 	n.movedRegional = false
 	rs := f.rs[n.region]
-	rs.handoffs++
-	rs.mHandoffs.Inc()
+	rs.handoffs.Inc()
 	rs.handoffHist.ObserveDuration(n.Host.Sim().Now().Sub(n.moveAt))
 	if n.up != nil {
 		n.up.PushBinding()
@@ -534,16 +532,8 @@ func (f *Fleet) onRegistered(n *Node) {
 // movedRegional flag makes whichever acceptance lands count the handoff
 // exactly once.
 func (f *Fleet) onRegionalAccepted(n *Node) {
-	if !n.movedRegional {
-		return
-	}
-	n.movedRegional = false
-	rs := f.rs[n.region]
-	rs.handoffs++
-	rs.mHandoffs.Inc()
-	rs.handoffHist.ObserveDuration(n.Host.Sim().Now().Sub(n.moveAt))
-	if n.up != nil {
-		n.up.PushBinding()
+	if n.movedRegional {
+		f.onRegistered(n)
 	}
 }
 

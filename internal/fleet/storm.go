@@ -193,7 +193,7 @@ func (f *Fleet) Run() Result {
 	res.HandoffP95 = hist.Quantile(0.95)
 	res.HandoffP99 = hist.Quantile(0.99)
 	for _, rs := range f.rs {
-		res.Handoffs += rs.handoffs
+		res.Handoffs += rs.handoffs.Value()
 		for o := 0; o < core.NumOutModes; o++ {
 			for i := 0; i < core.NumInModes; i++ {
 				res.ModeMix[o][i] += rs.modeMix[o][i]

@@ -11,18 +11,20 @@ import (
 // loop, no locks — and the measurement phase merges them into one
 // cluster-wide view once the workers have joined:
 //
-//   - Counters (static families, drop causes, named) sum.
-//   - Gauges sum: every gauge in this codebase moves by Add deltas
-//     (registered-node counts, binding-table sizes), so per-region levels
-//     are disjoint contributions to the cluster level.
+//   - Counters (static families, drop causes, named counters and what
+//     src's sources report) sum.
+//   - Gauge levels sum. Every level is read from a source's state (a
+//     binding-table size, a registered flag), so the levels of disjoint
+//     regions are disjoint contributions to the cluster level. r keeps
+//     the merged levels and reports them in its own snapshots.
 //   - Histograms merge bucket-wise, which is exact — bucket counts and
 //     sums are commutative monoids — so quantiles computed after the
 //     merge equal those of a single-registry run over the same
 //     observations. Matching names must use identical bounds.
 //
-// Named instruments present only in src are created in r; names are
-// visited in sorted order so instrument creation stays deterministic.
-// src is left untouched.
+// Names present only in src are created in r; they are visited in
+// sorted order so instrument creation stays deterministic. src is left
+// untouched, and its sources stay with it.
 func (r *Registry) Merge(src *Registry) {
 	r.IPSent.Add(src.IPSent.Value())
 	r.IPForwarded.Add(src.IPForwarded.Value())
@@ -32,22 +34,18 @@ func (r *Registry) Merge(src *Registry) {
 	r.Encaps.Add(src.Encaps.Value())
 	r.Decaps.Add(src.Decaps.Value())
 	r.TunnelForwards.Add(src.TunnelForwards.Value())
-	for i := 0; i < NumModes; i++ {
-		r.OutPackets[i].Add(src.OutPackets[i].Value())
-		r.OutBytes[i].Add(src.OutBytes[i].Value())
-		r.InPackets[i].Add(src.InPackets[i].Value())
-		r.InBytes[i].Add(src.InBytes[i].Value())
-		r.OutWireBytes[i].Add(src.OutWireBytes[i].Value())
-		r.InWireBytes[i].Add(src.InWireBytes[i].Value())
-	}
 	for c := 0; c < NumDropCauses; c++ {
 		r.drops[c].Add(src.drops[c].Value())
 	}
-	for _, name := range sortedKeys(src.counters) {
-		r.Counter(name).Add(src.counters[name].Value())
+	named := src.named()
+	for _, name := range sortedKeys(named.counters) {
+		r.Counter(name).Add(named.counters[name])
 	}
-	for _, name := range sortedKeys(src.gauges) {
-		r.Gauge(name).Add(src.gauges[name].Value())
+	if r.levels == nil {
+		r.levels = make(map[string]int64)
+	}
+	for _, name := range sortedKeys(named.levels) {
+		r.levels[name] += named.levels[name]
 	}
 	for _, name := range sortedKeys(src.histograms) {
 		sh := src.histograms[name]

@@ -6,17 +6,24 @@
 // allocations and lets every metric be asserted byte-for-byte in tests
 // (the simulation is deterministic, therefore so are its counters).
 //
-// The registry has two tiers:
+// Every count is stored in exactly one place. The registry stores the
+// counts that belong to no single entity; the protocol agents store
+// their own and the registry reads them:
 //
 //   - Static hot families: fixed struct fields updated on the per-packet
 //     fast path (IP dispositions, link frames/bytes, encap/decap, the
-//     per-mode 4x4 packet/byte grids, the drop-cause vector). These are
-//     addressed at compile time — no map lookup, no interning, no
-//     allocation.
-//   - Named instruments: Counter/Gauge/Histogram looked up by string
-//     name. These are for control-plane events (registrations, moves,
-//     binding-table sizes) where a map lookup at setup time is fine;
-//     callers resolve the instrument once and keep the pointer.
+//     drop-cause vector). These are addressed at compile time — no map
+//     lookup, no interning, no allocation.
+//   - Named instruments: Counter and Histogram looked up by string name
+//     (the per-role encap counters, latency histograms). Callers resolve
+//     the instrument once and keep the pointer.
+//   - Sources: an agent (home agent, mobile node, regional agent, ...)
+//     keeps its counts in its own Stats and registers itself with
+//     AddSource. Snapshot and Merge ask every source to Report its
+//     counters and levels (binding-table sizes, the registered flag, the
+//     mobile node's 4x4 grid) and sum them by name with the registry's
+//     own named counters. A level is only ever read from state, so there
+//     is no gauge to keep in step with it.
 //
 // All timing flows through vtime; nothing here reads the wall clock.
 package metrics
@@ -35,19 +42,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is an instantaneous signed level (binding-table size, registered
-// flag). The zero value is ready to use.
-type Gauge struct{ v int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(n int64) { g.v = n }
-
-// Add moves the level by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v }
 
 // Histogram accumulates observations into fixed upper-bound buckets
 // (ascending, in the unit the caller chooses — registration RTTs use
@@ -164,19 +158,6 @@ func (c DropCause) String() string {
 	return dropCauseNames[c]
 }
 
-// NumModes is the side of the paper's grid. The registry deliberately
-// does not import core (core sits above netsim, which owns a Registry),
-// so the mode axes are mirrored here and cross-checked against
-// core.OutMode/core.InMode String() values by a test in experiments.
-const NumModes = 4
-
-// OutModeNames and InModeNames label the mode-indexed families below,
-// index-compatible with core.OutMode / core.InMode.
-var (
-	OutModeNames = [NumModes]string{"Out-IE", "Out-DE", "Out-DH", "Out-DT"}
-	InModeNames  = [NumModes]string{"In-IE", "In-DE", "In-DH", "In-DT"}
-)
-
 // Registry is one simulation's metric store.
 type Registry struct {
 	// IP dispositions (per-stack totals, summed over all hosts).
@@ -195,28 +176,75 @@ type Registry struct {
 	Decaps         Counter
 	TunnelForwards Counter
 
-	// The 4x4 grid, mobile-host centric: packets/bytes sent by the
-	// mobile host per Out mode, and delivered to it per In mode. Bytes
-	// count the inner (useful) packet, not tunnel overhead — overhead is
-	// Encaps × codec overhead, reported separately.
-	OutPackets [NumModes]Counter
-	OutBytes   [NumModes]Counter
-	InPackets  [NumModes]Counter
-	InBytes    [NumModes]Counter
-
-	// Bytes-on-wire per mode: what the mobile host's traffic actually
-	// cost the network, tunnel headers included — the outer packet's
-	// total length for encapsulated modes, the plain packet's for the
-	// rest. OutWireBytes[m] - OutBytes[m] is the encapsulation overhead
-	// the route-optimization tier exists to shrink (E17).
-	OutWireBytes [NumModes]Counter
-	InWireBytes  [NumModes]Counter
-
 	drops [NumDropCauses]Counter
 
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	// levels holds the gauge levels folded in by Merge; a registry that
+	// has merged nothing reads its levels from its sources alone.
+	levels  map[string]int64
+	sources []Source
+}
+
+// Source is an entity that stores its own counts and reports them by
+// name when its registry is snapshotted or merged.
+type Source interface {
+	Report(a *Adder)
+}
+
+// Adder sums what sources report, by name.
+type Adder struct {
+	counters map[string]uint64
+	levels   map[string]int64
+	// joined caches the "name{label}" strings LabeledCounter builds, so
+	// each is built once per Snapshot or Merge, not once per source.
+	joined map[[2]string]string
+}
+
+// Counter adds v to the named count. The name is reported even when v is
+// zero: an agent's counters appear as soon as the agent exists.
+func (a *Adder) Counter(name string, v uint64) { a.counters[name] += v }
+
+// LabeledCounter adds v to the count named "name{label}", such as
+// grid/out_pkts{Out-IE}.
+func (a *Adder) LabeledCounter(name, label string, v uint64) {
+	k := [2]string{name, label}
+	full, ok := a.joined[k]
+	if !ok {
+		full = name + "{" + label + "}"
+		a.joined[k] = full
+	}
+	a.counters[full] += v
+}
+
+// Level adds v to the named gauge level, so the levels of many sources
+// under one name (the binding tables of two home agents) sum.
+func (a *Adder) Level(name string, v int64) { a.levels[name] += v }
+
+// AddSource registers s to be read by every later Snapshot and Merge. A
+// source stays with the registry of the Sim it was built in, even if its
+// entity migrates to another shard: registries are read only once the
+// shard workers have joined.
+func (r *Registry) AddSource(s Source) { r.sources = append(r.sources, s) }
+
+// named sums the registry's named counters, its merged levels and every
+// source's report.
+func (r *Registry) named() Adder {
+	a := Adder{
+		counters: make(map[string]uint64),
+		levels:   make(map[string]int64),
+		joined:   make(map[[2]string]string),
+	}
+	for _, name := range sortedKeys(r.counters) {
+		a.counters[name] += r.counters[name].Value()
+	}
+	for _, name := range sortedKeys(r.levels) {
+		a.levels[name] += r.levels[name]
+	}
+	for _, s := range r.sources {
+		s.Report(&a)
+	}
+	return a
 }
 
 // NewRegistry returns an empty registry.
@@ -261,19 +289,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given

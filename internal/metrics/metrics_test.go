@@ -9,6 +9,31 @@ import (
 	"mob4x4/internal/vtime"
 )
 
+// testSource is a Source reporting fixed counts and levels.
+type testSource struct {
+	counters map[string]uint64
+	gauges   map[string]int64
+}
+
+func (s testSource) Report(a *Adder) {
+	for _, name := range sortedKeys(s.counters) {
+		a.Counter(name, s.counters[name])
+	}
+	for _, name := range sortedKeys(s.gauges) {
+		a.Level(name, s.gauges[name])
+	}
+}
+
+// gaugeOf returns the snapshot's level for name and whether it was present.
+func gaugeOf(s Snapshot, name string) (int64, bool) {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value, true
+		}
+	}
+	return 0, false
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -16,11 +41,78 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Value())
+	// A gauge is a level read from a source's state; levels under one
+	// name sum, negative contributions included.
+	r := NewRegistry()
+	r.AddSource(testSource{gauges: map[string]int64{"level": 7}})
+	r.AddSource(testSource{gauges: map[string]int64{"level": -3}})
+	if g, ok := gaugeOf(r.Snapshot(), "level"); !ok || g != 4 {
+		t.Fatalf("gauge = %d,%v, want 4", g, ok)
+	}
+}
+
+// TestSourcesSumByName: two sources reporting under one name are one
+// series in the snapshot, and a zero count still makes its name appear.
+func TestSourcesSumByName(t *testing.T) {
+	r := NewRegistry()
+	r.AddSource(testSource{counters: map[string]uint64{"ha/forwarded": 3, "ha/expiries": 0}})
+	r.AddSource(testSource{counters: map[string]uint64{"ha/forwarded": 4}})
+	s := r.Snapshot()
+	if v, ok := s.Counter("ha/forwarded"); !ok || v != 7 {
+		t.Fatalf("ha/forwarded = %d,%v, want 7", v, ok)
+	}
+	if v, ok := s.Counter("ha/expiries"); !ok || v != 0 {
+		t.Fatalf("ha/expiries = %d,%v, want a present 0", v, ok)
+	}
+}
+
+// TestNativeCounterAndSourceShareName: a registry-native named counter
+// and a source's report under the same name sum.
+func TestNativeCounterAndSourceShareName(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("mn/moves").Add(2)
+	r.AddSource(testSource{counters: map[string]uint64{"mn/moves": 5}})
+	if v, ok := r.Snapshot().Counter("mn/moves"); !ok || v != 7 {
+		t.Fatalf("mn/moves = %d,%v, want 7", v, ok)
+	}
+}
+
+// TestMergeOfSourcesEqualsPushed: merging a registry whose counts live in
+// sources gives the same snapshot as merging one whose counts were pushed
+// into named counters, and the merged registry keeps the levels.
+func TestMergeOfSourcesEqualsPushed(t *testing.T) {
+	counts := map[string]uint64{"gfa/registrations": 9, "grid/out_pkts{Out-IE}": 4}
+	sourced := NewRegistry()
+	sourced.IPForwarded.Add(6)
+	sourced.Drop(DropLoss)
+	sourced.AddSource(testSource{counters: counts, gauges: map[string]int64{"gfa/bindings": 2}})
+	pushed := NewRegistry()
+	pushed.IPForwarded.Add(6)
+	pushed.Drop(DropLoss)
+	for name, v := range counts {
+		pushed.Counter(name).Add(v)
+	}
+	fromSourced, fromPushed := NewRegistry(), NewRegistry()
+	fromSourced.Merge(sourced)
+	fromSourced.Merge(sourced)
+	fromPushed.Merge(pushed)
+	fromPushed.Merge(pushed)
+	a, b := fromSourced.Snapshot(), fromPushed.Snapshot()
+	if !reflect.DeepEqual(a.Counters, b.Counters) {
+		t.Fatalf("merged counters differ:\nsources %+v\npushed  %+v", a.Counters, b.Counters)
+	}
+	if v, ok := a.Counter("grid/out_pkts{Out-IE}"); !ok || v != 8 {
+		t.Fatalf("merged grid counter = %d,%v, want 8", v, ok)
+	}
+	if g, ok := gaugeOf(a, "gfa/bindings"); !ok || g != 4 {
+		t.Fatalf("merged gfa/bindings = %d,%v, want 4", g, ok)
+	}
+	// A merge is a copy of the source's view: one merge snapshots equal
+	// to the source registry itself.
+	once := NewRegistry()
+	once.Merge(sourced)
+	if !bytes.Equal(once.Snapshot().JSON(), sourced.Snapshot().JSON()) {
+		t.Fatal("a single merge must reproduce the source registry's snapshot")
 	}
 }
 
@@ -47,9 +139,6 @@ func TestNamedInstrumentsIdempotent(t *testing.T) {
 	b := r.Counter("x")
 	if a != b {
 		t.Fatal("Counter(name) must return the same instrument")
-	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Fatal("Gauge(name) must return the same instrument")
 	}
 	if r.Histogram("h", DefaultLatencyBuckets) != r.Histogram("h", nil) {
 		t.Fatal("Histogram(name) must return the same instrument")
@@ -122,11 +211,12 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
 		r.IPForwarded.Add(3)
-		r.OutPackets[2].Inc()
-		r.InBytes[1].Add(40)
+		r.AddSource(testSource{
+			counters: map[string]uint64{"grid/out_pkts{Out-DH}": 1, "grid/in_bytes{In-DE}": 40},
+			gauges:   map[string]int64{"ha/bindings": 1},
+		})
 		r.Drop(DropBlackhole)
 		r.Counter("mn/moves").Add(2)
-		r.Gauge("ha/bindings").Set(1)
 		r.Histogram("mn/reg_rtt", DefaultLatencyBuckets).Observe(3e6)
 		return r
 	}

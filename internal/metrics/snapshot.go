@@ -35,9 +35,11 @@ type HistogramSample struct {
 // Snapshot is a point-in-time copy of a registry, sorted by name so that
 // two identical registries always serialize to identical bytes. Static
 // families appear under stable slash-separated names ("ip/forwarded",
-// "drop/blackhole", "grid/out_pkts{Out-IE}"); zero-valued static
-// counters are elided to keep dumps readable, while named instruments
-// always appear (their existence is itself a signal the subsystem ran).
+// "drop/blackhole"); zero-valued static counters are elided to keep dumps
+// readable, while named instruments and source reports always appear
+// (their existence is itself a signal the subsystem ran). A source may
+// still leave a zero count out: the mobile node reports its
+// "grid/out_pkts{Out-IE}"-style cells only when they are nonzero.
 type Snapshot struct {
 	Counters   []CounterSample   `json:"counters"`
 	Gauges     []GaugeSample     `json:"gauges,omitempty"`
@@ -63,24 +65,17 @@ func (r *Registry) Snapshot() Snapshot {
 	s.Counters = appendStatic(s.Counters, "tunnel/encaps", &r.Encaps)
 	s.Counters = appendStatic(s.Counters, "tunnel/decaps", &r.Decaps)
 	s.Counters = appendStatic(s.Counters, "tunnel/forwards", &r.TunnelForwards)
-	for i := 0; i < NumModes; i++ {
-		s.Counters = appendStatic(s.Counters, "grid/out_pkts{"+OutModeNames[i]+"}", &r.OutPackets[i])
-		s.Counters = appendStatic(s.Counters, "grid/out_bytes{"+OutModeNames[i]+"}", &r.OutBytes[i])
-		s.Counters = appendStatic(s.Counters, "grid/in_pkts{"+InModeNames[i]+"}", &r.InPackets[i])
-		s.Counters = appendStatic(s.Counters, "grid/in_bytes{"+InModeNames[i]+"}", &r.InBytes[i])
-		s.Counters = appendStatic(s.Counters, "grid/out_wire_bytes{"+OutModeNames[i]+"}", &r.OutWireBytes[i])
-		s.Counters = appendStatic(s.Counters, "grid/in_wire_bytes{"+InModeNames[i]+"}", &r.InWireBytes[i])
-	}
 	for c := 0; c < NumDropCauses; c++ {
 		s.Counters = appendStatic(s.Counters, "drop/"+DropCause(c).String(), &r.drops[c])
 	}
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSample{Name: name, Value: c.Value()})
+	named := r.named()
+	for name, v := range named.counters {
+		s.Counters = append(s.Counters, CounterSample{Name: name, Value: v})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSample{Name: name, Value: g.Value()})
+	for name, v := range named.levels {
+		s.Gauges = append(s.Gauges, GaugeSample{Name: name, Value: v})
 	}
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 

@@ -63,11 +63,6 @@ type Correspondent struct {
 	OnLearn func(b core.Binding)
 
 	Stats CorrespondentStats
-
-	// Metric instruments, resolved once at construction.
-	mLearned *metrics.Counter
-	mSentDE  *metrics.Counter
-	mSentDH  *metrics.Counter
 }
 
 // NewCorrespondent installs correspondent-side mobility support on host.
@@ -80,16 +75,13 @@ func NewCorrespondent(host *stack.Host, ic *icmphost.ICMP, cfg CorrespondentConf
 	// Count tunnel work under the "ch" role alongside the registry's
 	// global Encaps/Decaps totals.
 	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "ch")
-	reg := host.Sim().Metrics
 	c := &Correspondent{
-		host:     host,
-		cfg:      cfg,
-		policy:   core.NewCorrespondentPolicy(cfg.MobileAware),
-		expiry:   make(map[ipv4.Addr]*vtime.Timer),
-		mLearned: reg.Counter("ch/bindings_learned"),
-		mSentDE:  reg.Counter("ch/sent_in_de"),
-		mSentDH:  reg.Counter("ch/sent_in_dh"),
+		host:   host,
+		cfg:    cfg,
+		policy: core.NewCorrespondentPolicy(cfg.MobileAware),
+		expiry: make(map[ipv4.Addr]*vtime.Timer),
 	}
+	host.Sim().Metrics.AddSource(c)
 	c.inDH = stack.Route{Name: "mip-ch-samelink", Output: c.sameLinkOutput}
 	c.inDE = stack.Route{Name: "mip-ch-tunnel", Output: c.tunnelOutput}
 	if cfg.CanDecapsulate || cfg.MobileAware {
@@ -109,6 +101,13 @@ func NewCorrespondent(host *stack.Host, ic *icmphost.ICMP, cfg CorrespondentConf
 // Host returns the wrapped host.
 func (c *Correspondent) Host() *stack.Host { return c.host }
 
+// Report implements metrics.Source.
+func (c *Correspondent) Report(a *metrics.Adder) {
+	a.Counter("ch/bindings_learned", c.Stats.BindingsLearned)
+	a.Counter("ch/sent_in_de", c.Stats.SentInDE)
+	a.Counter("ch/sent_in_dh", c.Stats.SentInDH)
+}
+
 // Policy exposes the Section 7.2 decision state.
 func (c *Correspondent) Policy() *core.CorrespondentPolicy { return c.policy }
 
@@ -120,7 +119,6 @@ func (c *Correspondent) LearnBinding(b core.Binding, lifetimeSec uint16) {
 	}
 	c.policy.LearnBinding(b)
 	c.Stats.BindingsLearned++
-	c.mLearned.Inc()
 	// Same-segment detection: if the care-of address is on one of our
 	// own links, In-DH beats In-DE.
 	onLink := false
@@ -197,14 +195,12 @@ func (c *Correspondent) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
 			return stack.Route{}, false
 		}
 		c.Stats.SentInDH++
-		c.mSentDH.Inc()
 		return c.inDH, true
 	case core.InDE:
 		if _, ok := c.policy.Binding(pkt.Dst); !ok {
 			return stack.Route{}, false
 		}
 		c.Stats.SentInDE++
-		c.mSentDE.Inc()
 		if pkt.Src.IsZero() {
 			pkt.Src = c.host.SourceForDestinationPlain(pkt.Dst)
 		}

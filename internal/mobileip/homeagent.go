@@ -117,13 +117,9 @@ type HomeAgent struct {
 
 	Stats HomeAgentStats
 
-	// Metric instruments, resolved once at construction.
-	reg        *metrics.Registry
-	bindGauge  *metrics.Gauge
-	mForwarded *metrics.Counter
-	mReverse   *metrics.Counter
-	mNotices   *metrics.Counter
-	mExpiries  *metrics.Counter
+	// reg is the Sim's registry: the agent counts drops into it and
+	// reports its Stats to it as a metrics.Source.
+	reg *metrics.Registry
 }
 
 // NewHomeAgent starts a home agent on host, using iface as the
@@ -141,19 +137,15 @@ func NewHomeAgent(host *stack.Host, iface *stack.Iface, cfg HomeAgentConfig) (*H
 	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "ha")
 	reg := host.Sim().Metrics
 	ha := &HomeAgent{
-		host:       host,
-		iface:      iface,
-		cfg:        cfg,
-		bindings:   newBindingTable(),
-		wheel:      newExpiryWheel(cfg.ExpiryGranularity),
-		reg:        reg,
-		bindGauge:  reg.Gauge("ha/bindings"),
-		mForwarded: reg.Counter("ha/forwarded"),
-		mReverse:   reg.Counter("ha/reverse_relayed"),
-		mNotices:   reg.Counter("ha/notices_sent"),
-		mExpiries:  reg.Counter("ha/expiries"),
+		host:     host,
+		iface:    iface,
+		cfg:      cfg,
+		bindings: newBindingTable(),
+		wheel:    newExpiryWheel(cfg.ExpiryGranularity),
+		reg:      reg,
 	}
 	ha.fireExpiry = ha.sweepExpiries
+	reg.AddSource(ha)
 	sock, err := host.OpenUDP(ipv4.Zero, udp.PortRegistration, ha.handleRegistration)
 	if err != nil {
 		return nil, fmt.Errorf("mobileip: home agent: %w", err)
@@ -173,6 +165,15 @@ func (ha *HomeAgent) Addr() ipv4.Addr { return ha.iface.Addr() }
 
 // Bindings returns the number of active bindings.
 func (ha *HomeAgent) Bindings() int { return ha.bindings.len() }
+
+// Report implements metrics.Source.
+func (ha *HomeAgent) Report(a *metrics.Adder) {
+	a.Level("ha/bindings", int64(ha.bindings.len()))
+	a.Counter("ha/forwarded", ha.Stats.Forwarded)
+	a.Counter("ha/reverse_relayed", ha.Stats.ReverseRelayed)
+	a.Counter("ha/notices_sent", ha.Stats.NoticesSent)
+	a.Counter("ha/expiries", ha.Stats.Expiries)
+}
 
 // CareOf returns the registered care-of address for a home address.
 func (ha *HomeAgent) CareOf(home ipv4.Addr) (ipv4.Addr, bool) {
@@ -203,7 +204,6 @@ func (ha *HomeAgent) Crash() {
 	})
 	ha.bindings.reset()
 	ha.wheel.reset()
-	ha.bindGauge.Set(0)
 	ha.relayGroups = nil
 	// Keys are configuration and survive; replay windows are soft state
 	// and die with the crash (Restart's documented amnesty for in-flight
@@ -394,7 +394,6 @@ func (ha *HomeAgent) register(req *Request) {
 	lifetime := vtime.Duration(req.Lifetime) * 1e9
 	b.expiresAt = ha.host.Sched().Now().Add(lifetime)
 	ha.wheel.schedule(ha.host.Sched(), b.expiresAt, req.Home, b.gen, ha.fireExpiry)
-	ha.bindGauge.Set(int64(ha.bindings.len()))
 	if tr := ha.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventRegister, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
@@ -417,7 +416,6 @@ func (ha *HomeAgent) sweepExpiries() {
 			continue // renewed or deregistered since scheduling: stale
 		}
 		ha.Stats.Expiries++
-		ha.mExpiries.Inc()
 		ha.deregister(e.home)
 	}
 	ha.wheel.recycle(bucket)
@@ -428,7 +426,6 @@ func (ha *HomeAgent) deregister(home ipv4.Addr) {
 	if !ha.bindings.remove(home) {
 		return
 	}
-	ha.bindGauge.Set(int64(ha.bindings.len()))
 	ha.host.Unclaim(home)
 	ha.iface.Proxy().Remove(home)
 	if tr := ha.host.Sim().Trace; tr.On() {
@@ -460,7 +457,6 @@ func (ha *HomeAgent) forwardToMobile(home ipv4.Addr, pkt ipv4.Packet) {
 		return
 	}
 	ha.Stats.Forwarded++
-	ha.mForwarded.Inc()
 	if tr := ha.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventEncap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
@@ -489,7 +485,6 @@ func (ha *HomeAgent) forwardToMobile(home ipv4.Addr, pkt ipv4.Packet) {
 func (ha *HomeAgent) sendBindingNotice(to, home, careOf ipv4.Addr) {
 	msg := icmp.BindingNotice(home, careOf, ha.cfg.NoticeLifetime)
 	ha.Stats.NoticesSent++
-	ha.mNotices.Inc()
 	//mob4x4vet:allow hotpathalloc binding notices are rate-limited to one per correspondent per binding generation
 	payload := msg.Marshal()
 	_ = ha.host.SendIP(ipv4.Packet{
@@ -532,7 +527,6 @@ func (ha *HomeAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 		}
 	}
 	ha.Stats.ReverseRelayed++
-	ha.mReverse.Inc()
 	if tr := ha.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventDecap, Time: ha.host.Sim().Now(), Where: ha.host.Name(),

@@ -79,7 +79,13 @@ type MobileNodeConfig struct {
 	Auth *Authenticator
 }
 
-// MobileNodeStats counts mobility events and per-mode traffic.
+// MobileNodeStats counts mobility events and per-mode traffic. The
+// per-mode arrays are the node's half of the paper's 4x4 grid: packets
+// and bytes sent per Out mode and delivered per In mode. Bytes count the
+// inner (useful) packet; wire bytes count what crossed the network,
+// tunnel headers included, so OutWireBytes[m]-OutBytes[m] is the
+// encapsulation overhead the route-optimization tier exists to shrink
+// (E17).
 type MobileNodeStats struct {
 	Moves             uint64
 	Registrations     uint64
@@ -87,7 +93,11 @@ type MobileNodeStats struct {
 	Renewals          uint64
 	RecoveryProbes    uint64
 	OutByMode         [core.NumOutModes]uint64
+	OutBytes          [core.NumOutModes]uint64
+	OutWireBytes      [core.NumOutModes]uint64
 	InByMode          [core.NumInModes]uint64
+	InBytes           [core.NumInModes]uint64
+	InWireBytes       [core.NumInModes]uint64
 	InTunneled        uint64 // packets received through the tunnel
 	InDirect          uint64 // plain packets to the home address (In-DH)
 }
@@ -168,16 +178,11 @@ type MobileNode struct {
 
 	Stats MobileNodeStats
 
-	// Metric instruments, resolved once at construction so the
-	// per-packet and per-exchange cost is a plain increment.
+	// reg is the current region's registry (drops, the registration
+	// RTT histogram); the node reports its Stats as a metrics.Source to
+	// the registry it was built in.
 	reg           *metrics.Registry
-	regGauge      *metrics.Gauge
 	regRTT        *metrics.Histogram
-	mRegs         *metrics.Counter
-	mRegFails     *metrics.Counter
-	mRenewals     *metrics.Counter
-	mProbes       *metrics.Counter
-	mMoves        *metrics.Counter
 	regExchangeAt vtime.Time
 
 	// rng is the node's own jitter stream, derived from (seed, index) at
@@ -215,21 +220,16 @@ func NewMobileNode(host *stack.Host, ifc *stack.Iface, cfg MobileNodeConfig) (*M
 	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "mn")
 	reg := host.Sim().Metrics
 	mn := &MobileNode{
-		host:      host,
-		ifc:       ifc,
-		cfg:       cfg,
-		careOf:    cfg.Home,
-		atHome:    true,
-		reg:       reg,
-		regGauge:  reg.Gauge("mn/registered"),
-		regRTT:    reg.Histogram("mn/reg_rtt_ns", metrics.DefaultLatencyBuckets),
-		mRegs:     reg.Counter("mn/registrations"),
-		mRegFails: reg.Counter("mn/registration_fails"),
-		mRenewals: reg.Counter("mn/renewals"),
-		mProbes:   reg.Counter("mn/recovery_probes"),
-		mMoves:    reg.Counter("mn/moves"),
-		rng:       host.Sched().NewStream(),
+		host:   host,
+		ifc:    ifc,
+		cfg:    cfg,
+		careOf: cfg.Home,
+		atHome: true,
+		reg:    reg,
+		regRTT: reg.Histogram("mn/reg_rtt_ns", metrics.DefaultLatencyBuckets),
+		rng:    host.Sched().NewStream(),
 	}
+	reg.AddSource(mn)
 	mn.tunIE = stack.Route{Name: "mip-tunnel", Output: func(inner ipv4.Packet) {
 		mn.tunnelOutput(inner, mn.ieDecapsulator(), core.OutIE)
 	}}
@@ -277,20 +277,35 @@ func (mn *MobileNode) AtHome() bool { return mn.atHome }
 // with the home agent.
 func (mn *MobileNode) Registered() bool { return mn.registered }
 
-// setRegistered updates the flag and mirrors the transition into the
-// mn/registered gauge as an Add delta, so the gauge counts
-// currently-registered nodes. Deltas (rather than Set) keep the gauge
-// correct when many nodes share one registry, and make per-region gauge
-// levels disjoint contributions that metrics.Merge can sum.
-func (mn *MobileNode) setRegistered(v bool) {
-	if v != mn.registered {
-		if v {
-			mn.regGauge.Add(1)
-		} else {
-			mn.regGauge.Add(-1)
+// Report implements metrics.Source. Grid cells are reported only when
+// nonzero, so a mode the node never used stays out of the dump.
+func (mn *MobileNode) Report(a *metrics.Adder) {
+	var registered int64
+	if mn.registered {
+		registered = 1
+	}
+	a.Level("mn/registered", registered)
+	a.Counter("mn/registrations", mn.Stats.Registrations)
+	a.Counter("mn/registration_fails", mn.Stats.RegistrationFails)
+	a.Counter("mn/renewals", mn.Stats.Renewals)
+	a.Counter("mn/recovery_probes", mn.Stats.RecoveryProbes)
+	a.Counter("mn/moves", mn.Stats.Moves)
+	reportGrid[core.OutMode](a, "grid/out_pkts", &mn.Stats.OutByMode)
+	reportGrid[core.OutMode](a, "grid/out_bytes", &mn.Stats.OutBytes)
+	reportGrid[core.OutMode](a, "grid/out_wire_bytes", &mn.Stats.OutWireBytes)
+	reportGrid[core.InMode](a, "grid/in_pkts", &mn.Stats.InByMode)
+	reportGrid[core.InMode](a, "grid/in_bytes", &mn.Stats.InBytes)
+	reportGrid[core.InMode](a, "grid/in_wire_bytes", &mn.Stats.InWireBytes)
+}
+
+// reportGrid reports the nonzero cells of one per-mode family under
+// "family{<mode>}".
+func reportGrid[M core.Mode](a *metrics.Adder, family string, v *[core.NumOutModes]uint64) {
+	for m, n := range v {
+		if n != 0 {
+			a.LabeledCounter(family, M(m).String(), n)
 		}
 	}
-	mn.registered = v
 }
 
 // Selector exposes the outgoing-mode engine (experiments feed it
@@ -306,12 +321,11 @@ func (mn *MobileNode) SetPrivacy(v bool) { mn.cfg.Privacy = v }
 // must again inform its home agent of its new location").
 func (mn *MobileNode) MoveTo(seg *netsim.Segment, careOf ipv4.Addr, prefix ipv4.Prefix, gateway ipv4.Addr) {
 	mn.cancelTimers()
-	mn.setRegistered(false)
+	mn.registered = false
 	mn.atHome = false
 	mn.viaFA = false
 	mn.careOf = careOf
 	mn.Stats.Moves++
-	mn.mMoves.Inc()
 	mn.ifc.Attach(seg)
 	mn.ifc.SetAddr(careOf, prefix)
 	mn.host.Routes().Remove(ipv4.Prefix{}) // old default route
@@ -333,12 +347,11 @@ func (mn *MobileNode) MoveTo(seg *netsim.Segment, careOf ipv4.Addr, prefix ipv4.
 // care-of address; registration is relayed through the agent.
 func (mn *MobileNode) MoveToForeignAgent(seg *netsim.Segment, faAddr ipv4.Addr) {
 	mn.cancelTimers()
-	mn.setRegistered(false)
+	mn.registered = false
 	mn.atHome = false
 	mn.viaFA = true
 	mn.careOf = faAddr
 	mn.Stats.Moves++
-	mn.mMoves.Inc()
 	mn.ifc.Attach(seg)
 	// Keep the home address; no on-link prefix is configured because the
 	// home address is not topologically valid here. The node answers ARP
@@ -360,7 +373,6 @@ func (mn *MobileNode) ViaForeignAgent() bool { return mn.viaFA }
 func (mn *MobileNode) GoHome(seg *netsim.Segment, gateway ipv4.Addr) {
 	mn.cancelTimers()
 	mn.Stats.Moves++
-	mn.mMoves.Inc()
 	mn.ifc.Attach(seg)
 	mn.ifc.SetAddr(mn.cfg.Home, mn.cfg.HomePrefix)
 	mn.host.Routes().Remove(ipv4.Prefix{})
@@ -370,7 +382,7 @@ func (mn *MobileNode) GoHome(seg *netsim.Segment, gateway ipv4.Addr) {
 	mn.careOf = mn.cfg.Home
 	mn.atHome = true
 	mn.viaFA = false
-	mn.setRegistered(false)
+	mn.registered = false
 	mn.cfg.Selector.Reset()
 	// Deregister and reclaim our address on the home segment.
 	mn.sendRegistration(0, mn.cfg.Home)
@@ -390,7 +402,6 @@ func (mn *MobileNode) MoveToRegional(seg *netsim.Segment, careOf ipv4.Addr, pref
 	mn.viaFA = false
 	mn.careOf = careOf
 	mn.Stats.Moves++
-	mn.mMoves.Inc()
 	mn.ifc.Attach(seg)
 	mn.ifc.SetAddr(careOf, prefix)
 	mn.host.Routes().Remove(ipv4.Prefix{})
@@ -423,14 +434,9 @@ func (mn *MobileNode) MoveToRegional(seg *netsim.Segment, careOf ipv4.Addr, pref
 // the home binding (the home agent points at the regional care-of
 // address, which does not change). Timers are stopped — Rehome requires
 // a quiet node — and MoveToRegional re-arms renewal from the preserved
-// deadline. The node's +1 contribution to the mn/registered gauge moves
-// with it: DetachRetain takes it out of this region's registry, Rehome
-// adds it to the next one's.
+// deadline.
 func (mn *MobileNode) DetachRetain() {
 	mn.cancelTimers()
-	if mn.registered {
-		mn.regGauge.Add(-1)
-	}
 	mn.atHome = false
 	mn.ifc.Detach()
 }
@@ -441,7 +447,7 @@ func (mn *MobileNode) DetachRetain() {
 // (MoveTo/DHCP), or is explicitly returned home (GoHome).
 func (mn *MobileNode) Detach() {
 	mn.cancelTimers()
-	mn.setRegistered(false)
+	mn.registered = false
 	mn.atHome = false
 	mn.ifc.Detach()
 }
@@ -453,9 +459,11 @@ func (mn *MobileNode) Detach() {
 //
 // Three kinds of state pin the old region and are rebuilt here:
 //
-//   - Metric instruments were resolved once at construction from the old
-//     region's registry; they are re-resolved from the new one (the codec
-//     wrapper too, since encap.Instrument caches its counters).
+//   - The registry-native instruments (drops, the registration RTT
+//     histogram, the codec wrapper's role counters) were resolved from
+//     the old region's registry; they are re-resolved from the new one.
+//     The node's own counts stay a source of the registry it was built
+//     in, which only reads them after the shard workers have joined.
 //   - Timer handles carry the old region's *Scheduler inside them, so
 //     Reset would re-arm on a shard this node no longer runs on. They are
 //     nilled; the next arm lazily creates fresh handles on the new
@@ -478,22 +486,11 @@ func (mn *MobileNode) Rehome() {
 	}
 	reg := mn.host.Sim().Metrics
 	mn.reg = reg
-	mn.regGauge = reg.Gauge("mn/registered")
 	mn.regRTT = reg.Histogram("mn/reg_rtt_ns", metrics.DefaultLatencyBuckets)
-	mn.mRegs = reg.Counter("mn/registrations")
-	mn.mRegFails = reg.Counter("mn/registration_fails")
-	mn.mRenewals = reg.Counter("mn/renewals")
-	mn.mProbes = reg.Counter("mn/recovery_probes")
-	mn.mMoves = reg.Counter("mn/moves")
 	if w, ok := mn.cfg.Codec.(*encap.Instrumented); ok {
 		mn.cfg.Codec = encap.Instrument(w.Unwrap(), reg, "mn")
 	}
 	mn.regTimer, mn.renewTimer, mn.probeTimer = nil, nil, nil
-	if mn.registered {
-		// The registration survived the migration (DetachRetain): its
-		// gauge contribution lands in the new region's registry.
-		mn.regGauge.Add(1)
-	}
 }
 
 func (mn *MobileNode) cancelTimers() {
@@ -538,7 +535,7 @@ func (mn *MobileNode) Reregister() {
 		return
 	}
 	mn.cancelTimers()
-	mn.setRegistered(false)
+	mn.registered = false
 	mn.startExchange()
 }
 
@@ -638,9 +635,8 @@ func (mn *MobileNode) onRegRetry() {
 	mn.regTries++
 	if mn.regTries >= mn.cfg.RegMaxRetries {
 		mn.awaitingReply = false
-		mn.setRegistered(false)
+		mn.registered = false
 		mn.Stats.RegistrationFails++
-		mn.mRegFails.Inc()
 		if tr := mn.host.Sim().Trace; tr.On() {
 			tr.Record(netsim.Event{
 				Kind: netsim.EventRegister, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
@@ -678,7 +674,6 @@ func (mn *MobileNode) onRecoveryProbe() {
 		return
 	}
 	mn.Stats.RecoveryProbes++
-	mn.mProbes.Inc()
 	mn.startExchange()
 }
 
@@ -687,7 +682,6 @@ func (mn *MobileNode) onRenew() {
 		return
 	}
 	mn.Stats.Renewals++
-	mn.mRenewals.Inc()
 	mn.startExchange()
 }
 
@@ -716,7 +710,6 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	}
 	if rep.Code != CodeAccepted {
 		mn.Stats.RegistrationFails++
-		mn.mRegFails.Inc()
 		return
 	}
 	if rep.Lifetime == 0 {
@@ -731,9 +724,8 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	}
 	mn.awaitingReply = false
 	first := !mn.registered
-	mn.setRegistered(true)
+	mn.registered = true
 	mn.Stats.Registrations++
-	mn.mRegs.Inc()
 	if tr := mn.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventRegister, Time: mn.host.Sim().Now(), Where: mn.host.Name(),
@@ -772,10 +764,7 @@ func (mn *MobileNode) classifyDelivery(ifc *stack.Iface, pkt ipv4.Packet) {
 			return // tunneled to the home address: classified at decap
 		}
 		mn.Stats.InDirect++
-		mn.Stats.InByMode[core.InDH]++
-		mn.reg.InPackets[core.InDH].Inc()
-		mn.reg.InBytes[core.InDH].Add(uint64(pkt.TotalLen()))
-		mn.reg.InWireBytes[core.InDH].Add(uint64(pkt.TotalLen()))
+		mn.countIn(core.InDH, pkt.TotalLen(), pkt.TotalLen())
 		if mn.OnInPacket != nil {
 			mn.OnInPacket(core.InDH, pkt)
 		}
@@ -783,10 +772,7 @@ func (mn *MobileNode) classifyDelivery(ifc *stack.Iface, pkt ipv4.Packet) {
 		if pkt.Protocol == mn.cfg.Codec.Proto() {
 			return // tunnel outer: classified at decap
 		}
-		mn.Stats.InByMode[core.InDT]++
-		mn.reg.InPackets[core.InDT].Inc()
-		mn.reg.InBytes[core.InDT].Add(uint64(pkt.TotalLen()))
-		mn.reg.InWireBytes[core.InDT].Add(uint64(pkt.TotalLen()))
+		mn.countIn(core.InDT, pkt.TotalLen(), pkt.TotalLen())
 		if mn.OnInPacket != nil {
 			mn.OnInPacket(core.InDT, pkt)
 		}
@@ -809,10 +795,7 @@ func (mn *MobileNode) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 		(!mn.cfg.RegionalAgent.IsZero() && outer.Src == mn.cfg.RegionalAgent) {
 		inMode = core.InIE
 	}
-	mn.Stats.InByMode[inMode]++
-	mn.reg.InPackets[inMode].Inc()
-	mn.reg.InBytes[inMode].Add(uint64(inner.TotalLen()))
-	mn.reg.InWireBytes[inMode].Add(uint64(outer.TotalLen()))
+	mn.countIn(inMode, inner.TotalLen(), outer.TotalLen())
 	if mn.OnInPacket != nil {
 		mn.OnInPacket(inMode, inner)
 	}
@@ -844,16 +827,22 @@ func transportDstPort(pkt *ipv4.Packet) (uint16, bool) {
 	return binary.BigEndian.Uint16(pkt.Payload[2:4]), true
 }
 
-// countOut files one outgoing packet under its Out mode, in both the
-// legacy per-node stats and the registry's grid families.
+// countIn files one arrival under its In mode: size is the delivered
+// packet's length, wire the length of what crossed the network.
+func (mn *MobileNode) countIn(mode core.InMode, size, wire int) {
+	mn.Stats.InByMode[mode]++
+	mn.Stats.InBytes[mode] += uint64(size)
+	mn.Stats.InWireBytes[mode] += uint64(wire)
+}
+
+// countOut files one outgoing packet under its Out mode.
 func (mn *MobileNode) countOut(mode core.OutMode, pkt *ipv4.Packet) {
 	mn.Stats.OutByMode[mode]++
-	mn.reg.OutPackets[mode].Inc()
-	mn.reg.OutBytes[mode].Add(uint64(pkt.TotalLen()))
+	mn.Stats.OutBytes[mode] += uint64(pkt.TotalLen())
 	if mode == core.OutDH || mode == core.OutDT {
 		// Direct modes hit the wire as-is; the encapsulated modes file
 		// their wire bytes in tunnelOutput, where the outer exists.
-		mn.reg.OutWireBytes[mode].Add(uint64(pkt.TotalLen()))
+		mn.Stats.OutWireBytes[mode] += uint64(pkt.TotalLen())
 	}
 	if mn.OnOutPacket != nil {
 		mn.OnOutPacket(mode, *pkt)
@@ -954,7 +943,7 @@ func (mn *MobileNode) tunnelOutput(inner ipv4.Packet, decapsulator ipv4.Addr, mo
 		netsim.PutBuf(buf)
 		return
 	}
-	mn.reg.OutWireBytes[mode].Add(uint64(outer.TotalLen()))
+	mn.Stats.OutWireBytes[mode] += uint64(outer.TotalLen())
 	if tr := mn.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventEncap, Time: mn.host.Sim().Now(), Where: mn.host.Name(),

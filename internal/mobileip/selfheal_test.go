@@ -8,6 +8,7 @@ import (
 	"mob4x4/internal/icmphost"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/mobileip"
+	"mob4x4/internal/netsim"
 )
 
 // TestRenewalRetransmitsThroughOutage: a backbone outage swallows the
@@ -22,9 +23,11 @@ func TestRenewalRetransmitsThroughOutage(t *testing.T) {
 		t.Fatal("visited-domain uplink segment not found")
 	}
 	w.net.RunFor(92e9) // t ~= 94s, just before the renewal
+	log, stop := w.net.Sim.Trace.Capture()
 	uplink.SetDown(true)
 	w.net.RunFor(7e9) // renewal (~96s) and early retries (~97s, ~99s) vanish
 	uplink.SetDown(false)
+	stop()
 	w.net.RunFor(19e9) // backed-off retry (~103s + jitter) gets through
 
 	if !w.mn.Registered() {
@@ -39,7 +42,13 @@ func TestRenewalRetransmitsThroughOutage(t *testing.T) {
 	if w.mn.Stats.Renewals < 1 {
 		t.Errorf("renewals = %d, want >= 1", w.mn.Stats.Renewals)
 	}
-	if uplink.DroppedDown == 0 {
+	downDrops := 0
+	for _, e := range *log {
+		if e.Kind == netsim.EventDropDown && e.Where == uplink.Name() {
+			downDrops++
+		}
+	}
+	if downDrops == 0 {
 		t.Error("outage window dropped nothing; test exercised no retransmission")
 	}
 }

@@ -7,16 +7,15 @@ import (
 )
 
 // TestSegmentDropAccounting pins the contract that every dropped frame is
-// accounted exactly once: the segment counter and the registry's drop
-// cause for its reason each increment by one AND the matching trace event
-// is recorded exactly once.
+// accounted exactly once: the registry's drop cause for its reason
+// increments by one, no other cause moves, AND the matching trace event
+// is recorded exactly once, at the dropping segment.
 func TestSegmentDropAccounting(t *testing.T) {
 	cases := []struct {
 		name    string
 		opts    SegmentOpts
 		prep    func(sim *Sim, seg *Segment, sender, receiver *NIC)
 		payload int
-		counter func(seg *Segment) uint64
 		cause   metrics.DropCause
 		kind    EventKind
 	}{
@@ -24,7 +23,6 @@ func TestSegmentDropAccounting(t *testing.T) {
 			name:    "mtu",
 			opts:    SegmentOpts{MTU: 100},
 			payload: 200,
-			counter: func(seg *Segment) uint64 { return seg.DroppedMTU },
 			cause:   metrics.DropMTU,
 			kind:    EventDropMTU,
 		},
@@ -32,7 +30,6 @@ func TestSegmentDropAccounting(t *testing.T) {
 			name:    "loss",
 			opts:    SegmentOpts{LossRate: 1.0},
 			payload: 50,
-			counter: func(seg *Segment) uint64 { return seg.DroppedLoss },
 			cause:   metrics.DropLoss,
 			kind:    EventDropLoss,
 		},
@@ -43,7 +40,6 @@ func TestSegmentDropAccounting(t *testing.T) {
 				receiver.Detach() // nobody left to hear the unicast
 			},
 			payload: 50,
-			counter: func(seg *Segment) uint64 { return seg.DroppedNoDest },
 			cause:   metrics.DropNoDest,
 			kind:    EventDropNoDest,
 		},
@@ -54,7 +50,6 @@ func TestSegmentDropAccounting(t *testing.T) {
 				seg.SetDown(true)
 			},
 			payload: 50,
-			counter: func(seg *Segment) uint64 { return seg.DroppedDown },
 			cause:   metrics.DropDown,
 			kind:    EventDropDown,
 		},
@@ -65,7 +60,6 @@ func TestSegmentDropAccounting(t *testing.T) {
 				seg.SetFaultHook(func(Frame) Impairment { return Impairment{Drop: true} })
 			},
 			payload: 50,
-			counter: func(seg *Segment) uint64 { return seg.DroppedFault },
 			cause:   metrics.DropFault, // the zero Impairment.Cause
 			kind:    EventDropFault,
 		},
@@ -92,14 +86,16 @@ func TestSegmentDropAccounting(t *testing.T) {
 			sim.Sched.Run()
 			stop()
 
-			if got := tc.counter(seg); got != 1 {
-				t.Errorf("drop counter = %d, want exactly 1", got)
-			}
 			if got := sim.Metrics.DropCount(tc.cause); got != 1 {
 				t.Errorf("Metrics.DropCount(%s) = %d, want exactly 1", tc.cause, got)
 			}
 			if got := countKind(*log, tc.kind); got != 1 {
 				t.Errorf("%s events = %d, want exactly 1", tc.kind, got)
+			}
+			for _, e := range *log {
+				if e.Kind == tc.kind && e.Where != seg.Name() {
+					t.Errorf("%s event at %q, want %q", tc.kind, e.Where, seg.Name())
+				}
 			}
 			if delivered != 0 {
 				t.Errorf("frame delivered despite %s drop", tc.name)
@@ -109,8 +105,7 @@ func TestSegmentDropAccounting(t *testing.T) {
 				t.Errorf("BufOutstanding grew by %d after drop, want 0", n)
 			}
 			// No other drop reason fired.
-			total := seg.DroppedMTU + seg.DroppedLoss + seg.DroppedNoDest + seg.DroppedDown + seg.DroppedFault
-			if total != 1 {
+			if total := totalDrops(sim.Metrics); total != 1 {
 				t.Errorf("total drops = %d, want 1 (single accounting)", total)
 			}
 		})
@@ -137,7 +132,16 @@ func TestSegmentDeliveryNotAccountedAsDrop(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1", delivered)
 	}
-	if total := seg.DroppedMTU + seg.DroppedLoss + seg.DroppedNoDest + seg.DroppedDown + seg.DroppedFault; total != 0 {
+	if total := totalDrops(sim.Metrics); total != 0 {
 		t.Errorf("drop counters = %d on a clean delivery", total)
 	}
+}
+
+// totalDrops sums the registry's drop vector over every cause.
+func totalDrops(reg *metrics.Registry) uint64 {
+	var n uint64
+	for c := 0; c < metrics.NumDropCauses; c++ {
+		n += reg.DropCount(metrics.DropCause(c))
+	}
+	return n
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mob4x4/internal/metrics"
 	"mob4x4/internal/vtime"
 )
 
@@ -113,8 +114,8 @@ func TestFaultHookRemovalRestoresCleanPath(t *testing.T) {
 	if len(*got) != 1 || string((*got)[0]) != "clean" {
 		t.Fatalf("got %d frames, want only the post-removal one", len(*got))
 	}
-	if seg.DroppedFault != 1 {
-		t.Errorf("DroppedFault = %d, want 1", seg.DroppedFault)
+	if n := sim.Metrics.DropCount(metrics.DropFault); n != 1 {
+		t.Errorf("drop/fault = %d, want 1", n)
 	}
 }
 
@@ -128,8 +129,8 @@ func TestSegmentDownWindow(t *testing.T) {
 	if len(*got) != 1 || string((*got)[0]) != "after" {
 		t.Fatalf("got %d frames, want only the post-heal one", len(*got))
 	}
-	if seg.DroppedDown != 1 {
-		t.Errorf("DroppedDown = %d, want 1", seg.DroppedDown)
+	if n := sim.Metrics.DropCount(metrics.DropDown); n != 1 {
+		t.Errorf("drop/down = %d, want 1", n)
 	}
 }
 

@@ -243,12 +243,7 @@ type Segment struct {
 	// hook); hooks read it, the segment applies the verdict.
 	fault func(Frame) Impairment
 	// Stats
-	Delivered     uint64
-	DroppedMTU    uint64
-	DroppedLoss   uint64
-	DroppedNoDest uint64
-	DroppedDown   uint64
-	DroppedFault  uint64
+	Delivered uint64
 	// DuplicatedFrames / CorruptedFrames / ReorderedFrames count
 	// impairments applied by the fault hook (a reorder is an ExtraDelay
 	// that lets later frames overtake this one).
@@ -346,7 +341,7 @@ func (seg *Segment) NICs() []*NIC { return seg.nics }
 // Impairment is a fault hook's verdict on one frame. The zero value passes
 // the frame through untouched.
 type Impairment struct {
-	// Drop discards the frame (counted in DroppedFault).
+	// Drop discards the frame (counted under Cause).
 	Drop bool
 	// Cause attributes a Drop in the metrics drop-cause vector. The zero
 	// value is metrics.DropFault, so hooks that don't care still count
@@ -373,7 +368,7 @@ type Impairment struct {
 func (seg *Segment) SetFaultHook(fn func(Frame) Impairment) { seg.fault = fn }
 
 // SetDown marks the segment administratively down (true) or up (false).
-// Frames offered while down are dropped and counted in DroppedDown;
+// Frames offered while down are dropped and counted as drop/down;
 // frames already in flight still deliver (the partition cuts the cable,
 // it does not vaporize signals already past it).
 func (seg *Segment) SetDown(v bool) { seg.down = v }
@@ -386,7 +381,6 @@ func (seg *Segment) Down() bool { return seg.down }
 //
 //go:noinline
 func (seg *Segment) dropDown(f Frame) {
-	seg.DroppedDown++
 	seg.sim.Metrics.Drop(metrics.DropDown)
 	if tr := seg.sim.Trace; tr.On() {
 		tr.Record(Event{Kind: EventDropDown, Time: seg.sim.Now(), Where: seg.name})
@@ -453,7 +447,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		return
 	}
 	if len(f.Payload) > seg.opts.MTU {
-		seg.DroppedMTU++
 		seg.sim.Metrics.Drop(metrics.DropMTU)
 		if tr := seg.sim.Trace; tr.On() {
 			tr.Record(Event{
@@ -468,7 +461,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		t(f)
 	}
 	if seg.opts.LossRate > 0 && seg.rng.Float64() < seg.opts.LossRate {
-		seg.DroppedLoss++
 		seg.sim.Metrics.Drop(metrics.DropLoss)
 		if tr := seg.sim.Trace; tr.On() {
 			tr.Record(Event{Kind: EventDropLoss, Time: seg.sim.Now(), Where: seg.name})
@@ -480,7 +472,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	if seg.fault != nil {
 		imp = seg.fault(f)
 		if imp.Drop {
-			seg.DroppedFault++
 			seg.sim.Metrics.Drop(imp.Cause)
 			if tr := seg.sim.Trace; tr.On() {
 				tr.Record(Event{Kind: EventDropFault, Time: seg.sim.Now(), Where: seg.name})

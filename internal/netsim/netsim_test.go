@@ -99,11 +99,8 @@ func TestMTUDrop(t *testing.T) {
 	if got != 1 {
 		t.Errorf("got %d frames, want 1", got)
 	}
-	if seg.DroppedMTU != 1 {
-		t.Errorf("DroppedMTU = %d", seg.DroppedMTU)
-	}
-	if sim.Metrics.DropCount(metrics.DropMTU) != 1 {
-		t.Error("MTU drop not counted")
+	if n := sim.Metrics.DropCount(metrics.DropMTU); n != 1 {
+		t.Errorf("drop/mtu = %d, want 1", n)
 	}
 	if len(*log) != 1 {
 		t.Fatalf("captured %d events, want 1: %v", len(*log), *log)
@@ -133,8 +130,8 @@ func TestLossRate(t *testing.T) {
 	if got < n*4/10 || got > n*6/10 {
 		t.Errorf("50%% loss delivered %d/%d", got, n)
 	}
-	if seg.DroppedLoss+uint64(got) != n {
-		t.Errorf("drops (%d) + delivered (%d) != sent (%d)", seg.DroppedLoss, got, n)
+	if drops := sim.Metrics.DropCount(metrics.DropLoss); drops+uint64(got) != n {
+		t.Errorf("drops (%d) + delivered (%d) != sent (%d)", drops, got, n)
 	}
 }
 

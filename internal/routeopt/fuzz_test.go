@@ -22,7 +22,7 @@ func FuzzParseUpdate(f *testing.F) {
 	signed := auth.AppendAuth(append([]byte{}, plain...))
 	f.Add(plain)
 	f.Add(signed)
-	f.Add(signed[:len(signed)-1])        // truncated MAC
+	f.Add(signed[:len(signed)-1])                     // truncated MAC
 	f.Add(append([]byte{}, signed...)[:len(plain)+1]) // bare extension type byte
 	f.Add(append(append([]byte{}, plain...), 0, 0))   // trailing garbage
 	f.Add([]byte{routeopt.TypeBindingUpdate})

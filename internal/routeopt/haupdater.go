@@ -31,7 +31,6 @@ type HAUpdater struct {
 	cfg  HAUpdaterConfig
 	pc   pushConfig
 	sock *stack.UDPSocket
-	m    pushMetrics
 
 	// pushers holds one engine per provisioned home. Point lookups
 	// only; never iterated — pusherList carries the deterministic
@@ -54,9 +53,9 @@ func NewHAUpdater(ha *mobileip.HomeAgent, cfg HAUpdaterConfig) (*HAUpdater, erro
 	pc.fillDefaults()
 	h := &HAUpdater{
 		ha: ha, cfg: cfg, pc: pc,
-		m:       resolvePushMetrics(ha.Host().Sim().Metrics),
 		pushers: make(map[ipv4.Addr]*pusher),
 	}
+	ha.Host().Sim().Metrics.AddSource(&h.Stats)
 	sock, err := ha.Host().OpenUDP(ipv4.Zero, 0, h.handleAck)
 	if err != nil {
 		return nil, fmt.Errorf("routeopt: ha updater: %w", err)
@@ -85,8 +84,7 @@ func NewHAUpdater(ha *mobileip.HomeAgent, cfg HAUpdaterConfig) (*HAUpdater, erro
 // same association the agent verifies that home's registrations with)
 // signs its updates; nil pushes unauthenticated.
 func (h *HAUpdater) ProvisionHome(home ipv4.Addr, auth *mobileip.Authenticator) {
-	p := newPusher(h.ha.Host(), h.sock, home, auth, h.pc,
-		&h.m, &h.Stats, h.ha.Addr)
+	p := newPusher(h.ha.Host(), h.sock, home, auth, h.pc, &h.Stats, h.ha.Addr)
 	h.pushers[home] = p
 	h.pusherList = append(h.pusherList, p)
 }

@@ -58,10 +58,6 @@ type LocalRegistrar struct {
 	OnAccepted func(careOf ipv4.Addr)
 
 	Stats LocalRegistrarStats
-
-	// Metric instruments, resolved once at construction.
-	mRegs  *metrics.Counter
-	mFails *metrics.Counter
 }
 
 // NewLocalRegistrar installs the regional registration client on mn's
@@ -76,18 +72,20 @@ func NewLocalRegistrar(mn *mobileip.MobileNode, cfg LocalRegistrarConfig) (*Loca
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 4
 	}
-	reg := mn.Host().Sim().Metrics
-	lr := &LocalRegistrar{
-		mn: mn, cfg: cfg,
-		mRegs:  reg.Counter("ro/local_registrations"),
-		mFails: reg.Counter("ro/local_reg_fails"),
-	}
+	lr := &LocalRegistrar{mn: mn, cfg: cfg}
+	mn.Host().Sim().Metrics.AddSource(lr)
 	sock, err := mn.Host().OpenUDP(ipv4.Zero, 0, lr.handleReply)
 	if err != nil {
 		return nil, fmt.Errorf("routeopt: local registrar: %w", err)
 	}
 	lr.sock = sock
 	return lr, nil
+}
+
+// Report implements metrics.Source.
+func (lr *LocalRegistrar) Report(a *metrics.Adder) {
+	a.Counter("ro/local_registrations", lr.Stats.Registrations)
+	a.Counter("ro/local_reg_fails", lr.Stats.Fails)
 }
 
 // Register starts a regional registration exchange for the node's
@@ -157,7 +155,6 @@ func (lr *LocalRegistrar) onRetry() {
 	if lr.tries >= lr.cfg.MaxRetries {
 		lr.awaiting = false
 		lr.Stats.Fails++
-		lr.mFails.Inc()
 		if tr := lr.mn.Host().Sim().Trace; tr.On() {
 			tr.Record(netsim.Event{
 				Kind: netsim.EventNote, Time: lr.mn.Host().Sim().Now(), Where: lr.mn.Host().Name(),
@@ -188,11 +185,9 @@ func (lr *LocalRegistrar) handleReply(src ipv4.Addr, srcPort uint16, dst ipv4.Ad
 	lr.timer.Stop()
 	if rep.Code != mobileip.CodeAccepted {
 		lr.Stats.Fails++
-		lr.mFails.Inc()
 		return
 	}
 	lr.Stats.Registrations++
-	lr.mRegs.Inc()
 	if lr.OnAccepted != nil {
 		lr.OnAccepted(lr.careOf)
 	}
@@ -212,11 +207,6 @@ func (lr *LocalRegistrar) Close() {
 }
 
 // Rehome rebinds region-pinned state after the node's host migrated:
-// counters re-resolved, the timer handle dropped (the next arm
-// recreates it on the new scheduler). Quiesce first.
-func (lr *LocalRegistrar) Rehome() {
-	reg := lr.mn.Host().Sim().Metrics
-	lr.mRegs = reg.Counter("ro/local_registrations")
-	lr.mFails = reg.Counter("ro/local_reg_fails")
-	lr.timer = nil
-}
+// the timer handle is dropped (the next arm recreates it on the new
+// scheduler). Quiesce first.
+func (lr *LocalRegistrar) Rehome() { lr.timer = nil }

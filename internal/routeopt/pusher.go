@@ -13,7 +13,8 @@ import (
 )
 
 // PushStats counts one push engine's activity (shared by the MN-push
-// Updater and the HA-push HAUpdater).
+// Updater and the HA-push HAUpdater). The owning wrapper registers it
+// with its Sim's registry as a metrics.Source.
 type PushStats struct {
 	UpdatesSent  uint64
 	Retransmits  uint64
@@ -23,25 +24,13 @@ type PushStats struct {
 	PeersTracked uint64 // distinct peer slot installs (re-installs count)
 }
 
-// pushMetrics are the registry counters a push engine increments,
-// resolved once by the owning wrapper (Updater / HAUpdater) and shared
-// across its pushers.
-type pushMetrics struct {
-	sent        *metrics.Counter
-	retransmits *metrics.Counter
-	acks        *metrics.Counter
-	nacks       *metrics.Counter
-	abandons    *metrics.Counter
-}
-
-func resolvePushMetrics(reg *metrics.Registry) pushMetrics {
-	return pushMetrics{
-		sent:        reg.Counter("ro/updates_sent"),
-		retransmits: reg.Counter("ro/update_retransmits"),
-		acks:        reg.Counter("ro/update_acks"),
-		nacks:       reg.Counter("ro/update_nacks"),
-		abandons:    reg.Counter("ro/update_abandons"),
-	}
+// Report implements metrics.Source.
+func (s *PushStats) Report(a *metrics.Adder) {
+	a.Counter("ro/updates_sent", s.UpdatesSent)
+	a.Counter("ro/update_retransmits", s.Retransmits)
+	a.Counter("ro/update_acks", s.Acks)
+	a.Counter("ro/update_nacks", s.Nacks)
+	a.Counter("ro/update_abandons", s.Abandons)
 }
 
 // pushSlot is one tracked correspondent. Slots live in a fixed-size
@@ -70,7 +59,6 @@ type pusher struct {
 	home  ipv4.Addr
 	auth  *mobileip.Authenticator
 	cfg   pushConfig
-	m     *pushMetrics
 	stats *PushStats
 
 	// srcAddr yields the source address for outgoing updates at send
@@ -106,11 +94,11 @@ func (c *pushConfig) fillDefaults() {
 }
 
 func newPusher(host *stack.Host, sock *stack.UDPSocket, home ipv4.Addr,
-	auth *mobileip.Authenticator, cfg pushConfig, m *pushMetrics, stats *PushStats,
+	auth *mobileip.Authenticator, cfg pushConfig, stats *PushStats,
 	srcAddr func() ipv4.Addr) *pusher {
 	return &pusher{
 		host: host, sock: sock, home: home, auth: auth, cfg: cfg,
-		m: m, stats: stats, srcAddr: srcAddr,
+		stats: stats, srcAddr: srcAddr,
 		slots: make([]pushSlot, 0, cfg.maxPeers),
 	}
 }
@@ -198,12 +186,10 @@ func (p *pusher) sendUpdate(i int, lifetime uint16, retransmit bool) {
 	s.awaitingID = u.ID
 	if retransmit {
 		p.stats.Retransmits++
-		p.m.retransmits.Inc()
 	} else {
 		s.tries = 0
 	}
 	p.stats.UpdatesSent++
-	p.m.sent.Inc()
 	p.armRetry(i)
 }
 
@@ -233,7 +219,6 @@ func (p *pusher) onRetry(i int) {
 	if s.tries >= p.cfg.maxRetries {
 		s.awaiting = false
 		p.stats.Abandons++
-		p.m.abandons.Inc()
 		if tr := p.host.Sim().Trace; tr.On() {
 			tr.Record(netsim.Event{
 				Kind: netsim.EventNote, Time: p.host.Sim().Now(), Where: p.host.Name(),
@@ -264,14 +249,12 @@ func (p *pusher) handleAck(src ipv4.Addr, a BindingAck, hasAuth bool, payload []
 		s.timer.Stop()
 		if a.Code == AckAccepted {
 			p.stats.Acks++
-			p.m.acks.Inc()
 		} else {
 			// The receiver refused (no association, auth failure,
 			// replay verdict): pushing again would only repeat the
 			// refusal, so drop the peer from the push set. Its traffic
 			// keeps flowing In-IE — the hard fallback.
 			p.stats.Nacks++
-			p.m.nacks.Inc()
 			s.active = false
 			if tr := p.host.Sim().Trace; tr.On() {
 				tr.Record(netsim.Event{

@@ -58,29 +58,28 @@ type Receiver struct {
 	assoc map[ipv4.Addr]*recvAssoc
 
 	Stats ReceiverStats
-
-	// Metric instruments, resolved once at construction.
-	mUpdates  *metrics.Counter
-	mAccepted *metrics.Counter
-	mRefused  *metrics.Counter
 }
 
 // NewReceiver installs the binding-update endpoint on c's host.
 func NewReceiver(c *mobileip.Correspondent, cfg ReceiverConfig) (*Receiver, error) {
-	reg := c.Host().Sim().Metrics
 	r := &Receiver{
 		c: c, host: c.Host(), cfg: cfg,
-		assoc:     make(map[ipv4.Addr]*recvAssoc),
-		mUpdates:  reg.Counter("ro/recv_updates"),
-		mAccepted: reg.Counter("ro/recv_accepted"),
-		mRefused:  reg.Counter("ro/recv_refused"),
+		assoc: make(map[ipv4.Addr]*recvAssoc),
 	}
+	c.Host().Sim().Metrics.AddSource(r)
 	sock, err := c.Host().OpenUDP(ipv4.Zero, udp.PortBindingUpdate, r.handleUpdate)
 	if err != nil {
 		return nil, fmt.Errorf("routeopt: receiver: %w", err)
 	}
 	r.sock = sock
 	return r, nil
+}
+
+// Report implements metrics.Source.
+func (r *Receiver) Report(a *metrics.Adder) {
+	a.Counter("ro/recv_updates", r.Stats.Updates)
+	a.Counter("ro/recv_accepted", r.Stats.Accepted)
+	a.Counter("ro/recv_refused", r.Stats.Refused)
 }
 
 // ProvisionKey installs the mobility association for a home address:
@@ -102,7 +101,6 @@ func (r *Receiver) handleUpdate(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, pa
 		return
 	}
 	r.Stats.Updates++
-	r.mUpdates.Inc()
 	st := r.assoc[u.Home]
 	ack := BindingAck{Code: AckAccepted, Lifetime: u.Lifetime, Home: u.Home, ID: u.ID}
 	switch {
@@ -133,7 +131,6 @@ func (r *Receiver) handleUpdate(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, pa
 		r.accept(&u, ack.Lifetime)
 	} else {
 		r.Stats.Refused++
-		r.mRefused.Inc()
 	}
 	// Ack into a pooled buffer; SendToFrom copies before returning.
 	// Acks under an association are signed — a forged nack must not be
@@ -150,7 +147,6 @@ func (r *Receiver) handleUpdate(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, pa
 // accept applies a verified update to the correspondent's cache.
 func (r *Receiver) accept(u *BindingUpdate, lifetime uint16) {
 	r.Stats.Accepted++
-	r.mAccepted.Inc()
 	if u.IsRevocation() {
 		r.Stats.Revocations++
 		r.c.ForgetBinding(u.Home)

@@ -83,12 +83,9 @@ type RegionalAgent struct {
 
 	Stats RegionalAgentStats
 
-	// Metric instruments, resolved once at construction.
-	reg       *metrics.Registry
-	bindGauge *metrics.Gauge
-	mRegs     *metrics.Counter
-	mDown     *metrics.Counter
-	mUp       *metrics.Counter
+	// reg is the Sim's registry: the gateway counts drops into it and
+	// reports its Stats to it as a metrics.Source.
+	reg *metrics.Registry
 }
 
 // NewRegionalAgent starts a gateway agent on host; addr is its stable
@@ -103,14 +100,11 @@ func NewRegionalAgent(host *stack.Host, addr ipv4.Addr, cfg RegionalAgentConfig)
 	reg := host.Sim().Metrics
 	g := &RegionalAgent{
 		host: host, addr: addr, cfg: cfg,
-		table:     make(map[ipv4.Addr]*regBinding),
-		auth:      make(map[ipv4.Addr]*regionalAuth),
-		reg:       reg,
-		bindGauge: reg.Gauge("gfa/bindings"),
-		mRegs:     reg.Counter("gfa/registrations"),
-		mDown:     reg.Counter("gfa/down_relayed"),
-		mUp:       reg.Counter("gfa/up_relayed"),
+		table: make(map[ipv4.Addr]*regBinding),
+		auth:  make(map[ipv4.Addr]*regionalAuth),
+		reg:   reg,
 	}
+	reg.AddSource(g)
 	sock, err := host.OpenUDP(ipv4.Zero, udp.PortRegistration, g.handleRegistration)
 	if err != nil {
 		return nil, fmt.Errorf("routeopt: regional agent: %w", err)
@@ -126,6 +120,14 @@ func (g *RegionalAgent) Host() *stack.Host { return g.host }
 // Addr returns the stable regional care-of address.
 func (g *RegionalAgent) Addr() ipv4.Addr { return g.addr }
 
+// Report implements metrics.Source.
+func (g *RegionalAgent) Report(a *metrics.Adder) {
+	a.Level("gfa/bindings", int64(len(g.table)))
+	a.Counter("gfa/registrations", g.Stats.Registrations)
+	a.Counter("gfa/down_relayed", g.Stats.DownRelayed)
+	a.Counter("gfa/up_relayed", g.Stats.UpRelayed)
+}
+
 // ProvisionKey installs the mobility association for a home address,
 // mirroring the home agent's per-home provisioning.
 func (g *RegionalAgent) ProvisionKey(home ipv4.Addr, spi uint32, key []byte) {
@@ -140,7 +142,6 @@ func (g *RegionalAgent) lookup(home ipv4.Addr) *regBinding {
 	}
 	if g.host.Sched().Now() > b.expiresAt {
 		delete(g.table, home)
-		g.bindGauge.Set(int64(len(g.table)))
 		g.Stats.Expired++
 		return nil
 	}
@@ -214,10 +215,7 @@ func (g *RegionalAgent) checkAuth(st *regionalAuth, payload []byte, hasAuth bool
 // admit installs, refreshes, or clears a regional binding.
 func (g *RegionalAgent) admit(req *mobileip.Request, lifetime uint16) {
 	if req.IsDeregistration() {
-		if g.table[req.Home] != nil {
-			delete(g.table, req.Home)
-			g.bindGauge.Set(int64(len(g.table)))
-		}
+		delete(g.table, req.Home)
 		g.Stats.Deregistrations++
 		return
 	}
@@ -225,13 +223,11 @@ func (g *RegionalAgent) admit(req *mobileip.Request, lifetime uint16) {
 	if b == nil {
 		b = &regBinding{}
 		g.table[req.Home] = b
-		g.bindGauge.Set(int64(len(g.table)))
 	}
 	b.careOf = req.CareOf
 	b.lastID = req.ID
 	b.expiresAt = g.host.Sched().Now().Add(vtime.Duration(lifetime) * 1e9)
 	g.Stats.Registrations++
-	g.mRegs.Inc()
 	if tr := g.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventRegister, Time: g.host.Sim().Now(), Where: g.host.Name(),
@@ -281,13 +277,11 @@ func (g *RegionalAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	}
 	if b := g.lookup(inner.Dst); b != nil {
 		g.Stats.DownRelayed++
-		g.mDown.Inc()
 		g.retunnel(inner, b.careOf, inner.Dst)
 		return
 	}
 	if b := g.lookup(inner.Src); b != nil && outer.Src == b.careOf {
 		g.Stats.UpRelayed++
-		g.mUp.Inc()
 		g.retunnel(inner, g.cfg.HomeAgent, inner.Src)
 		return
 	}

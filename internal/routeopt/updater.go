@@ -48,7 +48,6 @@ type Updater struct {
 	cfg  UpdaterConfig
 	sock *stack.UDPSocket
 	p    *pusher
-	m    pushMetrics
 
 	Stats PushStats
 }
@@ -64,13 +63,14 @@ func NewUpdater(mn *mobileip.MobileNode, cfg UpdaterConfig) (*Updater, error) {
 	}
 	pc.fillDefaults()
 	cfg.Lifetime = pc.lifetime
-	u := &Updater{mn: mn, cfg: cfg, m: resolvePushMetrics(mn.Host().Sim().Metrics)}
+	u := &Updater{mn: mn, cfg: cfg}
 	sock, err := mn.Host().OpenUDP(ipv4.Zero, 0, u.handleAck)
 	if err != nil {
 		return nil, fmt.Errorf("routeopt: updater: %w", err)
 	}
 	u.sock = sock
-	u.p = newPusher(mn.Host(), sock, mn.Home(), cfg.Auth, pc, &u.m, &u.Stats, mn.CareOf)
+	u.p = newPusher(mn.Host(), sock, mn.Home(), cfg.Auth, pc, &u.Stats, mn.CareOf)
+	mn.Host().Sim().Metrics.AddSource(&u.Stats)
 	prev := mn.OnOutPacket
 	mn.OnOutPacket = func(mode core.OutMode, pkt ipv4.Packet) {
 		u.noteOut(&pkt)
@@ -132,11 +132,10 @@ func (u *Updater) ActivePeers() int { return u.p.activePeers() }
 func (u *Updater) Quiesce() { u.p.quiesce() }
 
 // Rehome rebinds region-pinned state after the node's host migrated to
-// a new shard: metric counters are re-resolved and timer handles
-// dropped (the next arm recreates them on the new scheduler). The
-// updater must be quiesced first.
+// a new shard: timer handles are dropped (the next arm recreates them on
+// the new scheduler). Its Stats stay a source of the registry it was
+// built in. The updater must be quiesced first.
 func (u *Updater) Rehome() {
-	u.m = resolvePushMetrics(u.mn.Host().Sim().Metrics)
 	u.p.host = u.mn.Host()
 	u.p.rehome()
 }

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"mob4x4/internal/ipv4"
+	"mob4x4/internal/metrics"
 	"mob4x4/internal/netsim"
 )
 
 // TestARPPendingQueueBounded pins the ARP-miss queue bound: a fast sender
 // aimed at an unresolvable nexthop may pin at most ARPQueueLimit copied
-// payloads; the oldest are shed and counted in DroppedARPExpired, and the
-// survivors still go out when the resolution finally succeeds.
+// payloads; the oldest are shed and counted as drop/arp_expired, and the
+// survivors are counted as drop/no_arp when the resolution times out.
 func TestARPPendingQueueBounded(t *testing.T) {
 	sim, a, _ := lanPair(t, netsim.SegmentOpts{})
 	a.ARPQueueLimit = 4
@@ -29,24 +30,25 @@ func TestARPPendingQueueBounded(t *testing.T) {
 	if got := len(job.pkts); got != 4 {
 		t.Errorf("pending queue holds %d packets, want 4", got)
 	}
-	if a.Stats.DroppedARPExpired != sent-4 {
-		t.Errorf("DroppedARPExpired = %d, want %d", a.Stats.DroppedARPExpired, sent-4)
+	if n := sim.Metrics.DropCount(metrics.DropARPExpired); n != sent-4 {
+		t.Errorf("drop/arp_expired = %d, want %d", n, sent-4)
 	}
 
 	// Let the resolution expire: the queued survivors are dropped too,
-	// counted in both DropNoARP and DroppedARPExpired.
+	// so every packet sent is counted exactly once across the two causes.
 	sim.Sched.Run()
-	if a.Stats.DropNoARP != 4 {
-		t.Errorf("DropNoARP = %d, want 4", a.Stats.DropNoARP)
+	noARP := sim.Metrics.DropCount(metrics.DropNoARP)
+	if noARP != 4 {
+		t.Errorf("drop/no_arp = %d, want 4", noARP)
 	}
-	if a.Stats.DroppedARPExpired != sent {
-		t.Errorf("DroppedARPExpired = %d, want %d", a.Stats.DroppedARPExpired, sent)
+	if n := sim.Metrics.DropCount(metrics.DropARPExpired) + noARP; n != sent {
+		t.Errorf("drop/arp_expired + drop/no_arp = %d, want %d", n, sent)
 	}
 }
 
 // TestARPQueueUnboundedWhenDisabled keeps the 0 = unbounded contract.
 func TestARPQueueUnboundedWhenDisabled(t *testing.T) {
-	_, a, _ := lanPair(t, netsim.SegmentOpts{})
+	sim, a, _ := lanPair(t, netsim.SegmentOpts{})
 	a.ARPQueueLimit = 0
 	ghost := ipv4.MustParseAddr("10.0.0.99")
 	for k := 0; k < 100; k++ {
@@ -55,7 +57,7 @@ func TestARPQueueUnboundedWhenDisabled(t *testing.T) {
 	if got := len(a.Ifaces()[0].pending[ghost].pkts); got != 100 {
 		t.Errorf("pending queue holds %d packets, want 100", got)
 	}
-	if a.Stats.DroppedARPExpired != 0 {
-		t.Errorf("DroppedARPExpired = %d, want 0 before expiry", a.Stats.DroppedARPExpired)
+	if n := sim.Metrics.DropCount(metrics.DropARPExpired); n != 0 {
+		t.Errorf("drop/arp_expired = %d, want 0 before expiry", n)
 	}
 }

@@ -44,7 +44,6 @@ func (i *Iface) resolveAndSend(nexthop ipv4.Addr, pkt ipv4.Packet) {
 	// a small window and sheds the oldest.
 	if limit := i.host.ARPQueueLimit; limit > 0 && len(job.pkts) >= limit {
 		drop := len(job.pkts) - limit + 1
-		i.host.Stats.DroppedARPExpired += uint64(drop)
 		i.host.metrics.DropN(metrics.DropARPExpired, uint64(drop))
 		copy(job.pkts, job.pkts[drop:])
 		job.pkts = job.pkts[:len(job.pkts)-drop]
@@ -69,8 +68,6 @@ func (i *Iface) armARPTimer(target ipv4.Addr, job *resolveJob) {
 			return
 		}
 		delete(i.pending, target)
-		i.host.Stats.DropNoARP += uint64(len(job.pkts))
-		i.host.Stats.DroppedARPExpired += uint64(len(job.pkts))
 		i.host.metrics.DropN(metrics.DropNoARP, uint64(len(job.pkts)))
 		if tr := i.host.sim.Trace; tr.On() {
 			detail := "ARP resolution failed for " + target.String()
@@ -171,7 +168,6 @@ func (i *Iface) sendIPFrame(dst netsim.MAC, pkt ipv4.Packet) {
 	b, err := pkt.AppendMarshal(buf.B)
 	if err != nil {
 		netsim.PutBuf(buf)
-		i.host.Stats.DropMalformed++
 		return
 	}
 	buf.B = b

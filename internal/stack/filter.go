@@ -91,7 +91,6 @@ func (f *FilterPolicy) checkEgress(iface *Iface, pkt *ipv4.Packet) bool {
 }
 
 func (h *Host) traceFilterDrop(direction string, iface *Iface, pkt *ipv4.Packet) {
-	h.Stats.DropFilter++
 	h.metrics.Drop(metrics.DropFilter)
 	if tr := h.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{

@@ -23,7 +23,6 @@ func (h *Host) SendIP(pkt ipv4.Packet) error {
 	if pkt.TraceID == 0 {
 		pkt.TraceID = h.sim.Trace.NextPacketID()
 	}
-	h.Stats.IPSent++
 	h.metrics.IPSent.Inc()
 	if tr := h.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{
@@ -85,7 +84,6 @@ func (h *Host) output(pkt ipv4.Packet, useOverride bool) error {
 		rt, ok = h.routes.Lookup(pkt.Dst)
 	}
 	if !ok {
-		h.Stats.DropNoRoute++
 		h.metrics.Drop(metrics.DropNoRoute)
 		if tr := h.sim.Trace; tr.On() {
 			tr.Record(netsim.Event{
@@ -128,13 +126,11 @@ func (h *Host) transmit(ifc *Iface, nexthop ipv4.Addr, pkt ipv4.Packet) error {
 	frags, err := ipv4.Fragment(pkt, mtu)
 	if err != nil {
 		if err == ipv4.ErrFragNeeded {
-			h.Stats.DropFragSet++
 			h.metrics.Drop(metrics.DropFragNeeded)
 			if h.FragNeeded != nil {
 				h.FragNeeded(ifc, pkt, mtu)
 			}
 		} else {
-			h.Stats.DropMalformed++
 			h.metrics.Drop(metrics.DropMalformed)
 		}
 		return err
@@ -168,7 +164,6 @@ func (h *Host) SendIPLinkDirect(ifc *Iface, linkDst ipv4.Addr, pkt ipv4.Packet) 
 	if pkt.Src.IsZero() {
 		pkt.Src = ifc.addr
 	}
-	h.Stats.IPSent++
 	h.metrics.IPSent.Inc()
 	if tr := h.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{
@@ -196,7 +191,6 @@ func (ifc *Iface) receiveFrame(n *netsim.NIC, f netsim.Frame) {
 	case netsim.EtherTypeIPv4:
 		pkt, err := ipv4.Unmarshal(f.Payload)
 		if err != nil {
-			h.Stats.DropMalformed++
 			h.metrics.Drop(metrics.DropMalformed)
 			return
 		}
@@ -208,8 +202,6 @@ func (ifc *Iface) receiveFrame(n *netsim.NIC, f netsim.Frame) {
 // receiveIP is the IP input path: ingress filter, local delivery or
 // forwarding.
 func (h *Host) receiveIP(ifc *Iface, pkt ipv4.Packet) {
-	h.Stats.IPReceived++
-
 	if h.Filter != nil && !h.Filter.checkIngress(ifc, &pkt) {
 		h.traceFilterDrop("ingress", ifc, &pkt)
 		return
@@ -244,7 +236,6 @@ func (h *Host) receiveIP(ifc *Iface, pkt ipv4.Packet) {
 
 func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 	if pkt.TTL <= 1 {
-		h.Stats.DropTTL++
 		h.metrics.Drop(metrics.DropTTL)
 		if tr := h.sim.Trace; tr.On() {
 			tr.Record(netsim.Event{
@@ -260,7 +251,6 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 
 	rt, ok := h.routes.Lookup(pkt.Dst)
 	if !ok {
-		h.Stats.DropNoRoute++
 		h.metrics.Drop(metrics.DropNoRoute)
 		if tr := h.sim.Trace; tr.On() {
 			tr.Record(netsim.Event{
@@ -278,7 +268,6 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 	if nexthop.IsZero() {
 		nexthop = pkt.Dst
 	}
-	h.Stats.IPForwarded++
 	h.metrics.IPForwarded.Inc()
 	if pkt.Protocol == ipv4.ProtoIPIP || pkt.Protocol == ipv4.ProtoMinEnc || pkt.Protocol == ipv4.ProtoGRE {
 		// A hop taken while still inside a tunnel: the indirect-route tax
@@ -299,7 +288,6 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 	full, done, err := h.reasm.Add(pkt)
 	if err != nil {
-		h.Stats.DropMalformed++
 		h.metrics.Drop(metrics.DropMalformed)
 		return
 	}
@@ -309,7 +297,6 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 	}
 	if full.MoreFrags || full.FragOffset != 0 {
 		// Cannot happen: Add returns only whole packets. Defensive.
-		h.Stats.DropMalformed++
 		h.metrics.Drop(metrics.DropMalformed)
 		return
 	}
@@ -319,7 +306,6 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 	if pkt.FragOffset != 0 || pkt.MoreFrags {
 		h.Stats.Reassembled++
 	}
-	h.Stats.IPDelivered++
 	h.metrics.IPDelivered.Inc()
 	if tr := h.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{
@@ -342,7 +328,6 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 		handler(ifc, full)
 		return
 	}
-	h.Stats.DropNoProto++
 	h.metrics.Drop(metrics.DropNoProto)
 }
 

@@ -51,6 +51,5 @@ func (h *Host) SendMulticast(ifc *Iface, pkt ipv4.Packet) error {
 	if pkt.Src.IsZero() {
 		pkt.Src = ifc.addr
 	}
-	h.Stats.IPSent++
 	return h.transmit(ifc, pkt.Dst, pkt)
 }

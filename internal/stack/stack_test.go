@@ -8,8 +8,20 @@ import (
 	"testing"
 
 	"mob4x4/internal/ipv4"
+	"mob4x4/internal/metrics"
 	"mob4x4/internal/netsim"
 )
+
+// countEvents counts the captured events of one kind recorded at where.
+func countEvents(log netsim.Log, kind netsim.EventKind, where string) int {
+	n := 0
+	for _, e := range log {
+		if e.Kind == kind && e.Where == where {
+			n++
+		}
+	}
+	return n
+}
 
 // lanPair builds two hosts on one segment: a at .1, b at .2.
 func lanPair(t testing.TB, opts netsim.SegmentOpts) (*netsim.Sim, *Host, *Host) {
@@ -86,8 +98,8 @@ func TestARPFailureDropsQueuedPackets(t *testing.T) {
 	_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: ghost}})
 	_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: ghost}})
 	sim.Sched.Run()
-	if a.Stats.DropNoARP != 2 {
-		t.Errorf("DropNoARP = %d, want 2", a.Stats.DropNoARP)
+	if n := sim.Metrics.DropCount(metrics.DropNoARP); n != 2 {
+		t.Errorf("drop/no_arp = %d, want 2", n)
 	}
 	// Exactly ARPRetries requests were broadcast.
 	if tx := a.Ifaces()[0].NIC().TxFrames; tx != uint64(a.ARPRetries) {
@@ -102,8 +114,8 @@ func TestNoRouteDrop(t *testing.T) {
 		t.Error("expected no-route error")
 	}
 	sim.Sched.Run()
-	if a.Stats.DropNoRoute != 1 {
-		t.Errorf("DropNoRoute = %d", a.Stats.DropNoRoute)
+	if n := sim.Metrics.DropCount(metrics.DropNoRoute); n != 1 {
+		t.Errorf("drop/no_route = %d", n)
 	}
 }
 
@@ -134,13 +146,15 @@ func threeNets(t testing.TB) (*netsim.Sim, *Host, *Host, *Host) {
 func TestForwarding(t *testing.T) {
 	sim, a, r, b := threeNets(t)
 	got := capture(b, 99)
+	log, stop := sim.Trace.Capture()
 	_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: b.FirstAddr()}, Payload: []byte("via r")})
 	sim.Sched.Run()
+	stop()
 	if len(*got) != 1 {
 		t.Fatalf("delivered %d", len(*got))
 	}
-	if r.Stats.IPForwarded != 1 {
-		t.Errorf("router forwarded %d", r.Stats.IPForwarded)
+	if n := sim.Metrics.IPForwarded.Value(); n != 1 || countEvents(*log, netsim.EventForward, r.Name()) != 1 {
+		t.Errorf("forwarded %d, want 1, by the router", n)
 	}
 	if (*got)[0].TTL != ipv4.DefaultTTL-1 {
 		t.Errorf("TTL = %d, want %d", (*got)[0].TTL, ipv4.DefaultTTL-1)
@@ -161,13 +175,15 @@ func TestHostDoesNotForward(t *testing.T) {
 func TestTTLExpiry(t *testing.T) {
 	sim, a, r, b := threeNets(t)
 	got := capture(b, 99)
+	log, stop := sim.Trace.Capture()
 	_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, TTL: 1, Dst: b.FirstAddr()}})
 	sim.Sched.Run()
+	stop()
 	if len(*got) != 0 {
 		t.Error("TTL=1 packet crossed a router")
 	}
-	if r.Stats.DropTTL != 1 {
-		t.Errorf("DropTTL = %d", r.Stats.DropTTL)
+	if n := sim.Metrics.DropCount(metrics.DropTTL); n != 1 || countEvents(*log, netsim.EventDropTTL, r.Name()) != 1 {
+		t.Errorf("drop/ttl = %d, want 1, at the router", n)
 	}
 }
 
@@ -194,8 +210,8 @@ func TestIngressSourceFilter(t *testing.T) {
 	if (*got)[0].Src != a.FirstAddr() {
 		t.Error("wrong packet survived")
 	}
-	if r.Filter.IngressDrops != 1 || r.Stats.DropFilter != 1 {
-		t.Errorf("drops: policy=%d host=%d", r.Filter.IngressDrops, r.Stats.DropFilter)
+	if n := sim.Metrics.DropCount(metrics.DropFilter); r.Filter.IngressDrops != 1 || n != 1 {
+		t.Errorf("drops: policy=%d registry=%d", r.Filter.IngressDrops, n)
 	}
 }
 
@@ -334,8 +350,8 @@ func TestDFPacketTriggersFragNeededHook(t *testing.T) {
 	if hookMTU != 576 {
 		t.Errorf("hook mtu = %d", hookMTU)
 	}
-	if a.Stats.DropFragSet != 1 {
-		t.Errorf("DropFragSet = %d", a.Stats.DropFragSet)
+	if n := sim.Metrics.DropCount(metrics.DropFragNeeded); n != 1 {
+		t.Errorf("drop/frag_needed = %d", n)
 	}
 }
 

@@ -197,18 +197,15 @@ func (h *Host) ensureUDPDemux() {
 	h.Handle(ipv4.ProtoUDP, func(ifc *Iface, pkt ipv4.Packet) {
 		d, err := udp.Unmarshal(pkt.Src, pkt.Dst, pkt.Payload)
 		if err != nil {
-			h.Stats.DropMalformed++
 			return
 		}
 		sock, ok := h.udpSocks[d.DstPort]
 		if !ok {
-			h.Stats.DropNoProto++
 			return
 		}
 		// A socket bound to a specific address only accepts datagrams
 		// addressed to it (broadcast excepted).
 		if !sock.bindAddr.IsZero() && pkt.Dst != sock.bindAddr && !pkt.Dst.IsBroadcast() {
-			h.Stats.DropNoProto++
 			return
 		}
 		sock.Delivered++
