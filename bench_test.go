@@ -6,10 +6,14 @@
 package mob4x4_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mob4x4/internal/core"
 	"mob4x4/internal/experiments"
+	"mob4x4/internal/ipv4"
+	"mob4x4/internal/netsim"
+	"mob4x4/internal/stack"
 )
 
 // BenchmarkFig1BasicMobileIP — E1: asymmetric routing, conventional CH.
@@ -244,6 +248,43 @@ func BenchmarkSharedResourceLoad(b *testing.B) {
 	b.ReportMetric(conv, "conventional-fwds")
 	b.ReportMetric(aware, "aware-fwds")
 	b.ReportMetric(near, "samesegment-fwds")
+}
+
+// BenchmarkBroadcastARP512 — E14's crowded cell in miniature: on a
+// segment of 512 hosts, one host resolves an address nobody holds (a
+// visitor that left), so each op is one broadcast ARP request that every
+// other host hears, then a timeout. Its cost must not grow with the
+// number of hosts: the segment learns the request's sender once, and no
+// host has anything else to do with it.
+func BenchmarkBroadcastARP512(b *testing.B) {
+	const hosts = 512
+	sim := netsim.NewSim(1)
+	seg := sim.NewSegment("cell", netsim.SegmentOpts{Latency: 1e6})
+	prefix := ipv4.MustParsePrefix("10.1.0.0/16")
+	var gw *stack.Host
+	for k := 0; k < hosts; k++ {
+		h := stack.NewHost(sim, fmt.Sprintf("h%d", k))
+		h.AddIface("eth0", seg, prefix.Host(k+1), prefix)
+		if gw == nil {
+			gw = h
+		}
+	}
+	gw.ARPRetries = 1
+	gw.ARPTimeout = 1e6
+	pkt := ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: prefix.Host(60000)}}
+	resolve := func() {
+		if err := gw.SendIP(pkt); err != nil {
+			b.Fatal(err)
+		}
+		sim.Sched.Run()
+	}
+	resolve() // the first broadcast builds the segment's table
+	delivered := seg.Delivered
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resolve()
+	}
+	b.ReportMetric(float64(seg.Delivered-delivered)/float64(b.N), "hearers/op")
 }
 
 func bool01(v bool) float64 {

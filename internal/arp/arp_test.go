@@ -182,3 +182,82 @@ func BenchmarkCacheLookup(b *testing.B) {
 		c.Lookup(ips[i%256], 0, 0)
 	}
 }
+
+// TestCacheViewsSegmentTable walks one interface's view of its segment's
+// table through each rule: learns after the last flush are seen, learns
+// from frames it sent and learns of its own address are not, the newer
+// of a table learn and its own unicast learn wins, and a removed entry
+// does not bring back an older table learn.
+func TestCacheViewsSegmentTable(t *testing.T) {
+	const self, ha, mn = netsim.MAC(1), netsim.MAC(2), netsim.MAC(3)
+	own := ipv4.MustParseAddr("10.0.0.1")
+	home := ipv4.MustParseAddr("10.0.0.9")
+	var tab Table
+	tab.Learn(home, mn, mn, 1) // before the join: not heard
+	c := NewCache()
+	c.Join(&tab, self, own)
+	want := func(step string, ip ipv4.Addr, mac netsim.MAC, ok bool) {
+		t.Helper()
+		if got, gotOK := c.Lookup(ip, 10, 100); got != mac || gotOK != ok {
+			t.Errorf("%s: Lookup(%v) = %v,%v, want %v,%v", step, ip, got, gotOK, mac, ok)
+		}
+	}
+	want("learn before the join", home, 0, false)
+	tab.Learn(own, ha, ha, 2)
+	want("own address", own, 0, false)
+	tab.Learn(home, mn, mn, 3)
+	want("heard learn", home, mn, true)
+	tab.Learn(home, self, self, 4) // e.g. our own proxy announcement
+	want("own broadcast hides nothing", home, mn, true)
+	c.Learn(home, ha, 5)
+	want("own unicast learn is newer", home, ha, true)
+	tab.Learn(home, mn, mn, 6)
+	want("newer table learn", home, mn, true)
+	c.Invalidate(home)
+	want("invalidated", home, 0, false)
+	if got, ok := c.Lookup(home, 200, 100); ok {
+		t.Errorf("removed entry came back as %v", got)
+	}
+	tab.Learn(home, ha, ha, 7)
+	want("fresh learn after removal", home, ha, true)
+	if c.Hits != 5 || c.Misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 5/4", c.Hits, c.Misses)
+	}
+}
+
+// TestCacheBindsLateTable: a table created after the cache joined its
+// segment holds only newer learns, and the cache's own entries keep
+// their order against them.
+func TestCacheBindsLateTable(t *testing.T) {
+	ip := ipv4.MustParseAddr("10.0.0.2")
+	c := NewCache()
+	c.Join(nil, 1, ipv4.MustParseAddr("10.0.0.1"))
+	c.Learn(ip, 5, 0)
+	var tab Table
+	c.Bind(&tab)
+	if got, _ := c.Lookup(ip, 0, 0); got != 5 {
+		t.Errorf("own entry lost on bind: %v", got)
+	}
+	tab.Learn(ip, 6, 6, 1)
+	if got, _ := c.Lookup(ip, 1, 0); got != 6 {
+		t.Errorf("newer table learn not seen: %v", got)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
+	}
+}
+
+// TestTableOutgrowsInlineSlots: past its inline slots a table moves to a
+// map and keeps every learn.
+func TestTableOutgrowsInlineSlots(t *testing.T) {
+	var tab Table
+	const n = 20
+	for k := 0; k < n; k++ {
+		tab.Learn(ipv4.AddrFromUint32(0x0a000001+uint32(k)), netsim.MAC(100+k), netsim.MAC(100+k), int64(k))
+	}
+	for k := 0; k < n; k++ {
+		if l := tab.heard(ipv4.AddrFromUint32(0x0a000001+uint32(k)), 1); l.mac != netsim.MAC(100+k) || l.at != int64(k) {
+			t.Errorf("address %d: learn %+v", k, l)
+		}
+	}
+}

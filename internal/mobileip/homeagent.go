@@ -200,7 +200,7 @@ func (ha *HomeAgent) Crash() {
 	// sort the old map-keyed table needed.
 	ha.bindings.forEach(func(b *binding) {
 		ha.host.Unclaim(b.home)
-		ha.iface.Proxy().Remove(b.home)
+		ha.iface.RemoveProxy(b.home)
 	})
 	ha.bindings.reset()
 	ha.wheel.reset()
@@ -376,7 +376,7 @@ func (ha *HomeAgent) register(req *Request) {
 		})
 		// Gratuitous proxy ARP ([RFC1027]): neighbours on the home
 		// segment now deliver the mobile host's frames to us.
-		ha.iface.Proxy().Add(req.Home)
+		ha.iface.AddProxy(req.Home)
 		ha.iface.GratuitousARP(req.Home)
 	} else {
 		// New binding generation: the wheel entry for the previous
@@ -427,7 +427,7 @@ func (ha *HomeAgent) deregister(home ipv4.Addr) {
 		return
 	}
 	ha.host.Unclaim(home)
-	ha.iface.Proxy().Remove(home)
+	ha.iface.RemoveProxy(home)
 	if tr := ha.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventRegister, Time: ha.host.Sim().Now(), Where: ha.host.Name(),

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -96,21 +97,13 @@ func runDelivery(a any) {
 	d := a.(*delivery)
 	seg := d.seg
 	f := d.frame
+	if f.Dst == BroadcastMAC && f.Type == EtherTypeARP && seg.sim.newARP != nil {
+		deliverARP(d)
+		return
+	}
 	if f.Dst != BroadcastMAC && seg.promisc == 0 {
-		// Unicast with nobody listening promiscuously: direct dispatch
-		// via the MAC index on big segments, a linear scan on small ones.
-		var n *NIC
-		if seg.byMAC != nil {
-			n = seg.byMAC[f.Dst]
-		} else {
-			for _, m := range seg.nics {
-				if m.mac == f.Dst {
-					n = m
-					break
-				}
-			}
-		}
-		if n != nil && n.mac != f.Src {
+		// Unicast with nobody listening promiscuously: direct dispatch.
+		if n := seg.lookup(f.Dst); n != nil && n.mac != f.Src {
 			d.dests = append(d.dests, n)
 		}
 	} else {
@@ -124,10 +117,7 @@ func runDelivery(a any) {
 		}
 	}
 	if len(d.dests) == 0 {
-		seg.sim.Metrics.Drop(metrics.DropNoDest)
-		if tr := seg.sim.Trace; tr.On() {
-			tr.Record(Event{Kind: EventDropNoDest, Time: seg.sim.Now(), Where: seg.name})
-		}
+		seg.dropNoDest()
 	}
 	for _, n := range d.dests {
 		if n.segment != seg {
@@ -142,6 +132,47 @@ func runDelivery(a any) {
 	// the payload storage can go back to the pool.
 	PutBuf(f.Buf)
 	releaseDelivery(d)
+}
+
+// deliverARP is runDelivery for a broadcast ARP frame on a Sim with an
+// ARPResolver constructor: every attached NIC but the sender hears the
+// frame and is counted, but only the NICs the segment's resolver picks
+// are called back, in slot order. The hearers are counted on arrival, so
+// a NIC that an earlier callback detaches still counts; ARP receive
+// callbacks only ever send, so none does.
+func deliverARP(d *delivery) {
+	seg := d.seg
+	f := d.frame
+	heard := len(seg.nics)
+	if seg.lookup(f.Src) != nil {
+		heard--
+	}
+	if heard == 0 {
+		seg.dropNoDest()
+	} else {
+		if seg.arp == nil {
+			seg.arp = seg.sim.newARP(seg)
+		}
+		seg.Delivered += uint64(heard)
+		d.dests = seg.arp.ResolveARP(f, d.dests)
+		slices.SortFunc(d.dests, func(a, b *NIC) int { return a.segIdx - b.segIdx })
+		d.dests = slices.Compact(d.dests)
+	}
+	for _, n := range d.dests {
+		if n.segment == seg && n.recv != nil {
+			n.recv(n, f)
+		}
+	}
+	PutBuf(f.Buf)
+	releaseDelivery(d)
+}
+
+// dropNoDest counts and traces a frame that no attached NIC hears.
+func (seg *Segment) dropNoDest() {
+	seg.sim.Metrics.Drop(metrics.DropNoDest)
+	if tr := seg.sim.Trace; tr.On() {
+		tr.Record(Event{Kind: EventDropNoDest, Time: seg.sim.Now(), Where: seg.name})
+	}
 }
 
 func releaseDelivery(d *delivery) {

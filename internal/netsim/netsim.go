@@ -89,6 +89,9 @@ type Sim struct {
 	// is pooled storage the link layer recycles after delivery. Nil (the
 	// default) costs one predictable branch on the fast path.
 	tap func(Frame)
+	// newARP, when non-nil, builds a segment's ARPResolver the first time
+	// a broadcast ARP frame lands on it. The network stack installs it.
+	newARP func(*Segment) ARPResolver
 }
 
 // NewSim returns a fresh simulation with the given RNG seed.
@@ -141,6 +144,12 @@ func (s *Sim) Now() vtime.Time { return s.Sched.Now() }
 // Install during the single-threaded build phase: the tap is read from
 // this Sim's event loop. Package pcap's Attach is the standard consumer.
 func (s *Sim) SetTap(fn func(Frame)) { s.tap = fn }
+
+// SetARPResolvers installs the constructor of the per-segment
+// ARPResolver (see there); nil keeps every broadcast ARP frame on the
+// plain per-NIC fan-out. Install it during the single-threaded build
+// phase, like the tap.
+func (s *Sim) SetARPResolvers(fn func(*Segment) ARPResolver) { s.newARP = fn }
 
 // AllocMAC returns a fresh unique MAC address (cluster-wide unique when
 // the Sim belongs to a Cluster).
@@ -209,7 +218,7 @@ type Segment struct {
 	opts SegmentOpts
 	nics []*NIC
 	// byMAC maps unicast destinations directly to their NIC. It is built
-	// lazily once the segment outgrows segIndexMin attachments: most
+	// lazily once the segment outgrows SegIndexMin attachments: most
 	// simulated segments hold a handful of NICs, where a linear scan of
 	// nics beats a map and costs no allocation. promisc counts attached
 	// promiscuous NICs; when zero, unicast frames skip the receiver scan
@@ -235,6 +244,10 @@ type Segment struct {
 	// in another region Sim, via the shard group's lookahead channel
 	// rather than the local scheduler. See SplitPair.
 	remote *remoteEnd
+	// arp delivers the broadcast ARP frames that land on the segment. It
+	// is built by the Sim's ARPResolver constructor when the first one
+	// lands, so segments that never carry broadcast ARP never get one.
+	arp ARPResolver
 	// fault, when non-nil, is consulted once per frame that survived the
 	// MTU and uniform-loss checks; the returned Impairment can drop,
 	// duplicate, corrupt or delay the frame. Nil (the default) costs one
@@ -338,6 +351,27 @@ func (seg *Segment) Latency() vtime.Duration { return seg.opts.Latency }
 // NICs returns the currently attached NICs.
 func (seg *Segment) NICs() []*NIC { return seg.nics }
 
+// ARPResolver returns the segment's ARP resolver, or nil while no
+// broadcast ARP frame has landed on it (or the Sim has none installed).
+func (seg *Segment) ARPResolver() ARPResolver { return seg.arp }
+
+// An ARPResolver takes over the fan-out of broadcast ARP frames on one
+// segment. Every NIC on a segment hears each broadcast ARP frame, but in
+// the simulated stack the only effect most of them have is to learn the
+// sender's mapping; the stack records that learn once for the whole
+// segment and calls back only the few NICs with something else to do
+// (the target, proxy holders, resolutions waiting on the sender).
+type ARPResolver interface {
+	// ResolveARP is handed each broadcast ARP frame f that lands on the
+	// segment and is heard by at least one NIC. It applies, once, what
+	// every NIC that hears f learns from it, and appends to dests the
+	// attached NICs whose receive callbacks must still run, in any order
+	// and possibly repeated. The segment then calls each of them once, in
+	// attachment-slot order — the order the full fan-out would have
+	// called them in — and counts every NIC that heard f in Delivered.
+	ResolveARP(f Frame, dests []*NIC) []*NIC
+}
+
 // Impairment is a fault hook's verdict on one frame. The zero value passes
 // the frame through untouched.
 type Impairment struct {
@@ -388,9 +422,24 @@ func (seg *Segment) dropDown(f Frame) {
 	PutBuf(f.Buf)
 }
 
-// segIndexMin is the attachment count beyond which a segment builds its
-// MAC index; below it, unicast dispatch linear-scans nics.
-const segIndexMin = 8
+// SegIndexMin is the attachment count beyond which a segment builds its
+// MAC index; below it, unicast dispatch linear-scans nics. Layers above
+// that keep per-segment indexes of their own use the same threshold.
+const SegIndexMin = 8
+
+// lookup returns the attached NIC with the given MAC, or nil: through the
+// MAC index on big segments, a linear scan on small ones.
+func (seg *Segment) lookup(mac MAC) *NIC {
+	if seg.byMAC != nil {
+		return seg.byMAC[mac]
+	}
+	for _, n := range seg.nics {
+		if n.mac == mac {
+			return n
+		}
+	}
+	return nil
+}
 
 func (seg *Segment) attach(n *NIC) {
 	if seg.nics == nil {
@@ -400,7 +449,7 @@ func (seg *Segment) attach(n *NIC) {
 	seg.nics = append(seg.nics, n)
 	if seg.byMAC != nil {
 		seg.byMAC[n.mac] = n
-	} else if len(seg.nics) > segIndexMin {
+	} else if len(seg.nics) > SegIndexMin {
 		seg.byMAC = make(map[MAC]*NIC, 2*len(seg.nics))
 		for _, m := range seg.nics {
 			seg.byMAC[m.mac] = m
@@ -566,9 +615,12 @@ type NIC struct {
 	segIdx      int
 	recv        func(*NIC, Frame)
 	promiscuous bool
+	// owner is opaque to netsim: the stack stores its interface here so
+	// that an ARPResolver handed bare NICs can find the interfaces behind
+	// them.
+	owner any
 	// Stats
-	TxFrames, RxFrames uint64
-	TxBytes            uint64
+	TxFrames, TxBytes uint64
 }
 
 // NewNIC allocates a NIC with a fresh MAC. It starts detached.
@@ -599,6 +651,12 @@ func (n *NIC) MTU() int {
 // SetReceiver installs the frame receive callback (called by the owning
 // stack exactly once during setup).
 func (n *NIC) SetReceiver(fn func(*NIC, Frame)) { n.recv = fn }
+
+// SetOwner records the object that owns the NIC (see Owner).
+func (n *NIC) SetOwner(o any) { n.owner = o }
+
+// Owner returns what SetOwner recorded, or nil.
+func (n *NIC) Owner() any { return n.owner }
 
 // SetPromiscuous makes the NIC receive all frames on its segment.
 func (n *NIC) SetPromiscuous(v bool) {

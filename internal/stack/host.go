@@ -143,6 +143,7 @@ func NewHost(sim *netsim.Sim, name string) *Host {
 		// memory without bound.
 		ARPQueueLimit: 2048,
 	}
+	sim.SetARPResolvers(newSegARP)
 	return h
 }
 
@@ -177,6 +178,9 @@ type Iface struct {
 	Outside bool
 
 	pending map[ipv4.Addr]*resolveJob
+	// sameAddr links the members of a segment's ARP index that hold the
+	// same address (see arpIndex).
+	sameAddr *Iface
 
 	// groups is the set of multicast groups joined on this interface.
 	groups map[ipv4.Addr]bool
@@ -196,9 +200,11 @@ func (h *Host) AddIface(name string, seg *netsim.Segment, addr ipv4.Addr, prefix
 		// cache, proxy, and pending all initialize lazily on first use.
 	}
 	nic.SetReceiver(ifc.receiveFrame)
+	nic.SetOwner(ifc)
 	if seg != nil {
 		nic.Attach(seg)
 	}
+	ifc.join()
 	h.ifaces = append(h.ifaces, ifc)
 	if prefix.Bits > 0 {
 		h.routes.Add(Route{Prefix: prefix, Iface: ifc, Metric: 0})
@@ -231,11 +237,18 @@ func (i *Iface) Addr() ipv4.Addr { return i.addr }
 // Prefix returns the interface's on-link prefix.
 func (i *Iface) Prefix() ipv4.Prefix { return i.prefix }
 
-// Proxy returns the interface's proxy-ARP set (home agents use this).
-func (i *Iface) Proxy() *arp.Proxy { return &i.proxy }
+// AddProxy starts answering ARP for ip on behalf of another host (home
+// agents do this for their mobile hosts while they are away).
+func (i *Iface) AddProxy(ip ipv4.Addr) {
+	i.proxy.Add(ip)
+	i.watch()
+}
 
-// ARPCache returns the interface's ARP cache.
-func (i *Iface) ARPCache() *arp.Cache { return &i.cache }
+// RemoveProxy stops answering ARP for ip.
+func (i *Iface) RemoveProxy(ip ipv4.Addr) {
+	i.proxy.Remove(ip)
+	i.watch()
+}
 
 // SetAddr reconfigures the interface address and on-link prefix,
 // replacing the old connected route. This is the "obtained a new care-of
@@ -244,9 +257,10 @@ func (i *Iface) SetAddr(addr ipv4.Addr, prefix ipv4.Prefix) {
 	if i.prefix.Bits > 0 {
 		i.host.routes.RemoveConnected(i)
 	}
+	i.leave()
 	i.addr = addr
 	i.prefix = prefix
-	i.cache.Flush()
+	i.join()
 	if prefix.Bits > 0 {
 		i.host.routes.Add(Route{Prefix: prefix, Iface: i, Metric: 0})
 	}
@@ -255,8 +269,9 @@ func (i *Iface) SetAddr(addr ipv4.Addr, prefix ipv4.Prefix) {
 // Attach moves the interface onto a segment (mobility primitive). The ARP
 // cache is flushed: neighbours from the old segment are meaningless.
 func (i *Iface) Attach(seg *netsim.Segment) {
+	i.leave()
 	i.nic.Attach(seg)
-	i.cache.Flush()
+	i.join()
 	if tr := i.host.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventMove, Time: i.host.sim.Now(), Where: i.host.name,
@@ -267,8 +282,9 @@ func (i *Iface) Attach(seg *netsim.Segment) {
 
 // Detach disconnects the interface.
 func (i *Iface) Detach() {
+	i.leave()
 	i.nic.Detach()
-	i.cache.Flush()
+	i.join()
 	if tr := i.host.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventMove, Time: i.host.sim.Now(), Where: i.host.name,
@@ -361,6 +377,7 @@ func (h *Host) Quiesce() {
 			h.metrics.DropN(metrics.DropARPExpired, uint64(len(job.pkts)))
 		}
 		ifc.pending = nil
+		ifc.watch()
 	}
 }
 
@@ -389,4 +406,5 @@ func (h *Host) Rehome(sim *netsim.Sim) {
 	h.reasmTimer = nil
 	h.sim = sim
 	h.metrics = sim.Metrics
+	sim.SetARPResolvers(newSegARP)
 }
