@@ -15,6 +15,7 @@ FUZZ_TARGETS = \
 	./internal/encap:FuzzDecapsulateCompactHome \
 	./internal/encap:FuzzEncapRoundTrip \
 	./internal/mobileip:FuzzAuthExtension \
+	./internal/mobileip:FuzzKeysCheck \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 

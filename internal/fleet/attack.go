@@ -191,6 +191,6 @@ func (f *Fleet) closeAttackers() {
 func (f *Fleet) provisionAuth(idx int, home ipv4.Addr) *mobileip.Authenticator {
 	key := authKeyFor(f.Opts.Seed, idx)
 	spi := authSPIFor(idx)
-	f.HA.ProvisionKey(home, spi, key)
+	f.HA.Keys().Provision(home, spi, key)
 	return mobileip.NewAuthenticator(spi, key)
 }

@@ -115,8 +115,7 @@ type Options struct {
 	FilterEvery int // every k-th cell gets a source-filtering boundary router (default 4, 0 disables)
 	FAEvery     int // every k-th node attaches via the cell's foreign agent (default 5, 0 disables)
 
-	RegLifetime       uint16         // registration lifetime in seconds (default 20)
-	ExpiryGranularity vtime.Duration // home agent expiry wheel coarseness (default 1s)
+	RegLifetime uint16 // registration lifetime in seconds (default 20)
 
 	// Storm schedule, relative to the run start.
 	PlaceWindow    vtime.Duration // initial attach staggered over this window (default 2s)
@@ -178,10 +177,6 @@ type RouteOptOptions struct {
 	// across the home uplink. Foreign-agent-attached nodes keep their
 	// flat registration path.
 	Hierarchical bool
-
-	// UpdateTTL is the cache lifetime advertised in pushed binding
-	// updates (seconds, default 20).
-	UpdateTTL uint16
 
 	// BlackholeUpdates silently discards every binding-update request
 	// (UDP 435) at the cell and home LANs — the fault-injection proof
@@ -252,9 +247,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RouteOpt.Compact {
 		o.FAEvery = -1
-	}
-	if o.RouteOpt.UpdateTTL == 0 {
-		o.RouteOpt.UpdateTTL = 20
 	}
 	if o.RegLifetime == 0 {
 		o.RegLifetime = 20

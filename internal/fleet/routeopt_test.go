@@ -55,16 +55,36 @@ func TestFleetRouteOptPush(t *testing.T) {
 	}
 }
 
-// TestFleetRouteOptPushAuth: the same tier under fleet-wide auth — every
-// update signed and verified, no legitimate message tripping a reject
-// (the clean-run auth invariant checks that).
+// TestFleetRouteOptPushAuth: the signed paths of the tier under
+// fleet-wide auth — MN-push updates, HA-push updates (signed by the hub's
+// own authenticators) and regional registrations at the gateway's keys.
+// Every message is signed and verified, and no legitimate one trips a
+// reject.
 func TestFleetRouteOptPushAuth(t *testing.T) {
-	o := roOpts(2, RouteOptOptions{PushUpdates: true})
-	o.Auth = true
-	r := runClean(t, o)
-	if r.PushAcks == 0 || r.CHUpdatesAccepted == 0 {
-		t.Fatalf("authenticated push tier idle: acks=%d accepted=%d",
-			r.PushAcks, r.CHUpdatesAccepted)
+	for _, c := range []struct {
+		name string
+		ro   RouteOptOptions
+	}{
+		{"mn-push", RouteOptOptions{PushUpdates: true}},
+		{"ha-push", RouteOptOptions{PushFromHA: true}},
+		{"hierarchical", RouteOptOptions{PushUpdates: true, Hierarchical: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := roOpts(2, c.ro)
+			o.Auth = true
+			r := runClean(t, o)
+			if n := r.AuthBadMACDrops + r.AuthReplayDrops + r.AuthStaleDrops; n != 0 {
+				t.Errorf("legitimate traffic tripped %d auth drops (bad_mac=%d replay=%d stale=%d)",
+					n, r.AuthBadMACDrops, r.AuthReplayDrops, r.AuthStaleDrops)
+			}
+			if r.PushAcks == 0 || r.CHUpdatesAccepted == 0 {
+				t.Fatalf("authenticated push tier idle: acks=%d accepted=%d",
+					r.PushAcks, r.CHUpdatesAccepted)
+			}
+			if c.ro.Hierarchical && r.RegionalRegistrations == 0 {
+				t.Errorf("gateway accepted no signed regional registration")
+			}
+		})
 	}
 }
 

@@ -156,7 +156,6 @@ func (f *Fleet) buildTopology() {
 	ha, err := mobileip.NewHomeAgent(haHost, haHost.Ifaces()[0], mobileip.HomeAgentConfig{
 		SendBindingNotices: true,
 		NoticeLifetime:     30,
-		ExpiryGranularity:  opts.ExpiryGranularity,
 		RequireAuth:        opts.Auth,
 		Codec:              f.tunnelCodec(ipv4.Zero),
 	})
@@ -219,9 +218,7 @@ func (f *Fleet) buildRouteOpt(bb []*stack.Host) {
 	}
 
 	if opts.RouteOpt.PushFromHA {
-		hup, err := routeopt.NewHAUpdater(f.HA, routeopt.HAUpdaterConfig{
-			Lifetime: opts.RouteOpt.UpdateTTL,
-		})
+		hup, err := routeopt.NewHAUpdater(f.HA)
 		assert.NoError(err, "fleet: ha-push updater")
 		f.hup = hup
 	}
@@ -355,13 +352,10 @@ func (f *Fleet) attachRouteOpt(n *Node, auth *mobileip.Authenticator) {
 	}
 	home := n.MN.Home()
 	if (opts.RouteOpt.PushUpdates || opts.RouteOpt.PushFromHA) && opts.Auth {
-		f.recvAware.ProvisionKey(home, authSPIFor(n.Idx), authKeyFor(opts.Seed, n.Idx))
+		f.recvAware.Keys().Provision(home, authSPIFor(n.Idx), authKeyFor(opts.Seed, n.Idx))
 	}
 	if opts.RouteOpt.PushUpdates {
-		up, err := routeopt.NewUpdater(n.MN, routeopt.UpdaterConfig{
-			Lifetime: opts.RouteOpt.UpdateTTL,
-			Auth:     auth,
-		})
+		up, err := routeopt.NewUpdater(n.MN, routeopt.UpdaterConfig{Auth: auth})
 		assert.NoError(err, "fleet: node binding updater")
 		n.up = up
 	}
@@ -377,7 +371,7 @@ func (f *Fleet) attachRouteOpt(n *Node, auth *mobileip.Authenticator) {
 	}
 	if n.hier {
 		if opts.Auth {
-			f.GFA.ProvisionKey(home, authSPIFor(n.Idx), authKeyFor(opts.Seed, n.Idx))
+			f.GFA.Keys().Provision(home, authSPIFor(n.Idx), authKeyFor(opts.Seed, n.Idx))
 		}
 		lr, err := routeopt.NewLocalRegistrar(n.MN, routeopt.LocalRegistrarConfig{
 			Regional: f.gfaAddr,

@@ -74,6 +74,16 @@ type Packet struct {
 // TotalLen returns the value the Total Length field will carry.
 func (p *Packet) TotalLen() int { return p.Header.Len() + len(p.Payload) }
 
+// TransportDstPort returns the destination port of a UDP or TCP payload
+// (both carry it at offset 2); ok is false for other protocols and
+// payloads too short to hold one.
+func (p *Packet) TransportDstPort() (port uint16, ok bool) {
+	if p.Protocol != ProtoUDP && p.Protocol != ProtoTCP || len(p.Payload) < 4 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint16(p.Payload[2:4]), true
+}
+
 // Clone returns a deep copy of the packet. Hosts that need to retain or
 // modify a received packet (e.g. a decapsulating agent) clone first.
 func (p *Packet) Clone() Packet {

@@ -13,18 +13,18 @@ func TestReplayWindowVerdicts(t *testing.T) {
 	var w replayWindow
 	steps := []struct {
 		id   uint64
-		want replayVerdict
+		want Verdict
 	}{
-		{100, replayAccept},    // first sighting
-		{100, replayDuplicate}, // exact replay
-		{101, replayAccept},    // monotone advance
-		{99, replayAccept},     // in-window, not yet seen: late but legitimate
-		{99, replayDuplicate},  // now it has been
-		{38, replayAccept},     // 63 behind the head of 101: last in-window slot
-		{37, replayStale},      // 64 behind: off the window edge
-		{1, replayStale},       // far behind
-		{500, replayAccept},    // jump > 64: bitmap resets to just the head
-		{101, replayStale},     // the old head is now far stale
+		{100, Verified}, // first sighting
+		{100, Replay},   // exact replay
+		{101, Verified}, // monotone advance
+		{99, Verified},  // in-window, not yet seen: late but legitimate
+		{99, Replay},    // now it has been
+		{38, Verified},  // 63 behind the head of 101: last in-window slot
+		{37, Stale},     // 64 behind: off the window edge
+		{1, Stale},      // far behind
+		{500, Verified}, // jump > 64: bitmap resets to just the head
+		{101, Stale},    // the old head is now far stale
 	}
 	for i, s := range steps {
 		if got := w.check(s.id); got != s.want {
@@ -112,7 +112,7 @@ func authedAgent(tb testing.TB, n int) (net *inet.Network, ha *HomeAgent, auth *
 	srcHost := net.AddHost("mh", lan)
 	home = lan.Prefix.Host(500)
 	key := []byte("bench-key-0123456789abcdef012345")
-	ha.ProvisionKey(home, 9, key)
+	ha.Keys().Provision(home, 9, key)
 	return net, ha, NewAuthenticator(9, key), home, srcHost.FirstAddr()
 }
 

@@ -96,7 +96,7 @@ func TestWrongKeyAndWrongSPIDenied(t *testing.T) {
 func TestAuthReplayAndStaleDenied(t *testing.T) {
 	w := buildWorld(t, worldOpts{})
 	phantom := w.homeLAN.Prefix.Host(77)
-	w.ha.ProvisionKey(phantom, testSPI, testKey)
+	w.ha.Keys().Provision(phantom, testSPI, testKey)
 	auth := mobileip.NewAuthenticator(testSPI, testKey)
 
 	sock, err := w.chFar.OpenUDP(ipv4.Zero, 0, nil)
@@ -147,7 +147,7 @@ func TestFARelayWindowSuppressesDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	phantom := w.homeLAN.Prefix.Host(78)
-	w.ha.ProvisionKey(phantom, testSPI, testKey)
+	w.ha.Keys().Provision(phantom, testSPI, testKey)
 	auth := mobileip.NewAuthenticator(testSPI, testKey)
 
 	sock, err := w.chNear.OpenUDP(ipv4.Zero, 0, nil)

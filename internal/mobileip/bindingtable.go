@@ -13,7 +13,6 @@ import (
 type binding struct {
 	home   ipv4.Addr
 	careOf ipv4.Addr
-	flags  uint8
 	live   bool
 	// gen advances on every (re-)registration and deregistration of this
 	// slot. The expiry wheel stamps entries with the gen they were

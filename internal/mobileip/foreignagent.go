@@ -194,11 +194,11 @@ func (fa *ForeignAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ip
 				fa.windows[m.Home] = w
 			}
 			switch w.check(m.ID) {
-			case replayDuplicate:
+			case Replay:
 				fa.Stats.AuthReplays++
 				fa.reg.Drop(metrics.DropAuthReplay)
 				return
-			case replayStale:
+			case Stale:
 				fa.Stats.AuthStale++
 				fa.reg.Drop(metrics.DropAuthStaleID)
 				return

@@ -2,7 +2,11 @@ package mobileip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"mob4x4/internal/ipv4"
+	"mob4x4/internal/metrics"
 )
 
 // FuzzAuthExtension feeds arbitrary bytes to the authentication-carrying
@@ -63,5 +67,81 @@ func FuzzAuthExtension(f *testing.F) {
 		}
 		// ParseMessage must agree with the typed parsers and never panic.
 		_, _ = ParseMessage(data)
+	})
+}
+
+// FuzzKeysCheck drives one verifier's Keys through an arbitrary sequence
+// of messages. The input decodes to the required flag, whether the home
+// is provisioned, and records of (payload bytes, hasAuth, id); a record
+// may instead carry the one legitimately signed message, so the window
+// sees real traffic. Properties: Check never panics, only Verified moves
+// the window, and each rejection counts exactly one drop of its own
+// cause while Unsigned, Unknown and Verified count none.
+func FuzzKeysCheck(f *testing.F) {
+	key := []byte("fuzz-keys-check-key")
+	home := ipv4.Addr{36, 1, 1, 3}
+	req := Request{Lifetime: 60, Home: home, HomeAgent: ipv4.Addr{36, 1, 1, 2}, ID: 1}
+	legit := NewAuthenticator(7, key).AppendAuth(req.Marshal())
+	// Record layout: length, flags (bit 0 hasAuth, bit 1 legitimate
+	// message), id (2 bytes), then length payload bytes.
+	f.Add([]byte{0x02, 0, 3, 0, 10, 0, 3, 0, 10, 0, 3, 0, 9, 0, 3, 0, 0})
+	f.Add([]byte{0x03, 4, 1, 0, 10, 1, 2, 3, 4, 0, 2, 0, 11})
+	f.Add([]byte{0x01, 0, 0, 0, 1})
+	f.Add([]byte{0x00, 0, 1, 0, 1})
+	f.Add([]byte{0x02, 0, 3, 0xff, 0xff, 0, 3, 0, 1, 0, 1, 0, 2})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		reg := metrics.NewRegistry()
+		k := NewKeys(reg, data[0]&1 != 0)
+		if data[0]&2 != 0 {
+			k.Provision(home, 7, key)
+		}
+		causes := map[Verdict]metrics.DropCause{
+			BadMAC: metrics.DropAuthBadMAC, Replay: metrics.DropAuthReplay, Stale: metrics.DropAuthStaleID,
+		}
+		drops := func() [3]uint64 {
+			return [3]uint64{reg.DropCount(metrics.DropAuthBadMAC),
+				reg.DropCount(metrics.DropAuthReplay), reg.DropCount(metrics.DropAuthStaleID)}
+		}
+		for rest := data[1:]; len(rest) >= 4; {
+			n, flags, id := int(rest[0]), rest[1], uint64(binary.BigEndian.Uint16(rest[2:4]))
+			rest = rest[4:]
+			msg := rest[:min(n, len(rest))]
+			rest = rest[len(msg):]
+			hasAuth := flags&1 != 0
+			if flags&2 != 0 {
+				msg = legit
+			}
+			var window replayWindow
+			as := k.assoc[home]
+			if as != nil {
+				window = as.window
+			}
+			before := drops()
+			v := k.Check(home, msg, hasAuth, id)
+			after := drops()
+
+			if as != nil && (v == Verified) == (as.window == window) {
+				t.Fatalf("verdict %d: window %+v -> %+v", v, window, as.window)
+			}
+			for i, c := range []metrics.DropCause{metrics.DropAuthBadMAC, metrics.DropAuthReplay, metrics.DropAuthStaleID} {
+				want := uint64(0)
+				if cause, ok := causes[v]; ok && cause == c {
+					want = 1
+				}
+				if after[i]-before[i] != want {
+					t.Fatalf("verdict %d: drop cause %v counted %d, want %d", v, c, after[i]-before[i], want)
+				}
+			}
+			switch {
+			case as == nil && k.required && v != Unknown, as == nil && !k.required && v != Unsigned:
+				t.Fatalf("unprovisioned home: verdict %d", v)
+			case as != nil && (v == BadMAC) == (hasAuth && as.auth.Verify(msg)):
+				t.Fatalf("provisioned home: verdict %d for hasAuth=%v", v, hasAuth)
+			}
+		}
 	})
 }

@@ -26,15 +26,11 @@ type HomeAgentConfig struct {
 	NoticeLifetime uint16
 	// MaxBindings bounds the binding table (0 = unlimited).
 	MaxBindings int
-	// ExpiryGranularity is the coarseness of the binding-expiry timer
-	// wheel (default 1s): a binding may outlive its exact lifetime by up
-	// to this much. See expiryWheel.
-	ExpiryGranularity vtime.Duration
 	// RequireAuth denies every registration that does not carry a valid
 	// mobile-home authenticator, even for homes with no provisioned key
 	// (those can never authenticate and are always refused). Without it,
 	// authentication is enforced per home address: provisioning a key
-	// (ProvisionKey) makes it mandatory for that home only, and
+	// (Keys().Provision) makes it mandatory for that home only, and
 	// unprovisioned homes keep the legacy trust-the-sender behavior.
 	RequireAuth bool
 }
@@ -55,15 +51,6 @@ type HomeAgentStats struct {
 	MulticastRelayed uint64
 	Crashes          uint64
 	Restarts         uint64
-}
-
-// authState is one provisioned mobility security association at the
-// agent: the shared-key authenticator plus the sliding identification
-// window. The key is configuration and survives Crash; the window is
-// soft state and dies with it.
-type authState struct {
-	auth   *Authenticator
-	window replayWindow
 }
 
 // HomeAgent is "a machine on the mobile host's home network that acts as a
@@ -93,10 +80,9 @@ type HomeAgent struct {
 	// hosts subscribed through this agent (Section 6.4 relay mode).
 	relayGroups map[ipv4.Addr][]ipv4.Addr
 
-	// auth holds the provisioned security associations, keyed by home
-	// address. The map is never iterated on a hot path; registration
-	// processing only does point lookups.
-	auth map[ipv4.Addr]*authState
+	// keys holds the provisioned security associations, keyed by home
+	// address. Keys survive Crash; their replay windows do not.
+	keys Keys
 
 	// crashed marks the agent as dead: all handlers drop their input
 	// until Restart. Fault schedules use Crash/Restart to model agent
@@ -116,10 +102,6 @@ type HomeAgent struct {
 	OnForward func(correspondent, home ipv4.Addr)
 
 	Stats HomeAgentStats
-
-	// reg is the Sim's registry: the agent counts drops into it and
-	// reports its Stats to it as a metrics.Source.
-	reg *metrics.Registry
 }
 
 // NewHomeAgent starts a home agent on host, using iface as the
@@ -141,8 +123,8 @@ func NewHomeAgent(host *stack.Host, iface *stack.Iface, cfg HomeAgentConfig) (*H
 		iface:    iface,
 		cfg:      cfg,
 		bindings: newBindingTable(),
-		wheel:    newExpiryWheel(cfg.ExpiryGranularity),
-		reg:      reg,
+		wheel:    newExpiryWheel(),
+		keys:     NewKeys(reg, cfg.RequireAuth),
 	}
 	ha.fireExpiry = ha.sweepExpiries
 	reg.AddSource(ha)
@@ -208,10 +190,7 @@ func (ha *HomeAgent) Crash() {
 	// Keys are configuration and survive; replay windows are soft state
 	// and die with the crash (Restart's documented amnesty for in-flight
 	// identifications).
-	//mob4x4vet:allow mapiter per-key window resets touch disjoint state; order cannot leak
-	for _, st := range ha.auth {
-		st.window = replayWindow{}
-	}
+	ha.keys.ForgetWindows()
 	if tr := ha.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventNote, Time: ha.host.Sim().Now(), Where: ha.host.Name(),
@@ -242,17 +221,9 @@ func (ha *HomeAgent) Restart() {
 // Crashed reports whether the agent is currently down.
 func (ha *HomeAgent) Crashed() bool { return ha.crashed }
 
-// ProvisionKey installs the mobility security association for a home
-// address: registrations for it must from now on carry a valid
-// authenticator under (spi, key), and replies to it are authenticated
-// with the same association. Provisioning is configuration, done at
-// build time; it survives Crash (the replay window does not).
-func (ha *HomeAgent) ProvisionKey(home ipv4.Addr, spi uint32, key []byte) {
-	if ha.auth == nil {
-		ha.auth = make(map[ipv4.Addr]*authState)
-	}
-	ha.auth[home] = &authState{auth: NewAuthenticator(spi, key)}
-}
+// Keys returns the agent's security associations; provisioning a home
+// makes authentication mandatory for it.
+func (ha *HomeAgent) Keys() *Keys { return &ha.keys }
 
 // handleRegistration serves UDP 434.
 func (ha *HomeAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, payload []byte) {
@@ -271,32 +242,41 @@ func (ha *HomeAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ipv4.
 		HomeAgent: ha.Addr(),
 		ID:        req.ID,
 	}
-	st := ha.auth[req.Home]
 	switch {
-	case req.HomeAgent != ha.Addr():
+	case req.HomeAgent != ha.Addr(), !ha.iface.Prefix().Contains(req.Home):
+		// We can only proxy for hosts that actually live on our home
+		// network segment. A misaddressed request never reaches the
+		// keys: it neither advances a window nor counts a drop.
 		reply.Code = CodeDeniedNotHomeAgent
-	case !ha.iface.Prefix().Contains(req.Home):
-		// We can only proxy for hosts that actually live on our
-		// home network segment.
-		reply.Code = CodeDeniedNotHomeAgent
-	case st != nil || ha.cfg.RequireAuth:
-		// Authenticated path: the MAC must verify and the
-		// identification must clear the replay window before the
-		// request is considered at all.
-		if code := ha.checkAuth(st, payload, hasAuth, req.ID); code != CodeAccepted {
-			reply.Code = code
-			break
-		}
-		ha.admit(&req, &reply)
-	case ha.isStale(&req):
-		// Legacy replay protection for unprovisioned homes: the
-		// identification must advance with every request for the
-		// binding ([Per96a] uses timestamps or nonces; the
-		// simulation's mobile nodes use virtual-time stamps).
-		reply.Code = CodeDeniedStaleID
-		ha.Stats.StaleRequests++
 	default:
-		ha.admit(&req, &reply)
+		// The MAC must verify and the identification must clear the
+		// replay window before the request is considered at all.
+		v := ha.keys.Check(req.Home, payload, hasAuth, req.ID)
+		reply.Code = v.Code()
+		switch v {
+		case Verified:
+			ha.admit(&req, &reply)
+		case Unsigned:
+			// Legacy replay protection for unprovisioned homes: the
+			// identification must advance with every request for the
+			// binding ([Per96a] uses timestamps or nonces; the
+			// simulation's mobile nodes use virtual-time stamps).
+			if ha.isStale(&req) {
+				reply.Code = CodeDeniedStaleID
+				ha.Stats.StaleRequests++
+			} else {
+				ha.admit(&req, &reply)
+			}
+		case Replay:
+			ha.Stats.AuthReplays++
+		case Stale:
+			ha.Stats.AuthStale++
+		case Unknown:
+			ha.host.Sim().Metrics.Drop(metrics.DropAuthBadMAC)
+			fallthrough
+		case BadMAC:
+			ha.Stats.AuthBadMAC++
+		}
 	}
 	// Marshal into a pooled buffer: SendToFrom copies the payload into
 	// the datagram it builds before returning, so the buffer is recycled
@@ -305,40 +285,10 @@ func (ha *HomeAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ipv4.
 	// authenticator, so a rogue relay cannot tamper with the granted
 	// lifetime (or forge a denial) unnoticed.
 	buf := netsim.GetBuf()
-	rb := reply.AppendMarshal(buf.B)
-	if st != nil {
-		rb = st.auth.AppendAuth(rb)
-	}
-	if err := ha.sock.SendToFrom(ha.Addr(), src, srcPort, rb); err != nil {
-		// Reply undeliverable; the mobile host will retransmit.
-		_ = err
-	}
+	rb := ha.keys.Signer(req.Home).AppendAuth(reply.AppendMarshal(buf.B))
+	// An undeliverable reply is not an error: the mobile host retransmits.
+	_ = ha.sock.SendToFrom(ha.Addr(), src, srcPort, rb)
 	netsim.PutBuf(buf)
-}
-
-// checkAuth validates the authenticator and identification of a
-// registration on the authenticated path, counting every rejection in
-// both the agent stats and the unified drop-cause taxonomy. The replay
-// window only advances after the MAC verifies — advancing it on a
-// forgery would let an attacker burn identifications the real node
-// still needs.
-func (ha *HomeAgent) checkAuth(st *authState, payload []byte, hasAuth bool, id uint64) uint8 {
-	if st == nil || !hasAuth || !st.auth.Verify(payload) {
-		ha.Stats.AuthBadMAC++
-		ha.reg.Drop(metrics.DropAuthBadMAC)
-		return CodeDeniedAuthFailed
-	}
-	switch st.window.check(id) {
-	case replayDuplicate:
-		ha.Stats.AuthReplays++
-		ha.reg.Drop(metrics.DropAuthReplay)
-		return CodeDeniedReplay
-	case replayStale:
-		ha.Stats.AuthStale++
-		ha.reg.Drop(metrics.DropAuthStaleID)
-		return CodeDeniedStaleID
-	}
-	return CodeAccepted
 }
 
 // admit is the tail every accepted-so-far request goes through:
@@ -384,7 +334,6 @@ func (ha *HomeAgent) register(req *Request) {
 		b.gen++
 	}
 	b.careOf = req.CareOf
-	b.flags = req.Flags
 	b.lastID = req.ID
 	if b.noticed == nil {
 		b.noticed = make(map[ipv4.Addr]bool)
@@ -519,11 +468,6 @@ func (ha *HomeAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 			// Tunnel source does not match the registered care-of
 			// address; treat as stale or forged and drop.
 			return
-		}
-		if b.flags&FlagReverseTunnel == 0 {
-			// The binding did not ask for reverse tunneling; accept
-			// anyway (the paper's agents are permissive about their own
-			// hosts) but count it separately would be noise — relay.
 		}
 	}
 	ha.Stats.ReverseRelayed++

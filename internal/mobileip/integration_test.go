@@ -115,7 +115,7 @@ func buildWorld(t testing.TB, opts worldOpts) *world {
 
 	var auth *mobileip.Authenticator
 	if opts.auth {
-		w.ha.ProvisionKey(w.mhIfc.Addr(), testSPI, testKey)
+		w.ha.Keys().Provision(w.mhIfc.Addr(), testSPI, testKey)
 		auth = mobileip.NewAuthenticator(testSPI, testKey)
 	}
 

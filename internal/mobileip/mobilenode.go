@@ -1,7 +1,6 @@
 package mobileip
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 
@@ -75,7 +74,7 @@ type MobileNodeConfig struct {
 	// back — a reply that fails verification (a rogue relay tampering
 	// with the lifetime, or an outright forgery) is dropped and counted
 	// under auth_bad_mac. The same (SPI, key) pair must be provisioned
-	// at the home agent (HomeAgent.ProvisionKey).
+	// at the home agent (HomeAgent.Keys).
 	Auth *Authenticator
 }
 
@@ -122,7 +121,7 @@ type MobileNode struct {
 	// optimizations": outgoing traffic is Out-DH only.
 	viaFA bool
 
-	regID      uint64
+	ids        IDClock // registration identifications
 	regTimer   *vtime.Timer
 	renewTimer *vtime.Timer
 	probeTimer *vtime.Timer
@@ -551,21 +550,6 @@ func (mn *MobileNode) startExchange() {
 	mn.armRegRetry()
 }
 
-// nextRegID returns a fresh identification for an outgoing request: the
-// current virtual time in nanoseconds, forced strictly monotone per node
-// ([Per96a]'s timestamp-style identification). Monotonicity is what the
-// agent-side replay window orders by; the vtime base means the IDs of a
-// replayed old message fall behind the window (auth_stale_id) rather
-// than merely colliding with it.
-func (mn *MobileNode) nextRegID() uint64 {
-	id := uint64(mn.host.Sim().Now())
-	if id <= mn.regID {
-		id = mn.regID + 1
-	}
-	mn.regID = id
-	return id
-}
-
 func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
 	var flags uint8
 	if mn.cfg.ReverseTunnelFlag {
@@ -577,7 +561,7 @@ func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
 		Home:      mn.cfg.Home,
 		HomeAgent: mn.cfg.HomeAgent,
 		CareOf:    careOf,
-		ID:        mn.nextRegID(),
+		ID:        mn.ids.Next(mn.host.Sim().Now()),
 	}
 	if mn.viaFA {
 		req.Flags |= FlagViaForeignAgent
@@ -587,10 +571,7 @@ func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
 	// The authenticator is computed into the same pooled buffer with the
 	// association's preallocated HMAC state — still zero allocations.
 	buf := netsim.GetBuf()
-	rb := req.AppendMarshal(buf.B)
-	if mn.cfg.Auth != nil {
-		rb = mn.cfg.Auth.AppendAuth(rb)
-	}
+	rb := mn.cfg.Auth.AppendAuth(req.AppendMarshal(buf.B))
 	if mn.viaFA {
 		// Via a foreign agent: the request goes to the agent (one
 		// link-layer hop) from the home address; the agent substitutes
@@ -690,14 +671,14 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	if !ok {
 		return
 	}
-	if mn.cfg.Auth != nil && (!hasAuth || !mn.cfg.Auth.Verify(payload)) {
+	if !mn.cfg.Auth.Accepts(payload, hasAuth) {
 		// Under a security association every reply must authenticate:
 		// this is what catches a rogue relay re-writing lifetimes (the
 		// MAC covers them) or forging denials.
 		mn.reg.Drop(metrics.DropAuthBadMAC)
 		return
 	}
-	if rep.ID != mn.regID || rep.Home != mn.cfg.Home {
+	if rep.ID != mn.ids.Last() || rep.Home != mn.cfg.Home {
 		return
 	}
 	if !mn.awaitingReply {
@@ -815,18 +796,6 @@ func (mn *MobileNode) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	_ = mn.host.Resubmit(inner)
 }
 
-// transportDstPort extracts the destination port from a UDP or TCP
-// payload (both carry it at offset 2).
-func transportDstPort(pkt *ipv4.Packet) (uint16, bool) {
-	if pkt.Protocol != ipv4.ProtoUDP && pkt.Protocol != ipv4.ProtoTCP {
-		return 0, false
-	}
-	if len(pkt.Payload) < 4 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(pkt.Payload[2:4]), true
-}
-
 // countIn files one arrival under its In mode: size is the delivered
 // packet's length, wire the length of what crossed the network.
 func (mn *MobileNode) countIn(mode core.InMode, size, wire int) {
@@ -888,7 +857,7 @@ func (mn *MobileNode) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
 	if pkt.Src == mn.cfg.Home {
 		pref = core.PreferHome
 	}
-	dstPort, _ := transportDstPort(pkt)
+	dstPort, _ := pkt.TransportDstPort()
 
 	_, ruleForced := mn.cfg.Selector.ForcedMode(pkt.Dst)
 	var mode core.OutMode

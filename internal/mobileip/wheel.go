@@ -7,14 +7,14 @@ import (
 	"mob4x4/internal/vtime"
 )
 
-// defaultExpiryGranularity is the coarseness of binding-expiry rounding:
+// expiryGranularity is the coarseness of binding-expiry rounding:
 // a binding expires at most this much later than its exact lifetime.
 // Soft-state lifetimes are tens of seconds and mobile nodes renew at 80%
 // of the lifetime, so sub-second expiry precision buys nothing — but one
 // scheduler timer per binding costs a heap entry and a closure each, and
 // at fleet scale (thousands of bindings renewing every lifetime) the old
 // Stop-then-After per renewal churned the 4-ary heap for no benefit.
-const defaultExpiryGranularity = vtime.Duration(1e9) // 1s
+const expiryGranularity = int64(1e9) // 1s
 
 // wheelEntry defers the expiry of one binding generation. Entries are
 // never removed early: renewal advances the binding's gen, and the stale
@@ -36,7 +36,6 @@ type wheelEntry struct {
 // staleness is a pure function of the binding table — no map-iteration
 // order leaks into behavior.
 type expiryWheel struct {
-	gran  vtime.Duration
 	slots map[int64][]wheelEntry
 	// spare recycles fired slot buckets so steady-state renewals do not
 	// allocate a fresh bucket per slot.
@@ -47,22 +46,15 @@ type expiryWheel struct {
 
 const armedNone = int64(-1)
 
-func newExpiryWheel(gran vtime.Duration) *expiryWheel {
-	if gran <= 0 {
-		gran = defaultExpiryGranularity
-	}
-	return &expiryWheel{
-		gran:  gran,
-		slots: make(map[int64][]wheelEntry),
-		armed: armedNone,
-	}
+func newExpiryWheel() *expiryWheel {
+	return &expiryWheel{slots: make(map[int64][]wheelEntry), armed: armedNone}
 }
 
 // slotOf rounds an instant up to its slot: the slot boundary is the
 // first instant at or after t, so entries always fire at or after their
 // exact expiry (never early).
 func (w *expiryWheel) slotOf(t vtime.Time) int64 {
-	return (int64(t) + int64(w.gran) - 1) / int64(w.gran)
+	return (int64(t) + expiryGranularity - 1) / expiryGranularity
 }
 
 // schedule files an expiry for (home, gen) at instant at. fire is the
@@ -84,7 +76,7 @@ func (w *expiryWheel) schedule(sched *vtime.Scheduler, at vtime.Time, home ipv4.
 // arm points the single timer at slot's boundary instant.
 func (w *expiryWheel) arm(sched *vtime.Scheduler, slot int64, fire func()) {
 	w.armed = slot
-	d := vtime.Time(slot * int64(w.gran)).Sub(sched.Now())
+	d := vtime.Time(slot * expiryGranularity).Sub(sched.Now())
 	if w.timer == nil {
 		w.timer = sched.After(d, fire)
 		return

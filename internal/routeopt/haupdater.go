@@ -6,18 +6,7 @@ import (
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/mobileip"
 	"mob4x4/internal/stack"
-	"mob4x4/internal/vtime"
 )
-
-// HAUpdaterConfig tunes the HA-push binding updater.
-type HAUpdaterConfig struct {
-	// Lifetime, RetryInterval, MaxRetries, MaxPeers: as UpdaterConfig,
-	// applied per provisioned home.
-	Lifetime      uint16
-	RetryInterval vtime.Duration
-	MaxRetries    int
-	MaxPeers      int
-}
 
 // HAUpdater is the configurable home-agent-push alternative to Updater:
 // the agent learns each binding's active correspondents from the
@@ -28,8 +17,6 @@ type HAUpdaterConfig struct {
 // default and this one is the configuration knob.
 type HAUpdater struct {
 	ha   *mobileip.HomeAgent
-	cfg  HAUpdaterConfig
-	pc   pushConfig
 	sock *stack.UDPSocket
 
 	// pushers holds one engine per provisioned home. Point lookups
@@ -42,19 +29,10 @@ type HAUpdater struct {
 }
 
 // NewHAUpdater installs the updater on ha's host, chaining onto the
-// agent's OnForward and OnBind hooks.
-func NewHAUpdater(ha *mobileip.HomeAgent, cfg HAUpdaterConfig) (*HAUpdater, error) {
-	pc := pushConfig{
-		lifetime:   cfg.Lifetime,
-		retry:      cfg.RetryInterval,
-		maxRetries: cfg.MaxRetries,
-		maxPeers:   cfg.MaxPeers,
-	}
-	pc.fillDefaults()
-	h := &HAUpdater{
-		ha: ha, cfg: cfg, pc: pc,
-		pushers: make(map[ipv4.Addr]*pusher),
-	}
+// agent's OnForward and OnBind hooks. Its timing is the MN-push
+// updater's, applied per provisioned home.
+func NewHAUpdater(ha *mobileip.HomeAgent) (*HAUpdater, error) {
+	h := &HAUpdater{ha: ha, pushers: make(map[ipv4.Addr]*pusher)}
 	ha.Host().Sim().Metrics.AddSource(&h.Stats)
 	sock, err := ha.Host().OpenUDP(ipv4.Zero, 0, h.handleAck)
 	if err != nil {
@@ -84,7 +62,7 @@ func NewHAUpdater(ha *mobileip.HomeAgent, cfg HAUpdaterConfig) (*HAUpdater, erro
 // same association the agent verifies that home's registrations with)
 // signs its updates; nil pushes unauthenticated.
 func (h *HAUpdater) ProvisionHome(home ipv4.Addr, auth *mobileip.Authenticator) {
-	p := newPusher(h.ha.Host(), h.sock, home, auth, h.pc, &h.Stats, h.ha.Addr)
+	p := newPusher(h.ha.Host(), h.sock, home, auth, &h.Stats, h.ha.Addr)
 	h.pushers[home] = p
 	h.pusherList = append(h.pusherList, p)
 }
@@ -97,7 +75,7 @@ func (h *HAUpdater) onBind(home, careOf ipv4.Addr) {
 	if p == nil || p.careOf == careOf {
 		return
 	}
-	p.push(careOf, h.pc.lifetime)
+	p.push(careOf)
 }
 
 // handleAck serves the updater's ephemeral UDP port, routing each ack

@@ -12,20 +12,24 @@ import (
 	"mob4x4/internal/vtime"
 )
 
-// LocalRegistrarConfig tunes the mobile node's regional registration
-// client.
+// Regional registration timing.
+const (
+	// regionalLifetime is the regional registration lifetime requested
+	// (seconds).
+	regionalLifetime = 60
+	// regionalRetry is the retransmission interval; regionalMaxRetries
+	// bounds attempts per exchange.
+	regionalRetry      = vtime.Duration(500e6) // 500ms
+	regionalMaxRetries = 4
+)
+
+// LocalRegistrarConfig configures the mobile node's regional
+// registration client.
 type LocalRegistrarConfig struct {
 	// Regional is the gateway agent's address.
 	Regional ipv4.Addr
-	// Lifetime is the regional registration lifetime requested
-	// (seconds, default 60).
-	Lifetime uint16
-	// RetryInterval is the retransmission interval (default 500ms);
-	// MaxRetries bounds attempts per exchange (default 4).
-	RetryInterval vtime.Duration
-	MaxRetries    int
 	// Auth, when non-nil, signs regional registrations; the gateway
-	// must hold the same association (RegionalAgent.ProvisionKey).
+	// must hold the same association (RegionalAgent.Keys).
 	Auth *mobileip.Authenticator
 }
 
@@ -50,7 +54,7 @@ type LocalRegistrar struct {
 	timer    *vtime.Timer
 	awaiting bool
 	tries    int
-	lastID   uint64
+	ids      mobileip.IDClock
 	careOf   ipv4.Addr // care-of address the in-flight exchange registers
 
 	// OnAccepted, when non-nil, fires on every accepted regional
@@ -63,15 +67,6 @@ type LocalRegistrar struct {
 // NewLocalRegistrar installs the regional registration client on mn's
 // host.
 func NewLocalRegistrar(mn *mobileip.MobileNode, cfg LocalRegistrarConfig) (*LocalRegistrar, error) {
-	if cfg.Lifetime == 0 {
-		cfg.Lifetime = 60
-	}
-	if cfg.RetryInterval == 0 {
-		cfg.RetryInterval = vtime.Duration(500e6)
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 4
-	}
 	lr := &LocalRegistrar{mn: mn, cfg: cfg}
 	mn.Host().Sim().Metrics.AddSource(lr)
 	sock, err := mn.Host().OpenUDP(ipv4.Zero, 0, lr.handleReply)
@@ -108,7 +103,7 @@ func (lr *LocalRegistrar) Deregister() {
 	lr.sendLifetime(0)
 }
 
-func (lr *LocalRegistrar) send() { lr.sendLifetime(lr.cfg.Lifetime) }
+func (lr *LocalRegistrar) send() { lr.sendLifetime(regionalLifetime) }
 
 // sendLifetime transmits one regional registration request. Pooled
 // buffer, preallocated HMAC state: zero allocations per send.
@@ -118,32 +113,19 @@ func (lr *LocalRegistrar) sendLifetime(lifetime uint16) {
 		Home:      lr.mn.Home(),
 		HomeAgent: lr.cfg.Regional,
 		CareOf:    lr.careOf,
-		ID:        lr.nextID(),
+		ID:        lr.ids.Next(lr.mn.Host().Sim().Now()),
 	}
 	buf := netsim.GetBuf()
-	b := req.AppendMarshal(buf.B)
-	if lr.cfg.Auth != nil {
-		b = lr.cfg.Auth.AppendAuth(b)
-	}
+	b := lr.cfg.Auth.AppendAuth(req.AppendMarshal(buf.B))
 	_ = lr.sock.SendToFrom(lr.mn.CareOf(), lr.cfg.Regional, udp.PortRegistration, b)
 	netsim.PutBuf(buf)
 }
 
-// nextID mirrors the node's vtime-monotone identification scheme.
-func (lr *LocalRegistrar) nextID() uint64 {
-	id := uint64(lr.mn.Host().Sim().Now())
-	if id <= lr.lastID {
-		id = lr.lastID + 1
-	}
-	lr.lastID = id
-	return id
-}
-
 func (lr *LocalRegistrar) arm() {
 	if lr.timer == nil {
-		lr.timer = lr.mn.Host().Sched().After(lr.cfg.RetryInterval, lr.onRetry)
+		lr.timer = lr.mn.Host().Sched().After(regionalRetry, lr.onRetry)
 	} else {
-		lr.timer.Reset(lr.cfg.RetryInterval)
+		lr.timer.Reset(regionalRetry)
 	}
 }
 
@@ -152,7 +134,7 @@ func (lr *LocalRegistrar) onRetry() {
 		return
 	}
 	lr.tries++
-	if lr.tries >= lr.cfg.MaxRetries {
+	if lr.tries >= regionalMaxRetries {
 		lr.awaiting = false
 		lr.Stats.Fails++
 		if tr := lr.mn.Host().Sim().Trace; tr.On() {
@@ -171,10 +153,10 @@ func (lr *LocalRegistrar) onRetry() {
 // handleReply serves the registrar's ephemeral UDP port.
 func (lr *LocalRegistrar) handleReply(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, payload []byte) {
 	rep, _, hasAuth, ok := mobileip.ParseReply(payload)
-	if !ok || rep.Home != lr.mn.Home() || rep.ID != lr.lastID {
+	if !ok || rep.Home != lr.mn.Home() || rep.ID != lr.ids.Last() {
 		return
 	}
-	if lr.cfg.Auth != nil && (!hasAuth || !lr.cfg.Auth.Verify(payload)) {
+	if !lr.cfg.Auth.Accepts(payload, hasAuth) {
 		lr.mn.Host().Sim().Metrics.Drop(metrics.DropAuthBadMAC)
 		return
 	}

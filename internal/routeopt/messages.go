@@ -42,14 +42,15 @@ const (
 	TypeBindingAck    uint8 = 17
 )
 
-// Binding-acknowledgement codes. Denials reuse the registration
-// protocol's code points so traces and metrics tell one story.
+// Binding-acknowledgement codes. Denials are the registration
+// protocol's code points (the receiver fills them from
+// mobileip.Verdict.Code), so traces and metrics tell one story.
 const (
-	AckAccepted          uint8 = 0
-	AckDeniedAuthFailed  uint8 = 131 // authenticator missing, malformed, or MAC mismatch
-	AckDeniedStaleID     uint8 = 133 // identification behind the replay window
-	AckDeniedReplay      uint8 = 134 // identification already accepted inside the window
-	AckDeniedUnknownHome uint8 = 136 // receiver holds no association for this home
+	AckAccepted                = mobileip.CodeAccepted
+	AckDeniedAuthFailed        = mobileip.CodeDeniedAuthFailed // authenticator missing, malformed, or MAC mismatch
+	AckDeniedStaleID           = mobileip.CodeDeniedStaleID    // identification behind the replay window
+	AckDeniedReplay            = mobileip.CodeDeniedReplay     // identification already accepted inside the window
+	AckDeniedUnknownHome uint8 = 136                           // receiver holds no association for this home
 )
 
 // BindingUpdate tells a correspondent where a mobile host is now.

@@ -33,6 +33,22 @@ func (s *PushStats) Report(a *metrics.Adder) {
 	a.Counter("ro/update_abandons", s.Abandons)
 }
 
+// Push tuning, shared by both updaters.
+const (
+	// pushLifetime is the cache TTL advertised in updates (seconds).
+	// Short by design: an expired entry falls back to In-IE, so the TTL
+	// bounds how long a lost revocation can misroute.
+	pushLifetime = 20
+	// pushRetry is the per-peer retransmission interval; pushMaxRetries
+	// bounds transmissions per push.
+	pushRetry      = vtime.Duration(500e6) // 500ms
+	pushMaxRetries = 3
+	// pushMaxPeers bounds the tracked-correspondent table. Beyond it the
+	// least-recently-active peer is evicted — it keeps its cached
+	// binding until TTL expiry and then degrades to In-IE.
+	pushMaxPeers = 8
+)
+
 // pushSlot is one tracked correspondent. Slots live in a fixed-size
 // linear table: the peer set of one mobile host is small (the paper's
 // conversations are few), a scan beats a map on the per-packet tracking
@@ -57,8 +73,7 @@ type pusher struct {
 	host  *stack.Host
 	sock  *stack.UDPSocket
 	home  ipv4.Addr
-	auth  *mobileip.Authenticator
-	cfg   pushConfig
+	auth  *mobileip.Authenticator // nil: unsigned updates
 	stats *PushStats
 
 	// srcAddr yields the source address for outgoing updates at send
@@ -66,40 +81,18 @@ type pusher struct {
 	srcAddr func() ipv4.Addr
 
 	careOf ipv4.Addr // last pushed care-of address
-	lastID uint64
-	slots  []pushSlot
-}
-
-// pushConfig is the tuning shared by both wrappers.
-type pushConfig struct {
-	lifetime   uint16
-	retry      vtime.Duration
-	maxRetries int
-	maxPeers   int
-}
-
-func (c *pushConfig) fillDefaults() {
-	if c.lifetime == 0 {
-		c.lifetime = 20
-	}
-	if c.retry == 0 {
-		c.retry = vtime.Duration(500e6) // 500ms
-	}
-	if c.maxRetries == 0 {
-		c.maxRetries = 3
-	}
-	if c.maxPeers == 0 {
-		c.maxPeers = 8
-	}
+	// ids issues update identifications in the registration scheme, so
+	// receiver-side replay windows order by them.
+	ids   mobileip.IDClock
+	slots []pushSlot
 }
 
 func newPusher(host *stack.Host, sock *stack.UDPSocket, home ipv4.Addr,
-	auth *mobileip.Authenticator, cfg pushConfig, stats *PushStats,
-	srcAddr func() ipv4.Addr) *pusher {
+	auth *mobileip.Authenticator, stats *PushStats, srcAddr func() ipv4.Addr) *pusher {
 	return &pusher{
-		host: host, sock: sock, home: home, auth: auth, cfg: cfg,
+		host: host, sock: sock, home: home, auth: auth,
 		stats: stats, srcAddr: srcAddr,
-		slots: make([]pushSlot, 0, cfg.maxPeers),
+		slots: make([]pushSlot, 0, pushMaxPeers),
 	}
 }
 
@@ -141,26 +134,13 @@ func (p *pusher) notePeer(peer ipv4.Addr) {
 }
 
 // push tells every tracked correspondent the new care-of address.
-func (p *pusher) push(careOf ipv4.Addr, lifetime uint16) {
+func (p *pusher) push(careOf ipv4.Addr) {
 	p.careOf = careOf
 	for i := range p.slots {
-		if !p.slots[i].active {
-			continue
+		if p.slots[i].active {
+			p.sendUpdate(i, pushLifetime, false)
 		}
-		p.sendUpdate(i, lifetime, false)
 	}
-}
-
-// nextID returns a fresh vtime-monotone identification (the same scheme
-// as registration requests, so receiver-side replay windows order by
-// it).
-func (p *pusher) nextID() uint64 {
-	id := uint64(p.host.Sim().Now())
-	if id <= p.lastID {
-		id = p.lastID + 1
-	}
-	p.lastID = id
-	return id
 }
 
 // sendUpdate transmits one binding update to slot i and arms its
@@ -173,13 +153,10 @@ func (p *pusher) sendUpdate(i int, lifetime uint16, retransmit bool) {
 		Lifetime: lifetime,
 		Home:     p.home,
 		CareOf:   p.careOf,
-		ID:       p.nextID(),
+		ID:       p.ids.Next(p.host.Sim().Now()),
 	}
 	buf := netsim.GetBuf()
-	b := u.AppendMarshal(buf.B)
-	if p.auth != nil {
-		b = p.auth.AppendAuth(b)
-	}
+	b := p.auth.AppendAuth(u.AppendMarshal(buf.B))
 	_ = p.sock.SendToFrom(p.srcAddr(), s.peer, udp.PortBindingUpdate, b)
 	netsim.PutBuf(buf)
 	s.awaiting = true
@@ -199,9 +176,9 @@ func (p *pusher) sendUpdate(i int, lifetime uint16, retransmit bool) {
 func (p *pusher) armRetry(i int) {
 	s := &p.slots[i]
 	if s.timer == nil {
-		s.timer = p.host.Sched().After(p.cfg.retry, func() { p.onRetry(i) })
+		s.timer = p.host.Sched().After(pushRetry, func() { p.onRetry(i) })
 	} else {
-		s.timer.Reset(p.cfg.retry)
+		s.timer.Reset(pushRetry)
 	}
 }
 
@@ -216,7 +193,7 @@ func (p *pusher) onRetry(i int) {
 		return
 	}
 	s.tries++
-	if s.tries >= p.cfg.maxRetries {
+	if s.tries >= pushMaxRetries {
 		s.awaiting = false
 		p.stats.Abandons++
 		if tr := p.host.Sim().Trace; tr.On() {
@@ -227,14 +204,14 @@ func (p *pusher) onRetry(i int) {
 		}
 		return
 	}
-	p.sendUpdate(i, p.cfg.lifetime, true)
+	p.sendUpdate(i, pushLifetime, true)
 }
 
 // handleAck processes one acknowledgement for this pusher's home. The
 // caller has already parsed the datagram; payload is the full wire
 // image for MAC verification.
 func (p *pusher) handleAck(src ipv4.Addr, a BindingAck, hasAuth bool, payload []byte) {
-	if p.auth != nil && (!hasAuth || !p.auth.Verify(payload)) {
+	if !p.auth.Accepts(payload, hasAuth) {
 		// Under an association every ack must authenticate: a forged
 		// nack must not stop retransmission toward the real receiver.
 		p.host.Sim().Metrics.Drop(metrics.DropAuthBadMAC)

@@ -19,9 +19,6 @@ type ReceiverConfig struct {
 	// the legacy trust-the-sender behavior — same split as the home
 	// agent's RequireAuth.
 	RequireAuth bool
-	// MaxLifetime caps the cache TTL granted to an update (seconds;
-	// 0 = accept the sender's). The granted value is echoed in the ack.
-	MaxLifetime uint16
 }
 
 // ReceiverStats counts receiver activity.
@@ -33,14 +30,6 @@ type ReceiverStats struct {
 	Malformed   uint64
 }
 
-// recvAssoc is one provisioned mobility association at the receiver:
-// the shared-key authenticator plus a sliding identification window,
-// per home — the same split as the home agent's authState.
-type recvAssoc struct {
-	auth   *mobileip.Authenticator
-	window mobileip.ReplayWindow
-}
-
 // Receiver is the correspondent-side half of pushed binding updates: a
 // UDP endpoint on port 435 that verifies updates, feeds them into the
 // correspondent's binding cache (Correspondent.LearnBinding, whose TTL
@@ -49,13 +38,8 @@ type recvAssoc struct {
 // feed would be pointless.
 type Receiver struct {
 	c    *mobileip.Correspondent
-	host *stack.Host
-	cfg  ReceiverConfig
 	sock *stack.UDPSocket
-
-	// assoc maps home addresses to provisioned associations. Point
-	// lookups only; never iterated.
-	assoc map[ipv4.Addr]*recvAssoc
+	keys mobileip.Keys
 
 	Stats ReceiverStats
 }
@@ -63,8 +47,8 @@ type Receiver struct {
 // NewReceiver installs the binding-update endpoint on c's host.
 func NewReceiver(c *mobileip.Correspondent, cfg ReceiverConfig) (*Receiver, error) {
 	r := &Receiver{
-		c: c, host: c.Host(), cfg: cfg,
-		assoc: make(map[ipv4.Addr]*recvAssoc),
+		c:    c,
+		keys: mobileip.NewKeys(c.Host().Sim().Metrics, cfg.RequireAuth),
 	}
 	c.Host().Sim().Metrics.AddSource(r)
 	sock, err := c.Host().OpenUDP(ipv4.Zero, udp.PortBindingUpdate, r.handleUpdate)
@@ -82,12 +66,9 @@ func (r *Receiver) Report(a *metrics.Adder) {
 	a.Counter("ro/recv_refused", r.Stats.Refused)
 }
 
-// ProvisionKey installs the mobility association for a home address:
-// updates for it must from now on carry a valid authenticator under
-// (spi, key), and this receiver's acks carry one back.
-func (r *Receiver) ProvisionKey(home ipv4.Addr, spi uint32, key []byte) {
-	r.assoc[home] = &recvAssoc{auth: mobileip.NewAuthenticator(spi, key)}
-}
+// Keys returns the receiver's security associations: updates for a
+// provisioned home must be signed under it, and acks carry one back.
+func (r *Receiver) Keys() *mobileip.Keys { return &r.keys }
 
 // Close releases the receiver's socket (fleet cleanup). The
 // correspondent's cached bindings stay — their TTLs expire lazily.
@@ -101,33 +82,14 @@ func (r *Receiver) handleUpdate(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, pa
 		return
 	}
 	r.Stats.Updates++
-	st := r.assoc[u.Home]
-	ack := BindingAck{Code: AckAccepted, Lifetime: u.Lifetime, Home: u.Home, ID: u.ID}
-	switch {
-	case st == nil && r.cfg.RequireAuth:
+	// The home agent's rule and drop causes: MAC first, then the
+	// window. An unknown home alone is refused without a drop.
+	v := r.keys.Check(u.Home, payload, hasAuth, u.ID)
+	ack := BindingAck{Code: v.Code(), Lifetime: u.Lifetime, Home: u.Home, ID: u.ID}
+	if v == mobileip.Unknown {
 		ack.Code = AckDeniedUnknownHome
-	case st != nil:
-		// Authenticated path: MAC first, then the replay window — the
-		// same ordering (and drop-cause taxonomy) as the home agent's
-		// registration path.
-		if !hasAuth || !st.auth.Verify(payload) {
-			r.host.Sim().Metrics.Drop(metrics.DropAuthBadMAC)
-			ack.Code = AckDeniedAuthFailed
-			break
-		}
-		switch st.window.Check(u.ID) {
-		case mobileip.ReplayDuplicate:
-			r.host.Sim().Metrics.Drop(metrics.DropAuthReplay)
-			ack.Code = AckDeniedReplay
-		case mobileip.ReplayStale:
-			r.host.Sim().Metrics.Drop(metrics.DropAuthStaleID)
-			ack.Code = AckDeniedStaleID
-		}
 	}
 	if ack.Code == AckAccepted {
-		if r.cfg.MaxLifetime > 0 && ack.Lifetime > r.cfg.MaxLifetime {
-			ack.Lifetime = r.cfg.MaxLifetime
-		}
 		r.accept(&u, ack.Lifetime)
 	} else {
 		r.Stats.Refused++
@@ -136,10 +98,7 @@ func (r *Receiver) handleUpdate(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, pa
 	// Acks under an association are signed — a forged nack must not be
 	// able to stop the updater's retransmissions.
 	buf := netsim.GetBuf()
-	b := ack.AppendMarshal(buf.B)
-	if st != nil {
-		b = st.auth.AppendAuth(b)
-	}
+	b := r.keys.Signer(u.Home).AppendAuth(ack.AppendMarshal(buf.B))
 	_ = r.sock.SendToFrom(dst, src, srcPort, b)
 	netsim.PutBuf(buf)
 }

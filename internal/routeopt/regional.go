@@ -21,9 +21,6 @@ type RegionalAgentConfig struct {
 	// Codec selects tunnel encapsulation (default IPIP). It must match
 	// what the home agent and the metro's mobile nodes use.
 	Codec encap.Codec
-	// MaxLifetime caps granted regional registration lifetimes
-	// (seconds; 0 = grant what was asked).
-	MaxLifetime uint16
 	// RequireAuth refuses regional registrations for homes with no
 	// provisioned association.
 	RequireAuth bool
@@ -50,12 +47,6 @@ type regBinding struct {
 	expiresAt vtime.Time
 }
 
-// regionalAuth is one provisioned association at the gateway.
-type regionalAuth struct {
-	auth   *mobileip.Authenticator
-	window mobileip.ReplayWindow
-}
-
 // RegionalAgent is the hierarchical tier's gateway foreign agent: it
 // aggregates a metro's per-cell attachment points behind one stable
 // care-of address. The home agent tunnels to the gateway; the gateway
@@ -72,20 +63,16 @@ type RegionalAgent struct {
 	cfg  RegionalAgentConfig
 	sock *stack.UDPSocket
 
-	// table maps home addresses to regional bindings; auth maps them to
+	// table maps home addresses to regional bindings; keys holds their
 	// provisioned associations. Point lookups only; never iterated.
 	table map[ipv4.Addr]*regBinding
-	auth  map[ipv4.Addr]*regionalAuth
+	keys  mobileip.Keys
 
 	// OnRegister, when non-nil, observes every accepted regional
 	// (re-)registration. The fleet's handoff bookkeeping hangs here.
 	OnRegister func(home, careOf ipv4.Addr)
 
 	Stats RegionalAgentStats
-
-	// reg is the Sim's registry: the gateway counts drops into it and
-	// reports its Stats to it as a metrics.Source.
-	reg *metrics.Registry
 }
 
 // NewRegionalAgent starts a gateway agent on host; addr is its stable
@@ -101,8 +88,7 @@ func NewRegionalAgent(host *stack.Host, addr ipv4.Addr, cfg RegionalAgentConfig)
 	g := &RegionalAgent{
 		host: host, addr: addr, cfg: cfg,
 		table: make(map[ipv4.Addr]*regBinding),
-		auth:  make(map[ipv4.Addr]*regionalAuth),
-		reg:   reg,
+		keys:  mobileip.NewKeys(reg, cfg.RequireAuth),
 	}
 	reg.AddSource(g)
 	sock, err := host.OpenUDP(ipv4.Zero, udp.PortRegistration, g.handleRegistration)
@@ -128,11 +114,9 @@ func (g *RegionalAgent) Report(a *metrics.Adder) {
 	a.Counter("gfa/up_relayed", g.Stats.UpRelayed)
 }
 
-// ProvisionKey installs the mobility association for a home address,
-// mirroring the home agent's per-home provisioning.
-func (g *RegionalAgent) ProvisionKey(home ipv4.Addr, spi uint32, key []byte) {
-	g.auth[home] = &regionalAuth{auth: mobileip.NewAuthenticator(spi, key)}
-}
+// Keys returns the gateway's security associations, provisioned per
+// home like the home agent's.
+func (g *RegionalAgent) Keys() *mobileip.Keys { return &g.keys }
 
 // lookup returns home's live regional binding, lazily expiring it.
 func (g *RegionalAgent) lookup(home ipv4.Addr) *regBinding {
@@ -163,21 +147,20 @@ func (g *RegionalAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ip
 		HomeAgent: g.addr,
 		ID:        req.ID,
 	}
-	if g.cfg.MaxLifetime > 0 && reply.Lifetime > g.cfg.MaxLifetime {
-		reply.Lifetime = g.cfg.MaxLifetime
-	}
-	st := g.auth[req.Home]
 	switch {
 	case req.HomeAgent != g.addr:
 		reply.Code = mobileip.CodeDeniedNotHomeAgent
-	case st == nil && g.cfg.RequireAuth:
-		reply.Code = mobileip.CodeDeniedAuthFailed
-		g.reg.Drop(metrics.DropAuthBadMAC)
-	case st != nil:
-		reply.Code = g.checkAuth(st, payload, hasAuth, req.ID)
 	default:
-		if b := g.table[req.Home]; b != nil && req.ID <= b.lastID {
-			reply.Code = mobileip.CodeDeniedStaleID
+		// The home agent's rule: MAC first, then the window.
+		v := g.keys.Check(req.Home, payload, hasAuth, req.ID)
+		reply.Code = v.Code()
+		switch v {
+		case mobileip.Unknown:
+			g.host.Sim().Metrics.Drop(metrics.DropAuthBadMAC)
+		case mobileip.Unsigned:
+			if b := g.table[req.Home]; b != nil && req.ID <= b.lastID {
+				reply.Code = mobileip.CodeDeniedStaleID
+			}
 		}
 	}
 	if reply.Code == mobileip.CodeAccepted {
@@ -186,30 +169,9 @@ func (g *RegionalAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ip
 		g.Stats.Denied++
 	}
 	buf := netsim.GetBuf()
-	rb := reply.AppendMarshal(buf.B)
-	if st != nil {
-		rb = st.auth.AppendAuth(rb)
-	}
+	rb := g.keys.Signer(req.Home).AppendAuth(reply.AppendMarshal(buf.B))
 	_ = g.sock.SendToFrom(g.addr, src, srcPort, rb)
 	netsim.PutBuf(buf)
-}
-
-// checkAuth mirrors the home agent's MAC-then-window ordering and drop
-// taxonomy.
-func (g *RegionalAgent) checkAuth(st *regionalAuth, payload []byte, hasAuth bool, id uint64) uint8 {
-	if !hasAuth || !st.auth.Verify(payload) {
-		g.reg.Drop(metrics.DropAuthBadMAC)
-		return mobileip.CodeDeniedAuthFailed
-	}
-	switch st.window.Check(id) {
-	case mobileip.ReplayDuplicate:
-		g.reg.Drop(metrics.DropAuthReplay)
-		return mobileip.CodeDeniedReplay
-	case mobileip.ReplayStale:
-		g.reg.Drop(metrics.DropAuthStaleID)
-		return mobileip.CodeDeniedStaleID
-	}
-	return mobileip.CodeAccepted
 }
 
 // admit installs, refreshes, or clears a regional binding.

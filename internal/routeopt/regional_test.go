@@ -54,8 +54,7 @@ type metroWorld struct {
 }
 
 type metroOpts struct {
-	requireAuth bool   // regional agent refuses unprovisioned homes
-	maxLifetime uint16 // regional lifetime cap
+	requireAuth bool // regional agent refuses unprovisioned homes
 	lrAuth      *mobileip.Authenticator
 }
 
@@ -99,7 +98,6 @@ func buildMetro(t testing.TB, opts metroOpts) *metroWorld {
 	gfaAddr := w.gfaHost.FirstAddr()
 	w.gfa, err = routeopt.NewRegionalAgent(w.gfaHost, gfaAddr, routeopt.RegionalAgentConfig{
 		HomeAgent:   w.haHost.Ifaces()[0].Addr(),
-		MaxLifetime: opts.maxLifetime,
 		RequireAuth: opts.requireAuth,
 	})
 	if err != nil {
@@ -243,15 +241,15 @@ func TestIntraMetroHandoffSkipsHomeUplink(t *testing.T) {
 }
 
 // TestRegionalBindingExpiresLazily: an unrefreshed regional binding
-// expires at lookup time; tunnels for it then count as NoBinding (the
-// fleet's 60s lifetime + per-handoff refresh keeps this from happening
-// in practice).
+// expires at lookup time, once its fixed 60s lifetime has passed;
+// tunnels for it then count as NoBinding (the per-handoff refresh keeps
+// this from happening in practice).
 func TestRegionalBindingExpiresLazily(t *testing.T) {
-	w := buildMetro(t, metroOpts{maxLifetime: 1})
+	w := buildMetro(t, metroOpts{})
 	careOf := w.cellA.NextAddr()
 	w.mn.MoveTo(w.cellA.Seg, careOf, w.cellA.Prefix, w.cellA.Gateway)
 	w.lr.Register()
-	w.net.RunFor(5e8) // inside the 1s granted lifetime
+	w.net.RunFor(59e9) // inside the 60s granted lifetime
 	if got, ok := w.gfa.CareOf(w.mn.Home()); !ok || got != careOf {
 		t.Fatalf("regional binding = %v,%v; want %s", got, ok, careOf)
 	}
@@ -288,7 +286,7 @@ func TestRegionalAuthRequired(t *testing.T) {
 	// Provisioned and signed: accepted.
 	w2 := buildMetro(t, metroOpts{requireAuth: true,
 		lrAuth: mobileip.NewAuthenticator(testSPI, testKey)})
-	w2.gfa.ProvisionKey(w2.mn.Home(), testSPI, testKey)
+	w2.gfa.Keys().Provision(w2.mn.Home(), testSPI, testKey)
 	got := w2.enterMetro(t)
 	if w2.lr.Stats.Registrations != 1 {
 		t.Errorf("authenticated registration = %d, want 1 (care-of %s)", w2.lr.Stats.Registrations, got)
@@ -361,7 +359,7 @@ func TestLocalRegistrarRetriesAndAbandons(t *testing.T) {
 // are refused under their own codes, a missing MAC as an auth failure.
 func TestRegionalReplayWindow(t *testing.T) {
 	w := buildMetro(t, metroOpts{})
-	w.gfa.ProvisionKey(w.mn.Home(), testSPI, testKey)
+	w.gfa.Keys().Provision(w.mn.Home(), testSPI, testKey)
 	auth := mobileip.NewAuthenticator(testSPI, testKey)
 
 	var codes []uint8

@@ -120,13 +120,13 @@ func buildROWorld(t testing.TB, opts roOpts) *roWorld {
 		t.Fatalf("NewReceiver: %v", err)
 	}
 	if opts.auth {
-		w.recv.ProvisionKey(w.mn.Home(), testSPI, testKey)
+		w.recv.Keys().Provision(w.mn.Home(), testSPI, testKey)
 	}
 
 	switch {
 	case opts.noUpdater:
 	case opts.haPush:
-		w.hup, err = routeopt.NewHAUpdater(w.ha, routeopt.HAUpdaterConfig{})
+		w.hup, err = routeopt.NewHAUpdater(w.ha)
 		if err != nil {
 			t.Fatalf("NewHAUpdater: %v", err)
 		}
@@ -370,7 +370,7 @@ func TestCachedBindingExpiresToInIE(t *testing.T) {
 func TestReceiverReplayWindow(t *testing.T) {
 	w := buildROWorld(t, roOpts{noUpdater: true, requireAuth: true})
 	careOf := w.roam(t)
-	w.recv.ProvisionKey(w.mn.Home(), testSPI, testKey)
+	w.recv.Keys().Provision(w.mn.Home(), testSPI, testKey)
 	auth := mobileip.NewAuthenticator(testSPI, testKey)
 
 	var codes []uint8
@@ -505,7 +505,7 @@ func TestHookChainsPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hup, err := routeopt.NewHAUpdater(w.ha, routeopt.HAUpdaterConfig{})
+	hup, err := routeopt.NewHAUpdater(w.ha)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package routeopt
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"mob4x4/internal/core"
@@ -9,23 +8,11 @@ import (
 	"mob4x4/internal/mobileip"
 	"mob4x4/internal/stack"
 	"mob4x4/internal/udp"
-	"mob4x4/internal/vtime"
 )
 
-// UpdaterConfig tunes the MN-push binding updater.
+// UpdaterConfig configures the MN-push binding updater. Its timing is
+// fixed: see pushLifetime and the other push constants.
 type UpdaterConfig struct {
-	// Lifetime is the cache TTL advertised in updates (seconds, default
-	// 20). Short by design: an expired entry falls back to In-IE, so
-	// the TTL bounds how long a lost revocation can misroute.
-	Lifetime uint16
-	// RetryInterval is the per-peer retransmission interval (default
-	// 500ms); MaxRetries bounds transmissions per push (default 3).
-	RetryInterval vtime.Duration
-	MaxRetries    int
-	// MaxPeers bounds the tracked-correspondent table (default 8).
-	// Beyond it the least-recently-active peer is evicted — it keeps
-	// its cached binding until TTL expiry and then degrades to In-IE.
-	MaxPeers int
 	// Auth, when non-nil, signs every update with the node's mobility
 	// association; receivers provisioned with the same (SPI, key)
 	// verify and ack under it.
@@ -45,7 +32,6 @@ type UpdaterConfig struct {
 // where the HA does see the traffic.
 type Updater struct {
 	mn   *mobileip.MobileNode
-	cfg  UpdaterConfig
 	sock *stack.UDPSocket
 	p    *pusher
 
@@ -55,21 +41,13 @@ type Updater struct {
 // NewUpdater installs the updater on mn's host. It chains onto the
 // node's OnOutPacket hook (preserving any existing observer).
 func NewUpdater(mn *mobileip.MobileNode, cfg UpdaterConfig) (*Updater, error) {
-	pc := pushConfig{
-		lifetime:   cfg.Lifetime,
-		retry:      cfg.RetryInterval,
-		maxRetries: cfg.MaxRetries,
-		maxPeers:   cfg.MaxPeers,
-	}
-	pc.fillDefaults()
-	cfg.Lifetime = pc.lifetime
-	u := &Updater{mn: mn, cfg: cfg}
+	u := &Updater{mn: mn}
 	sock, err := mn.Host().OpenUDP(ipv4.Zero, 0, u.handleAck)
 	if err != nil {
 		return nil, fmt.Errorf("routeopt: updater: %w", err)
 	}
 	u.sock = sock
-	u.p = newPusher(mn.Host(), sock, mn.Home(), cfg.Auth, pc, &u.Stats, mn.CareOf)
+	u.p = newPusher(mn.Host(), sock, mn.Home(), cfg.Auth, &u.Stats, mn.CareOf)
 	mn.Host().Sim().Metrics.AddSource(&u.Stats)
 	prev := mn.OnOutPacket
 	mn.OnOutPacket = func(mode core.OutMode, pkt ipv4.Packet) {
@@ -89,7 +67,7 @@ func (u *Updater) noteOut(pkt *ipv4.Packet) {
 	if dst == u.mn.HomeAgentAddr() || dst.IsMulticast() || dst.IsBroadcast() || dst.IsZero() {
 		return
 	}
-	if port, ok := transportDstPort(pkt); ok &&
+	if port, ok := pkt.TransportDstPort(); ok &&
 		(port == udp.PortRegistration || port == udp.PortBindingUpdate) {
 		return
 	}
@@ -100,7 +78,7 @@ func (u *Updater) noteOut(pkt *ipv4.Packet) {
 // tracked correspondent. Call it after each handoff (the fleet's
 // movement engine does), once the new attachment is live.
 func (u *Updater) PushBinding() {
-	u.p.push(u.mn.CareOf(), u.cfg.Lifetime)
+	u.p.push(u.mn.CareOf())
 }
 
 // PushRevocation clears the pushed bindings (the node went home):
@@ -144,16 +122,4 @@ func (u *Updater) Rehome() {
 func (u *Updater) Close() {
 	u.p.quiesce()
 	u.sock.Close()
-}
-
-// transportDstPort extracts the destination port from a UDP or TCP
-// payload (both carry it at offset 2).
-func transportDstPort(pkt *ipv4.Packet) (uint16, bool) {
-	if pkt.Protocol != ipv4.ProtoUDP && pkt.Protocol != ipv4.ProtoTCP {
-		return 0, false
-	}
-	if len(pkt.Payload) < 4 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(pkt.Payload[2:4]), true
 }
