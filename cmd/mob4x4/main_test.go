@@ -14,7 +14,7 @@ import (
 // before anything runs. -trials -1 used to panic in the fleet fan-out,
 // -trials 0 printed a header-only table and exited 0, -model bogus ran
 // waypoint under the bogus label, and -nodes 0 fell back to the fleet
-// package's own default size.
+// package's own default size, and -cells 500 silently ran 128 cells.
 func TestRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-trials", "-1", "fleet"},
@@ -24,6 +24,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-nodes", "0", "fleet"},
 		{"-nodes", "-5", "adversary"},
 		{"-cells", "0", "fleet"},
+		{"-cells", "129", "fleet"},
 		{"-metrics", "-metrics-json", "fig1"},
 		{"fleet", "-trials", "0"},
 		{"nosuchexperiment"},

@@ -85,10 +85,9 @@ func TestTemporaryUsableUnknownDestination(t *testing.T) {
 
 func TestDecideSkipsDTWhenDemoted(t *testing.T) {
 	s := NewSelector(StartOptimistic)
-	ph := DefaultPortHeuristic()
 
 	// Fresh destination + DNS port: the heuristic elects Out-DT.
-	d := Decide(s, ph, PreferAuto, chAddr, 53)
+	d := Decide(s, PreferAuto, chAddr, 53)
 	if d.Mode != OutDT {
 		t.Fatalf("initial decision = %s, want Out-DT", d.Mode)
 	}
@@ -97,13 +96,13 @@ func TestDecideSkipsDTWhenDemoted(t *testing.T) {
 	s.ReportRetransmission(chAddr)
 	// Same flow decided again: DT is demoted, the heuristic must not
 	// re-elect it.
-	d = Decide(s, ph, PreferAuto, chAddr, 53)
+	d = Decide(s, PreferAuto, chAddr, 53)
 	if d.Mode == OutDT {
 		t.Fatal("Decide re-elected a demoted DT path")
 	}
 	// After a retry probe clears the demotion, DT is available again.
 	s.RetryTemporary(chAddr)
-	d = Decide(s, ph, PreferAuto, chAddr, 53)
+	d = Decide(s, PreferAuto, chAddr, 53)
 	if d.Mode != OutDT {
 		t.Errorf("post-recovery decision = %s, want Out-DT", d.Mode)
 	}

@@ -35,35 +35,19 @@ func (p AddressPreference) String() string {
 	}
 }
 
-// PortHeuristic decides whether traffic to a destination port can safely
-// forgo Mobile IP (Section 7.1.1): "connections to port 80 are likely to
-// be HTTP requests and can safely use Out-DT. Similarly, UDP packets
-// addressed to UDP port 53 are likely to be DNS requests".
-type PortHeuristic struct {
-	// TemporaryOKPorts lists destination ports whose conversations are
-	// short-lived enough to use the temporary address.
-	TemporaryOKPorts map[uint16]bool
-}
-
-// DefaultPortHeuristic returns the paper's examples: HTTP and DNS.
-func DefaultPortHeuristic() *PortHeuristic {
-	return &PortHeuristic{TemporaryOKPorts: map[uint16]bool{
-		80: true, // HTTP: "the user has the option of clicking ... 'reload'"
-		53: true, // DNS: "connectionless datagram transactions"
-	}}
-}
-
-// Allow marks a port as safe for Out-DT.
-func (ph *PortHeuristic) Allow(port uint16) {
-	if ph.TemporaryOKPorts == nil {
-		ph.TemporaryOKPorts = make(map[uint16]bool)
+// TemporaryOK is the port heuristic of Section 7.1.1: it reports whether
+// traffic to dstPort is short-lived enough to forgo Mobile IP and use the
+// temporary address. "Connections to port 80 are likely to be HTTP
+// requests and can safely use Out-DT. Similarly, UDP packets addressed to
+// UDP port 53 are likely to be DNS requests".
+func TemporaryOK(dstPort uint16) bool {
+	switch dstPort {
+	case 80: // HTTP: "the user has the option of clicking ... 'reload'"
+		return true
+	case 53: // DNS: "connectionless datagram transactions"
+		return true
 	}
-	ph.TemporaryOKPorts[port] = true
-}
-
-// TemporaryOK reports whether traffic to dstPort may forgo Mobile IP.
-func (ph *PortHeuristic) TemporaryOK(dstPort uint16) bool {
-	return ph != nil && ph.TemporaryOKPorts[dstPort]
+	return false
 }
 
 // Decision is the full outcome of the mobile host's two-step choice
@@ -82,14 +66,14 @@ type Decision struct {
 //  2. Otherwise the port heuristic may choose the temporary address.
 //  3. Otherwise the home address is used and the Selector's per-
 //     correspondent cache picks among Out-IE/Out-DE/Out-DH (§7.1.2).
-func Decide(sel *Selector, ph *PortHeuristic, pref AddressPreference, dst ipv4.Addr, dstPort uint16) Decision {
+func Decide(sel *Selector, pref AddressPreference, dst ipv4.Addr, dstPort uint16) Decision {
 	switch pref {
 	case PreferTemporary:
 		return Decision{Mode: OutDT, Reason: "socket bound to care-of address"}
 	case PreferHome:
 		return Decision{Mode: sel.ModeFor(dst), Reason: "socket pinned to home address; method cache"}
 	}
-	if ph.TemporaryOK(dstPort) && sel.TemporaryUsable(dst) {
+	if TemporaryOK(dstPort) && sel.TemporaryUsable(dst) {
 		sel.NoteTemporary(dst)
 		return Decision{Mode: OutDT, Reason: "port heuristic: short-lived service"}
 	}

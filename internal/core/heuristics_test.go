@@ -7,67 +7,46 @@ import (
 )
 
 func TestDefaultPortHeuristic(t *testing.T) {
-	ph := DefaultPortHeuristic()
-	if !ph.TemporaryOK(80) {
+	if !TemporaryOK(80) {
 		t.Error("HTTP should be Out-DT-safe (the paper's example)")
 	}
-	if !ph.TemporaryOK(53) {
+	if !TemporaryOK(53) {
 		t.Error("DNS should be Out-DT-safe (the paper's example)")
 	}
-	if ph.TemporaryOK(23) {
-		t.Error("telnet must keep Mobile IP")
-	}
-	ph.Allow(8080)
-	if !ph.TemporaryOK(8080) {
-		t.Error("Allow failed")
-	}
-	var nilPH *PortHeuristic
-	if nilPH.TemporaryOK(80) {
-		t.Error("nil heuristic should deny")
-	}
-	empty := &PortHeuristic{}
-	empty.Allow(443)
-	if !empty.TemporaryOK(443) {
-		t.Error("Allow on zero-value heuristic failed")
+	for _, p := range []uint16{0, 23, 443, 8080} {
+		if TemporaryOK(p) {
+			t.Errorf("port %d must keep Mobile IP", p)
+		}
 	}
 }
 
 func TestDecidePreferences(t *testing.T) {
 	sel := NewSelector(StartPessimistic)
-	ph := DefaultPortHeuristic()
 	dst := ipv4.MustParseAddr("17.5.0.2")
 
 	// §7.1.1: socket bound to the care-of address — Out-DT, always.
-	d := Decide(sel, ph, PreferTemporary, dst, 23)
+	d := Decide(sel, PreferTemporary, dst, 23)
 	if d.Mode != OutDT {
 		t.Errorf("PreferTemporary: %s", d.Mode)
 	}
 	// Socket pinned to the home address: heuristics are bypassed even
 	// for port 80.
-	d = Decide(sel, ph, PreferHome, dst, 80)
+	d = Decide(sel, PreferHome, dst, 80)
 	if d.Mode == OutDT {
 		t.Errorf("PreferHome overridden by heuristic: %s", d.Mode)
 	}
 	// Unbound socket + HTTP: the port heuristic chooses Out-DT.
-	d = Decide(sel, ph, PreferAuto, dst, 80)
+	d = Decide(sel, PreferAuto, dst, 80)
 	if d.Mode != OutDT {
 		t.Errorf("port-80 heuristic: %s", d.Mode)
 	}
 	// Unbound + long-lived port: the method cache answers.
-	d = Decide(sel, ph, PreferAuto, dst, 23)
+	d = Decide(sel, PreferAuto, dst, 23)
 	if d.Mode != OutIE { // pessimistic selector
 		t.Errorf("auto long-lived: %s", d.Mode)
 	}
 	if d.Reason == "" {
 		t.Error("decision lacks a reason")
-	}
-}
-
-func TestDecideNilHeuristic(t *testing.T) {
-	sel := NewSelector(StartOptimistic)
-	d := Decide(sel, nil, PreferAuto, ipv4.MustParseAddr("17.5.0.2"), 80)
-	if d.Mode != OutDH {
-		t.Errorf("nil heuristic: %s", d.Mode)
 	}
 }
 

@@ -3,6 +3,7 @@ package dnssim
 import (
 	"testing"
 
+	"mob4x4/internal/faults"
 	"mob4x4/internal/inet"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/netsim"
@@ -13,7 +14,10 @@ func dnsWorld(t testing.TB, loss float64) (*inet.Network, *Server, *Resolver) {
 	t.Helper()
 	n := inet.New(3)
 	a := n.AddLAN("a", "10.1.0.0/24", netsim.SegmentOpts{Latency: 1e6})
-	b := n.AddLAN("b", "10.2.0.0/24", netsim.SegmentOpts{Latency: 1e6, LossRate: loss})
+	b := n.AddLAN("b", "10.2.0.0/24", netsim.SegmentOpts{Latency: 1e6})
+	if loss > 0 {
+		faults.ImpairLink(n.Sim, b.Seg, faults.LinkFaultOpts{GoodLoss: loss})
+	}
 	r := n.AddRouter("r")
 	n.AttachRouter(r, a)
 	n.AttachRouter(r, b)

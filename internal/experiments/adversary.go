@@ -39,7 +39,7 @@ type AdversaryResult struct {
 
 // RunAdversary runs one E15 trial: the attacked fleet and its clean
 // twin. The result is a pure function of (seed, spec); the adversarial
-// schedule rides on fleet.AttackOptions defaults.
+// plan is the fleet package's fixed attack constants.
 func RunAdversary(seed int64, spec FleetSpec) AdversaryResult {
 	base := spec.options(seed)
 	base.Auth = true

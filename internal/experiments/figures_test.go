@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"mob4x4/internal/core"
@@ -116,6 +117,33 @@ func TestGridMatchesPaperClassification(t *testing.T) {
 	}
 	if counts[core.Useful] != 7 || counts[core.ValidUnlikely] != 3 || counts[core.Broken] != 6 {
 		t.Errorf("class counts = %v, want 7/3/6", counts)
+	}
+}
+
+// TestGridMismatchIsViolation: a cell whose measured TCP outcome
+// disagrees with the paper's class breaks the grid entry's invariant in
+// both output forms; only the table form lists it.
+func TestGridMismatchIsViolation(t *testing.T) {
+	cells := RunGrid(1)
+	if out := gridOutput(Config{Seed: 1}, cells); len(out.Violations) != 0 {
+		t.Fatalf("measured grid reports violations: %v", out.Violations)
+	}
+	for i := range cells {
+		if cells[i].Class != core.Broken {
+			cells[i].Class = core.Broken // the paper would now expect TCP to fail
+			break
+		}
+	}
+	table := gridOutput(Config{Seed: 3}, cells)
+	if len(table.Violations) != 1 || table.Violations[0].Seed != 3 {
+		t.Fatalf("table form violations = %v, want one at seed 3", table.Violations)
+	}
+	if !strings.Contains(table.Text, "agreement with paper classification: 15/16\n  MISMATCH "+table.Violations[0].What) {
+		t.Errorf("table form does not list the mismatch:\n%s", table.Text)
+	}
+	report := gridOutput(Config{Seed: 3, Metrics: true}, cells)
+	if len(report.Violations) != 1 || strings.Contains(report.Text, "MISMATCH") {
+		t.Errorf("metrics form: %d violations, text lists mismatch=%v", len(report.Violations), strings.Contains(report.Text, "MISMATCH"))
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 // FleetSpec selects the fleet's shape for all three fleet-derived storms
 // (fleet, adversary, routeopt); the storm schedule and the rest of the
-// knobs ride on fleet.Options defaults.
+// knobs are the fleet package's constants and fleet.Options defaults.
 type FleetSpec struct {
 	Nodes int
 	Cells int

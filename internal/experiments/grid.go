@@ -307,6 +307,30 @@ func GridAgreement(cells []GridCell) (int, int, []GridCell) {
 	return matches, len(cells), mismatches
 }
 
+// gridOutput renders the measured cells for the grid entry: the table
+// with the agreement line, or under -metrics the JSON report
+// (deterministic, byte-identical for any seed and worker count). A cell
+// the paper classifies differently is a broken invariant: it becomes a
+// Violation, and the table lists it after the agreement line.
+func gridOutput(c Config, grid []GridCell) Output {
+	m, t, mismatches := GridAgreement(grid)
+	var out Output
+	if c.Metrics {
+		out = text(gridReport(grid).JSON())
+	} else {
+		out = text(GridTable(grid) + fmt.Sprintf("agreement with paper classification: %d/%d\n", m, t))
+	}
+	for _, mc := range mismatches {
+		what := fmt.Sprintf("%s: class=%v in=%v out=%v consistent=%v",
+			mc.Combo, mc.Class, mc.DeliveredIn, mc.DeliveredOut, mc.Consistent)
+		if !c.Metrics {
+			out.Text += "  MISMATCH " + what + "\n"
+		}
+		out.Violations = append(out.Violations, Violation{Seed: c.Seed, What: what})
+	}
+	return out
+}
+
 // GridCellMetrics is the machine-readable form of one cell, with mode
 // and drop counters keyed by name. Zero-valued map entries are elided so
 // the JSON states exactly what happened and nothing else.
@@ -410,10 +434,8 @@ type GridReport struct {
 	Cells []GridCellMetrics `json:"cells"`
 }
 
-// RunGridReport measures all 16 cells (on up to workers goroutines) and
-// assembles the report.
-func RunGridReport(seed int64, workers int) GridReport {
-	cells := RunGridParallel(seed, workers)
+// gridReport assembles the report from the measured cells.
+func gridReport(cells []GridCell) GridReport {
 	rep := GridReport{Cells: make([]GridCellMetrics, len(cells))}
 	for i, c := range cells {
 		rep.Cells[i] = CellMetrics(c)

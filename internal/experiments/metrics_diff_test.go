@@ -11,12 +11,12 @@ import (
 // is shared across scenarios or depends on scheduling.
 
 func TestGridReportIdenticalAcrossWorkers(t *testing.T) {
-	serial := RunGridReport(5, 1).JSON()
+	serial := gridReport(RunGridParallel(5, 1)).JSON()
 	if !strings.Contains(serial, `"out": "Out-IE"`) {
 		t.Fatalf("report JSON missing cells:\n%s", serial)
 	}
 	for _, workers := range []int{4, 8} {
-		if got := RunGridReport(5, workers).JSON(); got != serial {
+		if got := gridReport(RunGridParallel(5, workers)).JSON(); got != serial {
 			t.Errorf("report with %d workers differs from serial run:\nserial:\n%s\nparallel:\n%s", workers, serial, got)
 		}
 	}
@@ -26,8 +26,8 @@ func TestGridReportIdenticalAcrossSeeds(t *testing.T) {
 	// The grid exchange involves no randomness — topology, latencies and
 	// the single echo are all deterministic — so the report is the same
 	// for every seed, which is what makes it a regression artifact.
-	a := RunGridReport(1, 4).JSON()
-	b := RunGridReport(0x5eed, 4).JSON()
+	a := gridReport(RunGridParallel(1, 4)).JSON()
+	b := gridReport(RunGridParallel(0x5eed, 4)).JSON()
 	if a != b {
 		t.Errorf("grid report depends on the seed:\nseed 1:\n%s\nseed 0x5eed:\n%s", a, b)
 	}

@@ -33,7 +33,8 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects settings no experiment can run: a non-positive trial,
-// node or cell count, or an unknown movement model.
+// node or cell count, more cells than the fleet can address, or an
+// unknown movement model.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -42,6 +43,9 @@ func (c Config) Validate() error {
 		if f.v < 1 {
 			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
 		}
+	}
+	if c.Cells > fleet.MaxCells {
+		return fmt.Errorf("-cells must be at most %d, got %d", fleet.MaxCells, c.Cells)
 	}
 	if c.Model != fleet.ModelWaypoint && c.Model != fleet.ModelMarkov {
 		return fmt.Errorf("-model must be %s or %s, got %q", fleet.ModelWaypoint, fleet.ModelMarkov, c.Model)
@@ -176,16 +180,7 @@ var Registry = []Experiment{
 		Run: func(Config) Output { return text(FormatsTable(RunFormats())) }},
 	{Name: "grid", Aliases: []string{"fig10"}, Heading: "E8 — Figure 10, the grid",
 		Parallel: true, OwnMetrics: true, InAll: true, GateArgs: []string{"-metrics-json"},
-		Run: func(c Config) Output {
-			if c.Metrics {
-				// The machine-readable report: deterministic JSON,
-				// byte-identical for any seed and worker count.
-				return text(RunGridReport(c.Seed, c.Parallel).JSON())
-			}
-			grid := RunGridParallel(c.Seed, c.Parallel)
-			m, t, _ := GridAgreement(grid)
-			return text(GridTable(grid) + fmt.Sprintf("agreement with paper classification: %d/%d\n", m, t))
-		}},
+		Run: func(c Config) Output { return gridOutput(c, RunGridParallel(c.Seed, c.Parallel)) }},
 	{Name: "overhead", Heading: "E9 — §3.3, encapsulation overhead", InAll: true,
 		GateArgs: []string{"-metrics-json"},
 		Run: func(c Config) Output {

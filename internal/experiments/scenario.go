@@ -1,8 +1,8 @@
 // Package experiments builds the scenarios and runs the measurements that
 // regenerate every figure of the paper (see DESIGN.md's per-experiment
 // index). Each experiment returns structured rows so the same code backs
-// the unit tests, the benchmark harness (bench_test.go) and the CLI tools
-// (cmd/mob4x4, cmd/gridshow).
+// the unit tests, the benchmark harness (bench_test.go) and the CLI
+// (cmd/mob4x4).
 package experiments
 
 import (
@@ -37,9 +37,6 @@ type Options struct {
 	// HomeFilter enables ingress+egress source filtering at the home
 	// domain boundary (the Figure 2 situation).
 	HomeFilter bool
-	// VisitFilter enables egress+ingress source filtering at the first
-	// visited domain boundary (the anti-transit policy of Section 3.1).
-	VisitFilter bool
 	// Notices makes the home agent send ICMP binding notices (Fig 5).
 	Notices bool
 	// HADistance inserts this many extra routers between the home
@@ -198,9 +195,6 @@ func Build(opts Options) *Scenario {
 
 	if opts.HomeFilter {
 		n.SetBoundaryFilter(s.HomeGW, true, true, "36.1.1.0/24")
-	}
-	if opts.VisitFilter {
-		n.SetBoundaryFilter(s.VisitGWA, true, true, "128.9.1.0/24")
 	}
 	n.ComputeRoutes()
 

@@ -111,6 +111,54 @@ func TestGilbertElliottGoodStateIsClean(t *testing.T) {
 	}
 }
 
+// TestLossRate: a Gilbert-Elliott chain with no transitions is uniform
+// loss at GoodLoss, and every frame is either delivered or counted once
+// under drop/gilbert_elliott.
+func TestLossRate(t *testing.T) {
+	sim, seg, tx, rx, delivered := testPair(t)
+	ImpairLink(sim, seg, LinkFaultOpts{GoodLoss: 0.5})
+	const n = 2000
+	for k := 0; k < n; k++ {
+		send(tx, rx, []byte{byte(k)})
+	}
+	sim.Sched.Run()
+	if *delivered < n*4/10 || *delivered > n*6/10 {
+		t.Errorf("50%% loss delivered %d/%d", *delivered, n)
+	}
+	if drops := sim.Metrics.DropCount(metrics.DropGilbertElliott); drops+uint64(*delivered) != n {
+		t.Errorf("drops (%d) + delivered (%d) != sent (%d)", drops, *delivered, n)
+	}
+}
+
+// TestJitterReordersFrames: holding every frame back by a random extra
+// delay lets later frames overtake earlier ones.
+func TestJitterReordersFrames(t *testing.T) {
+	sim, seg, tx, rx, _ := testPair(t)
+	var order []byte
+	rx.SetReceiver(func(_ *netsim.NIC, f netsim.Frame) { order = append(order, f.Payload[0]) })
+	lf := ImpairLink(sim, seg, LinkFaultOpts{ReorderRate: 1, ReorderMax: 20e6})
+	for k := 0; k < 50; k++ {
+		send(tx, rx, []byte{byte(k)})
+	}
+	sim.Sched.Run()
+	if len(order) != 50 {
+		t.Fatalf("delivered %d/50", len(order))
+	}
+	inOrder := true
+	for i := 1; i < len(order); i++ {
+		if order[i] < order[i-1] {
+			inOrder = false
+			break
+		}
+	}
+	if inOrder {
+		t.Error("50 frames under heavy jitter arrived perfectly ordered; reordering not happening")
+	}
+	if lf.Reorders == 0 {
+		t.Error("no reorders counted")
+	}
+}
+
 // chaoticCounts runs one impaired burst and returns the impairment
 // counters — used to pin seed-determinism.
 func chaoticCounts(seed int64) [4]uint64 {

@@ -28,9 +28,9 @@ const rogueTamperDelay = 50 * millisecond
 
 // attackState holds the built adversarial actors and the hijack count.
 type attackState struct {
-	thieves   []*faults.BindingThief
-	replayers []*faults.Replayer
-	rogues    []*faults.RogueFA
+	thieves  []*faults.BindingThief
+	replayer *faults.Replayer
+	rogue    *faults.RogueFA
 
 	// attackerAddrs marks every attacker source address. Written only
 	// during build; read-only during the run (taps on any shard consult
@@ -66,7 +66,6 @@ func (f *Fleet) buildAttackers() {
 	if !f.Opts.Attack.Enabled {
 		return
 	}
-	a := f.Opts.Attack
 	n := f.Net
 	ak := &attackState{attackerAddrs: make(map[ipv4.Addr]bool)}
 	f.attack = ak
@@ -75,7 +74,7 @@ func (f *Fleet) buildAttackers() {
 	// exact-attribution invariant would double-count.
 	skip := func(src ipv4.Addr) bool { return ak.attackerAddrs[src] }
 
-	for k := 0; k < a.Thieves; k++ {
+	for k := 0; k < thieves; k++ {
 		c := k % f.Opts.Cells
 		n.SetBuildRegion(regionOf(c))
 		host := n.AddHost(fmt.Sprintf("thief%d", k), f.Cells[c].LAN)
@@ -84,26 +83,21 @@ func (f *Fleet) buildAttackers() {
 		ak.attackerAddrs[th.Addr()] = true
 		ak.thieves = append(ak.thieves, th)
 	}
-	for k := 0; k < a.Rogues; k++ {
-		c := (2*k + 1) % f.Opts.Cells
-		n.SetBuildRegion(regionOf(c))
-		host := n.AddHost(fmt.Sprintf("rogue%d", k), f.Cells[c].LAN)
-		rg, err := faults.NewRogueFA(host, f.Cells[c].LAN.Seg, f.HA.Addr(),
-			maxCapturesPerActor, rogueTamperDelay, skip)
-		assert.NoError(err, "fleet: rogue agent")
-		ak.attackerAddrs[rg.Addr()] = true
-		ak.rogues = append(ak.rogues, rg)
-	}
-	for k := 0; k < a.Replayers; k++ {
-		n.SetBuildRegion(0)
-		host := n.AddHost(fmt.Sprintf("replayer%d", k), f.HomeLAN)
-		r, err := faults.NewReplayer(host, f.HomeLAN.Seg,
-			maxCapturesPerActor, a.ReplayDelay, skip)
-		assert.NoError(err, "fleet: replayer")
-		ak.attackerAddrs[r.Host().FirstAddr()] = true
-		ak.replayers = append(ak.replayers, r)
-	}
+
+	c := 1 % f.Opts.Cells
+	n.SetBuildRegion(regionOf(c))
+	rg, err := faults.NewRogueFA(n.AddHost("rogue0", f.Cells[c].LAN), f.Cells[c].LAN.Seg, f.HA.Addr(),
+		maxCapturesPerActor, rogueTamperDelay, skip)
+	assert.NoError(err, "fleet: rogue agent")
+	ak.attackerAddrs[rg.Addr()] = true
+	ak.rogue = rg
+
 	n.SetBuildRegion(0)
+	r, err := faults.NewReplayer(n.AddHost("replayer0", f.HomeLAN), f.HomeLAN.Seg,
+		maxCapturesPerActor, replayDelay, skip)
+	assert.NoError(err, "fleet: replayer")
+	ak.attackerAddrs[r.Host().FirstAddr()] = true
+	ak.replayer = r
 
 	// The hijack monitor: fires on the hub shard for every binding the
 	// home agent installs. A single binding to an attacker care-of
@@ -120,18 +114,17 @@ func (f *Fleet) buildAttackers() {
 // actor's actions are scheduled on its own region's scheduler. Called
 // from Run before the workers start.
 func (f *Fleet) scheduleAttack(inj *faults.Injector, at func(vtime.Duration) vtime.Time) {
-	a := f.Opts.Attack
 	ak := f.attack
 
-	inj.At(at(a.ForgeAt), fmt.Sprintf("attack: %d thieves forge %d registrations over %v",
-		len(ak.thieves), len(ak.thieves)*a.ForgeCount, a.ForgeWindow), nil)
+	inj.At(at(forgeAt), fmt.Sprintf("attack: %d thieves forge %d registrations over %v",
+		len(ak.thieves), len(ak.thieves)*forgeCount, forgeWindow), nil)
 	for k, th := range ak.thieves {
 		th := th
 		rng := vtime.Stream(f.Opts.Seed, vtime.DomainFleetAttacker, uint64(k))
 		sched := th.Host().Sched()
-		for i := 0; i < a.ForgeCount; i++ {
+		for i := 0; i < forgeCount; i++ {
 			victim := f.Nodes[rng.IntN(len(f.Nodes))].MN.Home()
-			off := a.ForgeAt + vtime.Duration(int64(a.ForgeWindow)*int64(i)/int64(a.ForgeCount))
+			off := forgeAt + vtime.Duration(int64(forgeWindow)*int64(i)/int64(forgeCount))
 			off += vtime.Duration(rng.Int64N(int64(10 * millisecond)))
 			// Alternate between naked forgeries (no extension) and ones
 			// carrying a fabricated MAC, covering both denial paths.
@@ -140,30 +133,26 @@ func (f *Fleet) scheduleAttack(inj *faults.Injector, at func(vtime.Duration) vti
 		}
 	}
 
-	for _, r := range ak.replayers {
-		r := r
-		sched := r.Host().Sched()
-		inj.At(at(a.CaptureAt), fmt.Sprintf("attack: replayer taps home LAN for %v, prompt replay +%v",
-			a.CaptureFor, a.ReplayDelay), nil)
-		sched.At(at(a.CaptureAt), r.StartCapture)
-		sched.At(at(a.CaptureAt+a.CaptureFor), r.StopCapture)
-		inj.At(at(a.LateReplayAt), fmt.Sprintf("attack: late replay of up to %d captures", a.LateReplays), nil)
-		sched.At(at(a.LateReplayAt), func() { r.ReplayCaptured(a.LateReplays) })
-	}
+	r := ak.replayer
+	sched := r.Host().Sched()
+	inj.At(at(captureAt), fmt.Sprintf("attack: replayer taps home LAN for %v, prompt replay +%v",
+		captureFor, replayDelay), nil)
+	sched.At(at(captureAt), r.StartCapture)
+	sched.At(at(captureAt+captureFor), r.StopCapture)
+	inj.At(at(lateReplayAt), fmt.Sprintf("attack: late replay of up to %d captures", lateReplays), nil)
+	sched.At(at(lateReplayAt), func() { r.ReplayCaptured(lateReplays) })
 
-	for k, rg := range ak.rogues {
-		rg := rg
-		sched := rg.Host().Sched()
-		inj.At(at(a.CaptureAt), fmt.Sprintf("attack: rogue agent %d taps its cell for %v", k, a.CaptureFor), nil)
-		sched.At(at(a.CaptureAt), rg.StartRelay)
-		sched.At(at(a.CaptureAt+a.CaptureFor), rg.StopRelay)
-		// A few lure beacons across the window: fleet nodes attach by
-		// command and ignore them, but the broadcasts cross the cell
-		// under attack load.
-		for b := 0; b < 3; b++ {
-			off := a.CaptureAt + vtime.Duration(int64(a.CaptureFor)*int64(b)/3)
-			sched.At(at(off), rg.AdvertiseOnce)
-		}
+	rg := ak.rogue
+	sched = rg.Host().Sched()
+	inj.At(at(captureAt), fmt.Sprintf("attack: rogue agent 0 taps its cell for %v", captureFor), nil)
+	sched.At(at(captureAt), rg.StartRelay)
+	sched.At(at(captureAt+captureFor), rg.StopRelay)
+	// A few lure beacons across the window: fleet nodes attach by
+	// command and ignore them, but the broadcasts cross the cell under
+	// attack load.
+	for b := 0; b < 3; b++ {
+		off := captureAt + vtime.Duration(int64(captureFor)*int64(b)/3)
+		sched.At(at(off), rg.AdvertiseOnce)
 	}
 }
 
@@ -176,12 +165,8 @@ func (f *Fleet) closeAttackers() {
 	for _, th := range f.attack.thieves {
 		th.Close()
 	}
-	for _, r := range f.attack.replayers {
-		r.Close()
-	}
-	for _, rg := range f.attack.rogues {
-		rg.Close()
-	}
+	f.attack.replayer.Close()
+	f.attack.rogue.Close()
 }
 
 // provisionAuth equips node idx with its authenticator and registers

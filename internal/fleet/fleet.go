@@ -56,10 +56,10 @@ const (
 	ModelMarkov   = "markov"
 )
 
-// maxCells bounds the cell count: cell i uses prefix 10.(i+1).0.0/16,
+// MaxCells bounds the cell count: cell i uses prefix 10.(i+1).0.0/16,
 // and the builder's point-to-point transfer networks are allocated from
 // 10.200.0.0, so cells must stay below that.
-const maxCells = 128
+const MaxCells = 128
 
 // nodeHostBase is the first host number inside a cell prefix reserved
 // for node care-of addresses (numbers below it belong to the cell
@@ -102,7 +102,7 @@ func handoffBuckets() []int64 {
 type Options struct {
 	Seed  int64
 	Nodes int    // mobile node count (default 256)
-	Cells int    // visited cell count (default 8, max 128)
+	Cells int    // visited cell count (default 8, max MaxCells)
 	Model string // ModelWaypoint (default) or ModelMarkov
 
 	// Workers is the number of goroutines driving the region shards
@@ -111,20 +111,7 @@ type Options struct {
 	// Workers value; more workers only buy wall-clock speed.
 	Workers int
 
-	Backbone    int // backbone router count (default 4)
-	FilterEvery int // every k-th cell gets a source-filtering boundary router (default 4, 0 disables)
-	FAEvery     int // every k-th node attaches via the cell's foreign agent (default 5, 0 disables)
-
-	RegLifetime uint16 // registration lifetime in seconds (default 20)
-
-	// Storm schedule, relative to the run start.
-	PlaceWindow    vtime.Duration // initial attach staggered over this window (default 2s)
-	PartitionAt    vtime.Duration // home uplink cut at (default 12s)
-	PartitionFor   vtime.Duration // ... for this long (default 6s)
-	MassMoveAt     vtime.Duration // commanded all-nodes move at (default 24s)
-	MassMoveWindow vtime.Duration // ... jittered over this window (default 2s)
-	QuiesceFor     vtime.Duration // movement stops this long before EndAt (default 3s)
-	EndAt          vtime.Duration // measurement ends at (default 34s)
+	FAEvery int // every k-th node attaches via the cell's foreign agent (default 5, 0 disables)
 
 	// Auth provisions a mobility security association per node: a key
 	// derived from (Seed, index) shared by the node and the home agent,
@@ -141,6 +128,24 @@ type Options struct {
 	// hierarchical local registration.
 	RouteOpt RouteOptOptions
 }
+
+// The metro's fixed shape.
+const (
+	backboneRouters = 4  // backbone router count
+	filterEvery     = 4  // every k-th cell gets a source-filtering boundary router
+	regLifetime     = 20 // registration lifetime in seconds
+)
+
+// The storm schedule, relative to the run start (see Run).
+const (
+	placeWindow    = 2 * second  // initial attach staggered over this window
+	partitionAt    = 12 * second // home uplink cut at
+	partitionFor   = 6 * second  // ... for this long
+	massMoveAt     = 24 * second // commanded all-nodes move at
+	massMoveWindow = 2 * second  // ... jittered over this window
+	quiesceFor     = 3 * second  // movement stops this long before endAt
+	endAt          = 34 * second // measurement ends at
+)
 
 // RouteOptOptions parameterizes the route-optimization tier. Each piece
 // is independent so experiments can measure it in isolation; the whole
@@ -191,30 +196,32 @@ func (r RouteOptOptions) engaged() bool {
 	return r.Enabled || r.PushUpdates || r.PushFromHA || r.Compact || r.Hierarchical
 }
 
-// AttackOptions parameterizes the adversarial storm. The zero value of
-// any field selects the documented default; the whole storm is off
-// unless Enabled. Every window must clear the home-uplink partition
-// ([PartitionAt, PartitionAt+PartitionFor)) — attack traffic that dies
-// on a downed link is accounted as a partition drop, not an auth
-// reject, and the exact-attribution invariant would misfire.
+// AttackOptions arms the adversarial storm; the whole storm is off
+// unless Enabled. The plan itself is fixed by the attack constants below.
 type AttackOptions struct {
 	Enabled bool
-
-	Thieves   int // binding thieves, thief k on cell k mod Cells (default 2)
-	Replayers int // home-LAN replayer; the LAN admits one tap (default 1, max 1)
-	Rogues    int // rogue agents, rogue k taps cell 2k+1 mod Cells (default 1, max Cells)
-
-	ForgeAt     vtime.Duration // thief forge storm starts (default 5s)
-	ForgeWindow vtime.Duration // ... and is spread over this window (default 5s)
-	ForgeCount  int            // forgeries per thief (default 20)
-
-	CaptureAt   vtime.Duration // replayer and rogue taps install (default 4s)
-	CaptureFor  vtime.Duration // ... and hold for this long (default 5s)
-	ReplayDelay vtime.Duration // prompt re-emission lag: auth_replay (default 250ms)
-
-	LateReplayAt vtime.Duration // stale re-emission burst: auth_stale_id (default 30s)
-	LateReplays  int            // captures re-emitted in the late burst (default 8)
 }
+
+// The attack plan. Every window must clear the home-uplink partition
+// ([partitionAt, partitionAt+partitionFor)): attack traffic that dies on
+// a downed link is accounted as a partition drop, not an auth reject, and
+// the exact-attribution invariant would misfire. TestStormScheduleWindows
+// pins this. Besides the thieves, one replayer taps the home LAN and one
+// rogue agent taps cell 1 mod Cells.
+const (
+	thieves = 2 // binding thieves, thief k on cell k mod Cells
+
+	forgeAt     = 5 * second // thief forge storm starts
+	forgeWindow = 5 * second // ... and is spread over this window
+	forgeCount  = 20         // forgeries per thief
+
+	captureAt   = 4 * second        // replayer and rogue taps install
+	captureFor  = 5 * second        // ... and hold for this long
+	replayDelay = 250 * millisecond // prompt re-emission lag: auth_replay
+
+	lateReplayAt = 30 * second // stale re-emission burst: auth_stale_id
+	lateReplays  = 8           // captures re-emitted in the late burst
+)
 
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
@@ -224,20 +231,14 @@ func (o Options) withDefaults() Options {
 	if o.Cells <= 0 {
 		o.Cells = 8
 	}
-	if o.Cells > maxCells {
-		o.Cells = maxCells
+	if o.Cells > MaxCells {
+		o.Cells = MaxCells
 	}
 	if o.Model == "" {
 		o.Model = ModelWaypoint
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Backbone <= 0 {
-		o.Backbone = 4
-	}
-	if o.FilterEvery == 0 {
-		o.FilterEvery = 4
 	}
 	if o.FAEvery == 0 {
 		o.FAEvery = 5
@@ -247,69 +248,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RouteOpt.Compact {
 		o.FAEvery = -1
-	}
-	if o.RegLifetime == 0 {
-		o.RegLifetime = 20
-	}
-	if o.PlaceWindow == 0 {
-		o.PlaceWindow = 2 * second
-	}
-	if o.PartitionAt == 0 {
-		o.PartitionAt = 12 * second
-	}
-	if o.PartitionFor == 0 {
-		o.PartitionFor = 6 * second
-	}
-	if o.MassMoveAt == 0 {
-		o.MassMoveAt = 24 * second
-	}
-	if o.MassMoveWindow == 0 {
-		o.MassMoveWindow = 2 * second
-	}
-	if o.QuiesceFor == 0 {
-		o.QuiesceFor = 3 * second
-	}
-	if o.EndAt == 0 {
-		o.EndAt = 34 * second
-	}
-	if o.Attack.Enabled {
-		a := &o.Attack
-		if a.Thieves <= 0 {
-			a.Thieves = 2
-		}
-		if a.Replayers <= 0 || a.Replayers > 1 {
-			a.Replayers = 1
-		}
-		if a.Rogues <= 0 {
-			a.Rogues = 1
-		}
-		if a.Rogues > o.Cells {
-			a.Rogues = o.Cells
-		}
-		if a.ForgeAt == 0 {
-			a.ForgeAt = 5 * second
-		}
-		if a.ForgeWindow == 0 {
-			a.ForgeWindow = 5 * second
-		}
-		if a.ForgeCount <= 0 {
-			a.ForgeCount = 20
-		}
-		if a.CaptureAt == 0 {
-			a.CaptureAt = 4 * second
-		}
-		if a.CaptureFor == 0 {
-			a.CaptureFor = 5 * second
-		}
-		if a.ReplayDelay == 0 {
-			a.ReplayDelay = 250 * millisecond
-		}
-		if a.LateReplayAt == 0 {
-			a.LateReplayAt = 30 * second
-		}
-		if a.LateReplays <= 0 {
-			a.LateReplays = 8
-		}
 	}
 	return o
 }

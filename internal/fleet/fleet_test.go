@@ -188,11 +188,31 @@ func TestFleetCareOfUnique(t *testing.T) {
 
 func TestFleetDefaultsClamp(t *testing.T) {
 	o := Options{Cells: 100000}.withDefaults()
-	if o.Cells != maxCells {
-		t.Errorf("Cells clamped to %d, want %d", o.Cells, maxCells)
+	if o.Cells != MaxCells {
+		t.Errorf("Cells clamped to %d, want %d", o.Cells, MaxCells)
 	}
-	if o.Model != ModelWaypoint || o.Nodes == 0 || o.RegLifetime == 0 {
+	if o.Model != ModelWaypoint || o.Nodes == 0 || o.FAEvery == 0 {
 		t.Errorf("defaults not filled: %+v", o)
+	}
+}
+
+// TestStormScheduleWindows pins the storm timeline the attack accounting
+// depends on: attack traffic that dies on the partitioned home uplink is
+// a partition drop, not an auth reject, so every attack window must clear
+// the partition, and every movement must end before the final census.
+func TestStormScheduleWindows(t *testing.T) {
+	healAt := partitionAt + partitionFor
+	if forgeAt+forgeWindow > partitionAt {
+		t.Errorf("forge window ends at %v, after the partition at %v", forgeAt+forgeWindow, partitionAt)
+	}
+	if captureAt+captureFor > partitionAt {
+		t.Errorf("capture window ends at %v, after the partition at %v", captureAt+captureFor, partitionAt)
+	}
+	if lateReplayAt < healAt || lateReplayAt >= endAt {
+		t.Errorf("late replay at %v, want in [%v, %v)", lateReplayAt, healAt, endAt)
+	}
+	if massMoveAt+massMoveWindow >= endAt-quiesceFor {
+		t.Errorf("mass move ends at %v, not before quiesce at %v", massMoveAt+massMoveWindow, endAt-quiesceFor)
 	}
 }
 

@@ -115,12 +115,12 @@ type Result struct {
 
 // Run executes the handoff-storm schedule and returns the trial result:
 //
-//	[0, PlaceWindow)          staggered initial placement
-//	[..., PartitionAt)        steady roaming + workload
-//	[PartitionAt, +For)       home uplink dark: registrations die
+//	[0, placeWindow)          staggered initial placement
+//	[..., partitionAt)        steady roaming + workload
+//	[partitionAt, +For)       home uplink dark: registrations die
 //	heal                      thundering-herd re-registration
-//	[MassMoveAt, +Window)     every node commanded to move at once
-//	[..., EndAt)              cooldown; all bindings must re-form
+//	[massMoveAt, +Window)     every node commanded to move at once
+//	[..., endAt)              cooldown; all bindings must re-form
 //
 // followed by measurement, cleanup and a full drain.
 func (f *Fleet) Run() Result {
@@ -134,17 +134,17 @@ func (f *Fleet) Run() Result {
 	// jittered a little by the node's own RNG. Placement events run on
 	// the hub shard, where every node starts; the hop migrates it out.
 	// (The ticker starts on migration arrival, like after any crossing.)
-	inj.At(at(0), fmt.Sprintf("placement: %d nodes over %v", len(f.Nodes), opts.PlaceWindow), nil)
+	inj.At(at(0), fmt.Sprintf("placement: %d nodes over %v", len(f.Nodes), placeWindow), nil)
 	for _, n := range f.Nodes {
 		n := n
-		off := vtime.Duration(int64(opts.PlaceWindow) * int64(n.Idx) / int64(len(f.Nodes)))
+		off := vtime.Duration(int64(placeWindow) * int64(n.Idx) / int64(len(f.Nodes)))
 		off += vtime.Duration(n.rng.Int64N(int64(20 * millisecond)))
 		sched.At(at(off), func() { f.hop(n) })
 	}
 
 	// The partition: home network unreachable mid-churn. The uplink is a
 	// hub-internal segment, so the fault runs entirely on the hub shard.
-	inj.CutLink(at(opts.PartitionAt), f.HomeUplink, opts.PartitionFor)
+	inj.CutLink(at(partitionAt), f.HomeUplink, partitionFor)
 
 	// The adversarial storm, when armed: forge/capture/replay windows
 	// placed around the partition, never inside it.
@@ -156,10 +156,10 @@ func (f *Fleet) Run() Result {
 	// window. The jitter is drawn per node now (setup, index order) so
 	// the command times are deterministic; the command timer itself
 	// travels with the node across migrations (see armCmd).
-	inj.At(at(opts.MassMoveAt), fmt.Sprintf("mass-move storm: %d nodes over %v", len(f.Nodes), opts.MassMoveWindow), nil)
+	inj.At(at(massMoveAt), fmt.Sprintf("mass-move storm: %d nodes over %v", len(f.Nodes), massMoveWindow), nil)
 	for _, n := range f.Nodes {
-		j := vtime.Duration(n.rng.Int64N(int64(opts.MassMoveWindow)))
-		n.cmdAt = at(opts.MassMoveAt).Add(j)
+		j := vtime.Duration(n.rng.Int64N(int64(massMoveWindow)))
+		n.cmdAt = at(massMoveAt).Add(j)
 	}
 
 	// Quiesce: movement stops a little before the end so the final
@@ -167,14 +167,14 @@ func (f *Fleet) Run() Result {
 	// well-defined (workload traffic keeps flowing). The flags are
 	// per-region (each shard reads only its own), so the flip is an event
 	// on every shard; the injector lines just log the schedule.
-	inj.At(at(opts.EndAt-opts.QuiesceFor), "movement quiesced", nil)
-	inj.At(at(opts.EndAt), "measurement ends", nil)
+	inj.At(at(endAt-quiesceFor), "movement quiesced", nil)
+	inj.At(at(endAt), "measurement ends", nil)
 	for r, sim := range f.Net.Regions() {
 		rs := f.rs[r]
-		sim.Sched.At(at(opts.EndAt-opts.QuiesceFor), func() { rs.movementOn = false })
-		sim.Sched.At(at(opts.EndAt), func() { rs.trafficOn = false })
+		sim.Sched.At(at(endAt-quiesceFor), func() { rs.movementOn = false })
+		sim.Sched.At(at(endAt), func() { rs.trafficOn = false })
 	}
-	f.group.RunUntil(at(opts.EndAt), opts.Workers)
+	f.group.RunUntil(at(endAt), opts.Workers)
 
 	// --- Measurement, before any cleanup disturbs the state. The
 	// workers have joined, so reading across regions is safe; per-region
@@ -271,14 +271,10 @@ func (f *Fleet) Run() Result {
 			res.Forged += th.Forged
 			tally(&th.Denials)
 		}
-		for _, r := range f.attack.replayers {
-			res.Replayed += r.Replayed
-			tally(&r.Denials)
-		}
-		for _, rg := range f.attack.rogues {
-			res.Tampered += rg.Tampered
-			tally(&rg.Denials)
-		}
+		res.Replayed = f.attack.replayer.Replayed
+		tally(&f.attack.replayer.Denials)
+		res.Tampered = f.attack.rogue.Tampered
+		tally(&f.attack.rogue.Denials)
 		res.Hijacks = f.attack.hijacks
 	}
 	res.FaultLog = inj.Log()

@@ -32,7 +32,7 @@ func (f *Fleet) buildTopology() {
 	hagw := n.AddRouter("hagw")
 	n.AttachRouter(hagw, f.HomeLAN)
 
-	bb := n.Chain("bb", opts.Backbone, 5*millisecond)
+	bb := n.Chain("bb", backboneRouters, 5*millisecond)
 	n.Link(hagw, bb[0], 2*millisecond)
 
 	far := n.AddLAN("far", "17.5.1.0/24", netsim.SegmentOpts{Latency: 1 * millisecond})
@@ -118,7 +118,7 @@ func (f *Fleet) buildTopology() {
 		n.Link(gw, bb[i%len(bb)], vtime.Duration(2+i%5)*millisecond)
 
 		c := &Cell{Index: i, LAN: lan}
-		if opts.FilterEvery > 0 && (i+1)%opts.FilterEvery == 0 {
+		if (i+1)%filterEvery == 0 {
 			// A source-filtering edge: home-sourced packets may not
 			// leave this cell (the Section 3 hostility Out-DH dies to).
 			n.SetBoundaryFilter(gw, true, true, lan.Prefix.String())
@@ -281,7 +281,7 @@ func (f *Fleet) buildNodes() {
 			Home:             ifc.Addr(),
 			HomePrefix:       f.HomeLAN.Prefix,
 			HomeAgent:        haAddr,
-			Lifetime:         opts.RegLifetime,
+			Lifetime:         regLifetime,
 			RegProbeInterval: 4 * second,
 			Selector:         sel,
 			AnnouncePresence: class == clsKiosk,

@@ -106,8 +106,6 @@ const (
 	DropDown
 	// DropMTU is an oversized frame rejected by a segment.
 	DropMTU
-	// DropLoss is a segment's configured random loss.
-	DropLoss
 	// DropNoDest is a frame with no attached receiver on the segment.
 	DropNoDest
 	// DropFilter is a boundary-filter (ingress/egress) rejection.
@@ -140,14 +138,14 @@ const (
 	DropAuthStaleID
 
 	// NumDropCauses closes the enum (mob4x4vet:modeswitch sentinel).
-	NumDropCauses = 18
+	NumDropCauses = 17
 )
 
 var dropCauseNames = [NumDropCauses]string{
-	"fault", "gilbert_elliott", "blackhole", "down", "mtu", "loss",
-	"no_dest", "filter", "ttl", "no_route", "no_arp", "malformed",
-	"no_proto", "frag_needed", "arp_expired", "auth_bad_mac",
-	"auth_replay", "auth_stale_id",
+	"fault", "gilbert_elliott", "blackhole", "down", "mtu", "no_dest",
+	"filter", "ttl", "no_route", "no_arp", "malformed", "no_proto",
+	"frag_needed", "arp_expired", "auth_bad_mac", "auth_replay",
+	"auth_stale_id",
 }
 
 // String returns the stable snake_case cause label used in snapshots.

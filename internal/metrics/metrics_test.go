@@ -84,11 +84,11 @@ func TestMergeOfSourcesEqualsPushed(t *testing.T) {
 	counts := map[string]uint64{"gfa/registrations": 9, "grid/out_pkts{Out-IE}": 4}
 	sourced := NewRegistry()
 	sourced.IPForwarded.Add(6)
-	sourced.Drop(DropLoss)
+	sourced.Drop(DropMTU)
 	sourced.AddSource(testSource{counters: counts, gauges: map[string]int64{"gfa/bindings": 2}})
 	pushed := NewRegistry()
 	pushed.IPForwarded.Add(6)
-	pushed.Drop(DropLoss)
+	pushed.Drop(DropMTU)
 	for name, v := range counts {
 		pushed.Counter(name).Add(v)
 	}

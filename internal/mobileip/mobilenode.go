@@ -27,25 +27,18 @@ type MobileNodeConfig struct {
 	// Lifetime is the registration lifetime requested, in seconds
 	// (default 120).
 	Lifetime uint16
-	// RegRetryInterval is the initial registration retransmission
-	// interval (default 1s); RegMaxRetries bounds attempts per exchange
-	// (default 5). Retries back off exponentially with jitter up to
-	// RegBackoffMax (default 8s) so a recovering agent is not met with a
-	// synchronized thundering herd.
-	RegRetryInterval vtime.Duration
-	RegMaxRetries    int
-	RegBackoffMax    vtime.Duration
+	// RegMaxRetries bounds attempts per registration exchange (default
+	// 5); the retransmission interval starts at regRetryInterval.
+	RegMaxRetries int
 	// RegProbeInterval, when non-zero, keeps probing for the home agent
 	// after an exchange exhausts its retries: a fresh registration is
 	// attempted every interval until one succeeds. Zero disables
 	// probing (the node stays silent after giving up).
 	RegProbeInterval vtime.Duration
 	// Selector is the outgoing-mode decision engine (default: a
-	// pessimistic selector). Ports is the Out-DT port heuristic
-	// (default: the paper's HTTP+DNS set; set to an empty heuristic to
-	// disable).
+	// pessimistic selector). The Out-DT port heuristic is the paper's
+	// fixed HTTP+DNS set (core.TemporaryOK).
 	Selector *core.Selector
-	Ports    *core.PortHeuristic
 	// Privacy forces all home-address traffic through Out-IE regardless
 	// of the selector (the location-privacy motivation of Section 4).
 	Privacy bool
@@ -54,8 +47,6 @@ type MobileNodeConfig struct {
 	// In-DH (Row C discovery). Off when Privacy is set — announcing
 	// location defeats the point.
 	AnnouncePresence bool
-	// ReverseTunnelFlag is advertised in registrations.
-	ReverseTunnelFlag bool
 	// RegisterCareOf, when non-zero, is advertised to the home agent in
 	// place of the node's actual care-of address. The hierarchical
 	// route-optimization tier sets it to the regional gateway agent's
@@ -132,7 +123,7 @@ type MobileNode struct {
 	// registrations.
 	awaitingReply bool
 	// regBackoff is the current retransmission interval, doubling per
-	// retry up to cfg.RegBackoffMax.
+	// retry up to regBackoffMax.
 	regBackoff vtime.Duration
 	// renewAt is the absolute deadline of the scheduled renewal, kept so
 	// MoveToRegional can re-arm the renewal timer after a migration
@@ -190,6 +181,14 @@ type MobileNode struct {
 	rng *rand.Rand
 }
 
+// Registration retransmission: the first retry waits regRetryInterval,
+// later ones back off exponentially with jitter up to regBackoffMax so a
+// recovering agent is not met with a synchronized thundering herd.
+const (
+	regRetryInterval = vtime.Duration(1e9) // 1s
+	regBackoffMax    = vtime.Duration(8e9) // 8s
+)
+
 // NewMobileNode installs mobility support on host. The host must already
 // have its physical interface configured at home (address == cfg.Home).
 func NewMobileNode(host *stack.Host, ifc *stack.Iface, cfg MobileNodeConfig) (*MobileNode, error) {
@@ -199,20 +198,11 @@ func NewMobileNode(host *stack.Host, ifc *stack.Iface, cfg MobileNodeConfig) (*M
 	if cfg.Lifetime == 0 {
 		cfg.Lifetime = 120
 	}
-	if cfg.RegRetryInterval == 0 {
-		cfg.RegRetryInterval = vtime.Duration(1e9)
-	}
 	if cfg.RegMaxRetries == 0 {
 		cfg.RegMaxRetries = 5
 	}
-	if cfg.RegBackoffMax == 0 {
-		cfg.RegBackoffMax = vtime.Duration(8e9)
-	}
 	if cfg.Selector == nil {
 		cfg.Selector = core.NewSelector(core.StartPessimistic)
-	}
-	if cfg.Ports == nil {
-		cfg.Ports = core.DefaultPortHeuristic()
 	}
 	// Count tunnel work (global Encaps/Decaps plus "mn/..." role
 	// counters) without touching the codec implementations.
@@ -543,7 +533,7 @@ func (mn *MobileNode) Reregister() {
 // retry timer armed.
 func (mn *MobileNode) startExchange() {
 	mn.regTries = 0
-	mn.regBackoff = mn.cfg.RegRetryInterval
+	mn.regBackoff = regRetryInterval
 	mn.awaitingReply = true
 	mn.regExchangeAt = mn.host.Sim().Now()
 	mn.sendRegistration(mn.cfg.Lifetime, mn.registerCareOf())
@@ -551,12 +541,7 @@ func (mn *MobileNode) startExchange() {
 }
 
 func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
-	var flags uint8
-	if mn.cfg.ReverseTunnelFlag {
-		flags |= FlagReverseTunnel
-	}
 	req := Request{
-		Flags:     flags,
 		Lifetime:  lifetime,
 		Home:      mn.cfg.Home,
 		HomeAgent: mn.cfg.HomeAgent,
@@ -593,7 +578,7 @@ func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
 // free of extra RNG draws).
 func (mn *MobileNode) armRegRetry() {
 	d := mn.regBackoff
-	if d > mn.cfg.RegRetryInterval {
+	if d > regRetryInterval {
 		if q := int64(d / 4); q > 0 {
 			d += vtime.Duration(mn.rng.Int64N(q))
 		}
@@ -631,8 +616,8 @@ func (mn *MobileNode) onRegRetry() {
 		return
 	}
 	mn.regBackoff *= 2
-	if mn.regBackoff > mn.cfg.RegBackoffMax {
-		mn.regBackoff = mn.cfg.RegBackoffMax
+	if mn.regBackoff > regBackoffMax {
+		mn.regBackoff = regBackoffMax
 	}
 	mn.sendRegistration(mn.cfg.Lifetime, mn.registerCareOf())
 	mn.armRegRetry()
@@ -872,7 +857,7 @@ func (mn *MobileNode) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
 		// explicit user rule for the destination overrides the shortcut.
 		mode = core.OutDH
 	default:
-		mode = core.Decide(mn.cfg.Selector, mn.cfg.Ports, pref, pkt.Dst, dstPort).Mode
+		mode = core.Decide(mn.cfg.Selector, pref, pkt.Dst, dstPort).Mode
 	}
 	mn.countOut(mode, pkt)
 

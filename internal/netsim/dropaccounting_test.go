@@ -27,13 +27,6 @@ func TestSegmentDropAccounting(t *testing.T) {
 			kind:    EventDropMTU,
 		},
 		{
-			name:    "loss",
-			opts:    SegmentOpts{LossRate: 1.0},
-			payload: 50,
-			cause:   metrics.DropLoss,
-			kind:    EventDropLoss,
-		},
-		{
 			name: "nodest",
 			opts: SegmentOpts{},
 			prep: func(_ *Sim, _ *Segment, _, receiver *NIC) {

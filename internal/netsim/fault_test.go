@@ -43,9 +43,6 @@ func TestFaultHookDuplicate(t *testing.T) {
 			t.Errorf("payload corrupted in duplication: %q", p)
 		}
 	}
-	if seg.DuplicatedFrames != 1 {
-		t.Errorf("DuplicatedFrames = %d, want 1", seg.DuplicatedFrames)
-	}
 	if n := BufOutstanding() - base; n != 0 {
 		t.Errorf("BufOutstanding grew by %d (duplicate buffer leaked)", n)
 	}
@@ -74,9 +71,6 @@ func TestFaultHookCorrupt(t *testing.T) {
 	if diffBits != 1 {
 		t.Errorf("corruption flipped %d bits, want exactly 1", diffBits)
 	}
-	if seg.CorruptedFrames != 1 {
-		t.Errorf("CorruptedFrames = %d, want 1", seg.CorruptedFrames)
-	}
 }
 
 func TestFaultHookReorder(t *testing.T) {
@@ -98,9 +92,6 @@ func TestFaultHookReorder(t *testing.T) {
 	}
 	if string((*got)[0]) != "B" || string((*got)[1]) != "A" {
 		t.Errorf("order = %q,%q, want B then A (reordered)", (*got)[0], (*got)[1])
-	}
-	if seg.ReorderedFrames != 1 {
-		t.Errorf("ReorderedFrames = %d, want 1", seg.ReorderedFrames)
 	}
 }
 

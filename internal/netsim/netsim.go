@@ -7,7 +7,8 @@
 //
 // The original paper ran on real Ethernets, PPP links and a modified Linux
 // kernel. This package is the substitution: a deterministic in-process
-// topology with per-segment latency, MTU and loss, which preserves the
+// topology with per-segment latency, MTU and bandwidth (loss and other
+// impairments come from fault hooks), which preserves the
 // properties the paper's arguments depend on (who can hear whom, how many
 // hops a path takes, where filters sit, and what the MTU does to
 // encapsulated packets).
@@ -82,8 +83,8 @@ type Sim struct {
 	cluster *Cluster
 	// tap, when non-nil, observes every frame that enters a segment of
 	// this Sim and survives the down and MTU checks — the vantage point
-	// of a capture at the sending NIC, before the loss draw and before
-	// any fault-hook corruption. The frame is passed by value (same
+	// of a capture at the sending NIC, before any fault-hook loss or
+	// corruption. The frame is passed by value (same
 	// escape-analysis reasoning as the fault hook) and the tap must copy
 	// any payload bytes it wants to keep before returning: the payload
 	// is pooled storage the link layer recycles after delivery. Nil (the
@@ -190,9 +191,6 @@ type SegmentOpts struct {
 	// carries. Frames with larger payloads are dropped and counted.
 	// Zero means DefaultMTU.
 	MTU int
-	// LossRate drops that fraction of frames uniformly at random
-	// (deterministic given the Sim seed). 0 means lossless.
-	LossRate float64
 	// BandwidthBps, when non-zero, models transmission time: each frame
 	// occupies the medium for size*8/bandwidth, and frames queue behind
 	// one another (a busy segment delays later senders). Zero means
@@ -201,10 +199,6 @@ type SegmentOpts struct {
 	// significantly different" in both latency and bandwidth; this knob
 	// reproduces that.
 	BandwidthBps int64
-	// JitterMax, when non-zero, adds a uniformly random extra delay in
-	// [0, JitterMax) per frame. Frames can overtake one another —
-	// deliberate reordering, which transports must tolerate.
-	JitterMax vtime.Duration
 }
 
 // DefaultMTU is the Ethernet-like default segment MTU.
@@ -232,11 +226,13 @@ type Segment struct {
 	// while down is dropped and counted. Fault schedules flip it to model
 	// link flaps and partition windows.
 	down bool
-	// rng is the segment's own randomness stream (loss, corruption-bit
-	// and jitter draws), derived from (seed, index) at construction.
+	// rng is the segment's own randomness stream (the corruption-bit
+	// draw), derived from (seed, index) at construction.
 	// Owning a stream — instead of sharing the scheduler's — keeps each
 	// segment's draw sequence independent of every other entity's, so a
-	// sharded engine can replay any segment in isolation.
+	// sharded engine can replay any segment in isolation. Every segment
+	// mints one, corrupting or not: minting order fixes the index of
+	// every stream minted after it.
 	rng *rand.Rand
 	// remote, when non-nil, marks this Segment as one half of a split
 	// (cross-shard) point-to-point link: frames that survive this half's
@@ -249,24 +245,15 @@ type Segment struct {
 	// lands, so segments that never carry broadcast ARP never get one.
 	arp ARPResolver
 	// fault, when non-nil, is consulted once per frame that survived the
-	// MTU and uniform-loss checks; the returned Impairment can drop,
+	// down and MTU checks; the returned Impairment can drop,
 	// duplicate, corrupt or delay the frame. Nil (the default) costs one
 	// predictable branch on the fast path. The frame is passed by value
 	// (a pointer would make every frame escape to the heap, hook or no
 	// hook); hooks read it, the segment applies the verdict.
 	fault func(Frame) Impairment
 	// Stats
-	Delivered uint64
-	// DuplicatedFrames / CorruptedFrames / ReorderedFrames count
-	// impairments applied by the fault hook (a reorder is an ExtraDelay
-	// that lets later frames overtake this one).
-	DuplicatedFrames uint64
-	CorruptedFrames  uint64
-	ReorderedFrames  uint64
-	BytesCarried     uint64
-	// QueueDelayTotal accumulates time frames spent waiting for the
-	// medium (serialization queueing), for utilization analysis.
-	QueueDelayTotal vtime.Duration
+	Delivered    uint64
+	BytesCarried uint64
 }
 
 // NewSegment creates a broadcast segment.
@@ -384,19 +371,18 @@ type Impairment struct {
 	// per-mechanism counts from one registry.
 	Cause metrics.DropCause
 	// Duplicate delivers a second, independent copy of the frame at the
-	// same delay (counted in DuplicatedFrames).
+	// same delay.
 	Duplicate bool
 	// Corrupt flips one RNG-chosen payload bit before delivery, so
-	// checksums — not the simulator — must catch the damage (counted in
-	// CorruptedFrames).
+	// checksums — not the simulator — must catch the damage.
 	Corrupt bool
 	// ExtraDelay adds bounded extra latency to this frame only; later
-	// frames can overtake it (counted in ReorderedFrames).
+	// frames can overtake it.
 	ExtraDelay vtime.Duration
 }
 
 // SetFaultHook installs (or with nil removes) the segment's fault hook.
-// The hook runs after the MTU and uniform-loss checks, draws any
+// The hook runs after the down and MTU checks, draws any
 // randomness it needs from the sim scheduler's RNG, and must not retain
 // or mutate the frame's payload.
 func (seg *Segment) SetFaultHook(fn func(Frame) Impairment) { seg.fault = fn }
@@ -509,14 +495,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	if t := seg.sim.tap; t != nil {
 		t(f)
 	}
-	if seg.opts.LossRate > 0 && seg.rng.Float64() < seg.opts.LossRate {
-		seg.sim.Metrics.Drop(metrics.DropLoss)
-		if tr := seg.sim.Trace; tr.On() {
-			tr.Record(Event{Kind: EventDropLoss, Time: seg.sim.Now(), Where: seg.name})
-		}
-		PutBuf(f.Buf)
-		return
-	}
 	var imp Impairment
 	if seg.fault != nil {
 		imp = seg.fault(f)
@@ -535,7 +513,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 			// so those are left alone.
 			bit := seg.rng.Int64N(int64(len(f.Payload)) * 8)
 			f.Payload[bit/8] ^= 1 << uint(bit%8)
-			seg.CorruptedFrames++
 		}
 	}
 	wireBytes := len(f.Payload) + FrameHeaderLen
@@ -545,12 +522,8 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	// Bandwidth model: the frame must wait for the medium, then occupies
 	// it for its serialization time; propagation latency follows.
 	delay := seg.opts.Latency
-	if seg.opts.JitterMax > 0 {
-		delay += vtime.Duration(seg.rng.Int64N(int64(seg.opts.JitterMax)))
-	}
 	if imp.ExtraDelay > 0 {
 		delay += imp.ExtraDelay
-		seg.ReorderedFrames++
 	}
 	if seg.opts.BandwidthBps > 0 {
 		now := seg.sim.Now()
@@ -558,7 +531,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		if start.Before(now) {
 			start = now
 		}
-		seg.QueueDelayTotal += start.Sub(now)
 		txTime := vtime.Duration(int64(wireBytes) * 8 * 1e9 / seg.opts.BandwidthBps)
 		seg.busyUntil = start.Add(txTime)
 		delay = seg.busyUntil.Sub(now) + seg.opts.Latency + imp.ExtraDelay
@@ -587,7 +559,6 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		// recycled when its own delivery completes. Duplicates skip
 		// bandwidth accounting — they model a confused relay, not a
 		// second transmission by the sender.
-		seg.DuplicatedFrames++
 		db := GetBuf()
 		db.B = append(db.B, f.Payload...)
 		dd := deliveryPool.Get().(*delivery)

@@ -21,7 +21,6 @@ const (
 	EventDropTTL                          // TTL expired
 	EventDropNoRoute                      // no route to destination
 	EventDropMTU                          // exceeded segment MTU
-	EventDropLoss                         // random loss
 	EventEncap                            // packet entered a tunnel
 	EventDecap                            // packet exited a tunnel
 	EventMove                             // mobile host changed attachment
@@ -48,8 +47,6 @@ func (k EventKind) String() string {
 		return "drop-noroute"
 	case EventDropMTU:
 		return "drop-mtu"
-	case EventDropLoss:
-		return "drop-loss"
 	case EventEncap:
 		return "encap"
 	case EventDecap:
@@ -193,7 +190,7 @@ func (l Log) Path(pktID uint64) string {
 			if len(parts) == 0 || parts[len(parts)-1] != label {
 				parts = append(parts, label)
 			}
-		case EventDropFilter, EventDropTTL, EventDropNoRoute, EventDropMTU, EventDropLoss,
+		case EventDropFilter, EventDropTTL, EventDropNoRoute, EventDropMTU,
 			EventDropNoDest, EventDropDown, EventDropFault:
 			parts = append(parts, fmt.Sprintf("X(%s@%s)", e.Kind, e.Where))
 		}

@@ -70,7 +70,11 @@ func TestReassemblyTimeoutDiscardsPartial(t *testing.T) {
 // contexts, which must all be reaped.
 func TestFragmentsThroughLossySegmentEventuallyExpire(t *testing.T) {
 	sim := netsim.NewSim(3)
-	seg := sim.NewSegment("lossy", netsim.SegmentOpts{MTU: 576, LossRate: 0.3})
+	seg := sim.NewSegment("lossy", netsim.SegmentOpts{MTU: 576})
+	rng := sim.Sched.NewStream()
+	seg.SetFaultHook(func(netsim.Frame) netsim.Impairment {
+		return netsim.Impairment{Drop: rng.Float64() < 0.3} // 30% uniform loss
+	})
 	prefix := ipv4.MustParsePrefix("10.0.0.0/24")
 	a := NewHost(sim, "a")
 	a.AddIface("eth0", seg, prefix.Host(1), prefix)

@@ -46,7 +46,7 @@ const (
 
 // TimeWaitLinger is how long a connection stays in StateTimeWait before
 // releasing its 4-tuple — long enough to cover the peer's first FIN
-// retransmissions (its RTO starts at Endpoint.RTO and backs off).
+// retransmissions (its RTO starts at initialRTO and backs off).
 const TimeWaitLinger = vtime.Duration(1e9)
 
 func (s State) String() string {
@@ -134,7 +134,7 @@ func newConn(ep *Endpoint, key connKey, passive bool) *Conn {
 		ep:    ep,
 		key:   key,
 		state: StateSynSent,
-		rto:   ep.RTO,
+		rto:   initialRTO,
 		ooo:   make(map[uint32][]byte),
 	}
 	if passive {
@@ -180,8 +180,8 @@ func (c *Conn) Write(data []byte) error {
 }
 
 // PendingOut reports the payload bytes queued or in flight — the send
-// backlog a flow-controlled writer bounds (Window caps segments, so the
-// inflight scan is at most Window+1 entries).
+// backlog a flow-controlled writer bounds (window caps segments, so the
+// inflight scan is at most window+1 entries).
 func (c *Conn) PendingOut() int {
 	n := len(c.sendBuf)
 	for _, u := range c.inflight {
@@ -223,8 +223,8 @@ func (c *Conn) pump() {
 	if c.state == StateSynSent || c.state == StateSynReceived {
 		return // data waits for the handshake
 	}
-	for len(c.sendBuf) > 0 && len(c.inflight) < c.ep.Window {
-		n := c.ep.MSS
+	for len(c.sendBuf) > 0 && len(c.inflight) < window {
+		n := mss
 		if n > len(c.sendBuf) {
 			n = len(c.sendBuf)
 		}
@@ -242,7 +242,7 @@ func (c *Conn) pump() {
 			c.timedAt = c.ep.host.Sched().Now()
 		}
 	}
-	if c.finQueued && !c.finSent && len(c.sendBuf) == 0 && len(c.inflight) < c.ep.Window {
+	if c.finQueued && !c.finSent && len(c.sendBuf) == 0 && len(c.inflight) < window {
 		c.finSent = true
 		c.inflight = append(c.inflight, unacked{seq: c.sndNxt, fin: true})
 		c.sendSeg(segment{seq: c.sndNxt, ack: c.rcvNxt, flags: flagACK | flagFIN})
@@ -265,7 +265,7 @@ func (c *Conn) pump() {
 func (c *Conn) sendSeg(seg segment) {
 	seg.srcPort = c.key.localPort
 	seg.dstPort = c.key.remotePort
-	seg.window = uint16(c.ep.Window)
+	seg.window = window
 	c.ep.sendRaw(c.key.localAddr, c.key.remoteAddr, seg)
 }
 
@@ -590,7 +590,7 @@ func (c *Conn) updateRTT(sample vtime.Duration) {
 // before any sample exists.
 func (c *Conn) currentRTO() vtime.Duration {
 	if !c.hasRTT {
-		return c.ep.RTO
+		return initialRTO
 	}
 	rto := c.srtt + 4*c.rttvar
 	if min := vtime.Duration(50e6); rto < min { // 50ms floor

@@ -3,6 +3,7 @@ package tcplite_test
 import (
 	"testing"
 
+	"mob4x4/internal/faults"
 	"mob4x4/internal/inet"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/netsim"
@@ -64,8 +65,6 @@ func TestAbortSendsRST(t *testing.T) {
 func TestWindowLimitsInflight(t *testing.T) {
 	n, ch, sh := pair(t, 0)
 	cep := tcplite.New(ch)
-	cep.Window = 2
-	cep.MSS = 100
 	sep := tcplite.New(sh)
 	var rx int
 	if _, err := sep.Listen(7, func(c *tcplite.Conn) {
@@ -77,15 +76,16 @@ func TestWindowLimitsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.OnEstablished = func() { _ = conn.Write(make([]byte, 1000)) }
+	// 20 full 960-byte segments against the fixed 8-segment window.
+	const total = 20 * 960
+	conn.OnEstablished = func() { _ = conn.Write(make([]byte, total)) }
 	n.RunFor(60e9)
-	if rx != 1000 {
+	if rx != total {
 		t.Fatalf("rx = %d", rx)
 	}
-	// 10 segments of 100 bytes; with window 2 the sender can never have
-	// had more than 2 unacked — indirectly verified by the transfer
-	// completing correctly; directly, SegsSent must show one ACK-paced
-	// flight shape (10 data + handshake), not a burst-then-retransmit.
+	// With window 8 the sender can never have had more than 8 unacked —
+	// indirectly verified by the transfer completing correctly; directly,
+	// the flight must be ACK-paced, not a burst-then-retransmit.
 	if cep.Stats.Retransmissions != 0 {
 		t.Errorf("retransmissions = %d on a lossless link", cep.Stats.Retransmissions)
 	}
@@ -248,7 +248,8 @@ func TestTransferUnderReordering(t *testing.T) {
 	// A jittery path reorders segments aggressively; the out-of-order
 	// buffer must reassemble the stream byte-exactly.
 	n := inet.New(13)
-	a := n.AddLAN("a", "10.1.0.0/24", netsim.SegmentOpts{Latency: 1e6, JitterMax: 30e6})
+	a := n.AddLAN("a", "10.1.0.0/24", netsim.SegmentOpts{Latency: 1e6})
+	faults.ImpairLink(n.Sim, a.Seg, faults.LinkFaultOpts{ReorderRate: 1, ReorderMax: 30e6})
 	b := n.AddLAN("b", "10.2.0.0/24", netsim.SegmentOpts{Latency: 1e6})
 	r := n.AddRouter("r")
 	n.AttachRouter(r, a)

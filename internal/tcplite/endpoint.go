@@ -60,6 +60,14 @@ type EndpointStats struct {
 	ConnsFailed     uint64
 }
 
+// Segment sizing and the initial retransmission timeout, the same for
+// every connection.
+const (
+	mss        = 960                   // max payload per segment
+	window     = 8                     // max segments in flight
+	initialRTO = vtime.Duration(200e6) // 200ms, until an RTT sample exists
+)
+
 // Endpoint is a host's transport layer: demultiplexer, listener table and
 // connection factory. Create one per host with New.
 type Endpoint struct {
@@ -72,11 +80,9 @@ type Endpoint struct {
 	// Feedback, when non-nil, receives retransmission/progress signals.
 	Feedback FeedbackListener
 
-	// Config (applied to new connections).
-	MSS        int            // max payload per segment (default 960)
-	Window     int            // max segments in flight (default 8)
-	RTO        vtime.Duration // initial retransmission timeout (default 200ms)
-	MaxRetries int            // per-segment retry budget (default 8)
+	// MaxRetries is the per-segment retry budget (default 8), applied to
+	// new connections.
+	MaxRetries int
 
 	Stats EndpointStats
 }
@@ -89,9 +95,6 @@ func New(h *stack.Host) *Endpoint {
 		listeners:  make(map[uint16]*Listener),
 		ephemeral:  40000,
 		isn:        1,
-		MSS:        960,
-		Window:     8,
-		RTO:        vtime.Duration(200e6),
 		MaxRetries: 8,
 	}
 	h.Handle(ipv4.ProtoTCP, ep.receive)

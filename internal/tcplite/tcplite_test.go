@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mob4x4/internal/faults"
 	"mob4x4/internal/inet"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/netsim"
@@ -19,7 +20,10 @@ const ms = vtime.Duration(1e6)
 func pair(t testing.TB, loss float64) (*inet.Network, *stack.Host, *stack.Host) {
 	t.Helper()
 	n := inet.New(7)
-	a := n.AddLAN("a", "10.1.0.0/24", netsim.SegmentOpts{Latency: 2 * ms, LossRate: loss})
+	a := n.AddLAN("a", "10.1.0.0/24", netsim.SegmentOpts{Latency: 2 * ms})
+	if loss > 0 {
+		faults.ImpairLink(n.Sim, a.Seg, faults.LinkFaultOpts{GoodLoss: loss})
+	}
 	b := n.AddLAN("b", "10.2.0.0/24", netsim.SegmentOpts{Latency: 2 * ms})
 	r := n.AddRouter("r")
 	n.AttachRouter(r, a)
