@@ -151,9 +151,12 @@ func maskFor(bits int) uint32 {
 	return ^uint32(0) << (32 - uint(bits))
 }
 
+// Mask returns the prefix's network mask as a host-order word.
+func (p Prefix) Mask() uint32 { return maskFor(p.Bits) }
+
 // Contains reports whether addr falls inside the prefix.
 func (p Prefix) Contains(addr Addr) bool {
-	return addr.Uint32()&maskFor(p.Bits) == p.Addr.Uint32()&maskFor(p.Bits)
+	return addr.Uint32()&p.Mask() == p.Addr.Uint32()&p.Mask()
 }
 
 // Overlaps reports whether the two prefixes share any address.

@@ -9,8 +9,8 @@ import (
 )
 
 // TestForwardingSteadyStateZeroAllocs pins the full router datapath —
-// marshal into a pooled frame, segment delivery, header parse, route-cache
-// hit, TTL rewrite, re-marshal, final delivery — at zero allocations per
+// marshal into a pooled frame, segment delivery, header parse, route
+// lookup, TTL rewrite, re-marshal, final delivery — at zero allocations per
 // packet once pools, caches and the scheduler are warm. This is the
 // tentpole property of the zero-allocation fast path: steady-state
 // forwarding cost is bounded by copying, not by the garbage collector.
@@ -24,7 +24,7 @@ func TestForwardingSteadyStateZeroAllocs(t *testing.T) {
 	payload := make([]byte, 1400)
 	pkt := ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: dst.FirstAddr()}, Payload: payload}
 
-	// Warm ARP caches, route caches, pools and the timer store.
+	// Warm ARP caches, pools and the timer store.
 	for i := 0; i < 64; i++ {
 		_ = a.SendIP(pkt)
 	}

@@ -43,7 +43,7 @@ type Host struct {
 
 	ifaces []*Iface
 
-	routes *RouteTable
+	routes RouteTable
 	// RouteOverride, when non-nil, is consulted before the route table
 	// for every locally-originated packet. Returning ok=false falls
 	// through to the normal table. This is the paper's mobility policy
@@ -66,6 +66,7 @@ type Host struct {
 
 	udpSocks  map[uint16]*UDPSocket
 	ephemeral uint16
+	nextIPID  uint16 // beside ephemeral so the two share one word with portProbe
 	// portProbe is SourceForDestinationPort's scratch transport header
 	// (dst port at [2:4]); a field rather than a local so the probe
 	// packet referencing it never forces a heap allocation.
@@ -73,8 +74,6 @@ type Host struct {
 
 	reasm      *ipv4.Reassembler
 	reasmTimer *vtime.Timer
-
-	nextIPID uint16
 
 	// FragNeeded, when non-nil, is called when a DF-marked packet
 	// exceeds the output MTU (hook for ICMP "fragmentation needed"
@@ -131,7 +130,6 @@ func NewHost(sim *netsim.Sim, name string) *Host {
 		sim:         sim,
 		metrics:     sim.Metrics,
 		name:        name,
-		routes:      NewRouteTable(),
 		ephemeral:   49152,
 		reasm:       ipv4.NewReassembler(),
 		ARPTimeout:  vtime.Duration(1e9), // 1s
@@ -157,7 +155,7 @@ func (h *Host) Sim() *netsim.Sim { return h.sim }
 func (h *Host) Sched() *vtime.Scheduler { return h.sim.Sched }
 
 // Routes returns the host's route table.
-func (h *Host) Routes() *RouteTable { return h.routes }
+func (h *Host) Routes() *RouteTable { return &h.routes }
 
 // Iface is a configured network interface: a NIC plus IP configuration and
 // per-interface ARP state.

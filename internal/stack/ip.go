@@ -207,8 +207,8 @@ func (h *Host) receiveIP(ifc *Iface, pkt ipv4.Packet) {
 		return
 	}
 
-	local := h.Claimed(pkt.Dst) ||
-		pkt.Dst.IsBroadcast() ||
+	local := pkt.Dst.IsBroadcast() ||
+		h.Claimed(pkt.Dst) ||
 		(ifc.prefix.Bits > 0 && pkt.Dst == ifc.prefix.BroadcastAddr()) ||
 		(pkt.Dst.IsMulticast() && ifc.InGroup(pkt.Dst))
 

@@ -1,9 +1,7 @@
 package stack
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -50,65 +48,46 @@ func (r Route) String() string {
 }
 
 // RouteTable is a longest-prefix-match routing table with metric
-// tie-breaking. Lookups scan a lazily-maintained view of the entries
-// sorted most-specific-first (first containing prefix wins), fronted by a
-// small per-destination cache; both are invalidated by a generation
-// counter bumped on every mutation. This mirrors the paper's §7.1
-// observation that the per-destination delivery-method decision is worth
-// caching between route changes. The benchmark suite measures lookup cost
-// explicitly (BenchmarkRouteLookup).
+// tie-breaking. Routes are kept in lookup order — longest prefix first,
+// then lowest metric, then insertion order — so the first route whose
+// prefix contains a destination is the best one. Beside them, in step,
+// each route's prefix is kept as a masked (addr, mask) pair, and Lookup
+// scans those 8-byte keys rather than the 64-byte routes. It keeps no
+// per-destination cache: the large tables of backbone routers (~70
+// routes) are where such a cache misses most, and every host would pay
+// for its slots. BenchmarkRouteLookup measures lookup cost.
 type RouteTable struct {
 	routes []Route
-	// Lookups counts queries (benchmark instrumentation).
-	Lookups uint64
-
-	gen       uint64 // bumped on every mutation
-	sortedGen uint64 // generation the sorted view was built at
-	sorted    []Route
-	// cache is direct-mapped and lives inline in the struct: scenarios
-	// build hundreds of tables, so a heap-allocated map per table was a
-	// measurable share of experiment cost. Slots self-invalidate via
-	// their generation stamp; nothing is cleared on mutation.
-	cache [routeCacheSlots]cachedRoute
+	keys   []routeKey // keys[i] is routes[i].Prefix, masked
 }
 
-// cachedRoute is one cache slot, 16 bytes so the whole cache stays small
-// enough to zero cheaply at table creation. It stores an index into the
-// sorted view rather than the Route itself; sortIdx < 0 caches a negative
-// lookup (hosts without a default route probe unroutable destinations
-// repeatedly). A slot is valid when gen1 == table gen + 1 (zero means
-// never filled), which also guarantees t.sorted is the view the index
-// was computed against.
-type cachedRoute struct {
-	gen1    uint64
-	dst     ipv4.Addr
-	sortIdx int32
-}
-
-// routeCacheSlots sizes the direct-mapped per-destination cache (power of
-// two); simulated traffic matrices touch far fewer destinations than this.
-const routeCacheSlots = 64
-
-// cacheIndex hashes a destination into the cache. Fibonacci hashing on
-// the 4 address bytes spreads the sequential host parts topologies use.
-func cacheIndex(dst ipv4.Addr) int {
-	v := uint32(dst[0])<<24 | uint32(dst[1])<<16 | uint32(dst[2])<<8 | uint32(dst[3])
-	return int((v * 0x9E3779B1) >> (32 - 6)) // 6 bits: routeCacheSlots == 64
-}
+// routeKey is a prefix as Lookup tests it: dst&mask == addr.
+type routeKey struct{ addr, mask uint32 }
 
 // NewRouteTable returns an empty table.
 func NewRouteTable() *RouteTable { return &RouteTable{} }
 
-// Add inserts a route.
+// Add inserts a route at its place in lookup order, after any route with
+// the same prefix length and metric.
 func (t *RouteTable) Add(r Route) {
 	if t.routes == nil {
-		// Preallocate: topologies install several routes per host right
-		// after creation, and append-doubling from 1 was a measurable
-		// share of scenario construction.
-		t.routes = make([]Route, 0, 8)
+		// Topologies install a few routes per host right after creation;
+		// most hosts never hold more than four.
+		t.routes, t.keys = make([]Route, 0, 4), make([]routeKey, 0, 4)
 	}
-	t.routes = append(t.routes, r)
-	t.gen++
+	i := sort.Search(len(t.routes), func(i int) bool {
+		e := &t.routes[i]
+		return e.Prefix.Bits < r.Prefix.Bits || e.Prefix.Bits == r.Prefix.Bits && e.Metric > r.Metric
+	})
+	// Append and shift: slices.Insert's general path made a router's
+	// table set-up half again as slow.
+	t.routes = append(t.routes, Route{})
+	copy(t.routes[i+1:], t.routes[i:])
+	t.routes[i] = r
+	m := r.Prefix.Mask()
+	t.keys = append(t.keys, routeKey{})
+	copy(t.keys[i+1:], t.keys[i:])
+	t.keys[i] = routeKey{addr: r.Prefix.Addr.Uint32() & m, mask: m}
 }
 
 // AddDefault installs a default route (0.0.0.0/0) via nexthop on ifc.
@@ -118,48 +97,41 @@ func (t *RouteTable) AddDefault(ifc *Iface, nexthop ipv4.Addr) {
 
 // Remove deletes all routes exactly matching prefix.
 func (t *RouteTable) Remove(prefix ipv4.Prefix) {
-	out := t.routes[:0]
-	for _, r := range t.routes {
-		if r.Prefix != prefix {
-			out = append(out, r)
-		}
-	}
-	t.routes = out
-	t.gen++
+	t.removeIf(func(r *Route) bool { return r.Prefix == prefix })
 }
 
 // RemoveConnected deletes the connected (on-link, metric-0) routes bound
 // to the given interface.
 func (t *RouteTable) RemoveConnected(ifc *Iface) {
-	out := t.routes[:0]
-	for _, r := range t.routes {
-		if r.Iface == ifc && r.NextHop.IsZero() && !r.IsVirtual() && r.Metric == 0 {
-			continue
-		}
-		out = append(out, r)
-	}
-	t.routes = out
-	t.gen++
+	t.removeIf(func(r *Route) bool {
+		return r.Iface == ifc && r.NextHop.IsZero() && !r.IsVirtual() && r.Metric == 0
+	})
 }
 
 // RemoveVirtual deletes virtual routes with the given name.
 func (t *RouteTable) RemoveVirtual(name string) {
-	out := t.routes[:0]
-	for _, r := range t.routes {
-		if r.IsVirtual() && r.Name == name {
+	t.removeIf(func(r *Route) bool { return r.IsVirtual() && r.Name == name })
+}
+
+// removeIf deletes the routes drop selects, compacting both slices in
+// place; the survivors keep their order.
+func (t *RouteTable) removeIf(drop func(*Route) bool) {
+	n := 0
+	for i := range t.routes {
+		if drop(&t.routes[i]) {
 			continue
 		}
-		out = append(out, r)
+		if n < i { // most calls remove nothing: skip the 64-byte self-copies
+			t.routes[n], t.keys[n] = t.routes[i], t.keys[i]
+		}
+		n++
 	}
-	t.routes = out
-	t.gen++
+	clear(t.routes[n:]) // drop the removed routes' Iface and Output references
+	t.routes, t.keys = t.routes[:n], t.keys[:n]
 }
 
 // Clear removes every route.
-func (t *RouteTable) Clear() {
-	t.routes = nil
-	t.gen++
-}
+func (t *RouteTable) Clear() { *t = RouteTable{} }
 
 // Len returns the number of routes.
 func (t *RouteTable) Len() int { return len(t.routes) }
@@ -167,53 +139,19 @@ func (t *RouteTable) Len() int { return len(t.routes) }
 // Lookup returns the best route for dst: longest prefix wins, then lowest
 // metric, then insertion order.
 func (t *RouteTable) Lookup(dst ipv4.Addr) (Route, bool) {
-	t.Lookups++
-	slot := &t.cache[cacheIndex(dst)]
-	if slot.gen1 == t.gen+1 && slot.dst == dst {
-		if slot.sortIdx < 0 {
-			return Route{}, false
-		}
-		return t.sorted[slot.sortIdx], true
-	}
-	if t.sortedGen != t.gen {
-		t.rebuildSorted()
-	}
-	slot.gen1, slot.dst, slot.sortIdx = t.gen+1, dst, -1
-	for i, r := range t.sorted {
-		if r.Prefix.Contains(dst) {
-			slot.sortIdx = int32(i)
-			return r, true
+	d := dst.Uint32()
+	for i, k := range t.keys {
+		if d&k.mask == k.addr {
+			return t.routes[i], true
 		}
 	}
 	return Route{}, false
 }
 
-// rebuildSorted rebuilds the most-specific-first view. The sort is stable
-// on (prefix length desc, metric asc), so the first containing entry is
-// exactly the route the old linear scan selected (longest prefix, then
-// lowest metric, then insertion order).
-func (t *RouteTable) rebuildSorted() {
-	t.sorted = append(t.sorted[:0], t.routes...)
-	slices.SortStableFunc(t.sorted, func(a, b Route) int {
-		if a.Prefix.Bits != b.Prefix.Bits {
-			return cmp.Compare(b.Prefix.Bits, a.Prefix.Bits)
-		}
-		return cmp.Compare(a.Metric, b.Metric)
-	})
-	t.sortedGen = t.gen
-}
-
 // Dump renders the table for debugging, most-specific first.
 func (t *RouteTable) Dump() string {
-	rs := append([]Route(nil), t.routes...)
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Prefix.Bits != rs[j].Prefix.Bits {
-			return rs[i].Prefix.Bits > rs[j].Prefix.Bits
-		}
-		return rs[i].Metric < rs[j].Metric
-	})
 	var sb strings.Builder
-	for _, r := range rs {
+	for _, r := range t.routes {
 		fmt.Fprintln(&sb, r)
 	}
 	return sb.String()
