@@ -17,6 +17,7 @@ FUZZ_TARGETS = \
 	./internal/encap:FuzzEncapRoundTrip \
 	./internal/mobileip:FuzzAuthExtension \
 	./internal/mobileip:FuzzKeysCheck \
+	./internal/mobileip:FuzzRegistrationMoves \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 

@@ -53,14 +53,3 @@ func (inj *Injector) CrashHomeAgent(at vtime.Time, ha *mobileip.HomeAgent) {
 func (inj *Injector) RestartHomeAgent(at vtime.Time, ha *mobileip.HomeAgent) {
 	inj.At(at, "home agent restart", ha.Restart)
 }
-
-// CrashForeignAgent crashes fa at time at: its visitor table is lost and
-// it stops serving registrations and tunneled traffic.
-func (inj *Injector) CrashForeignAgent(at vtime.Time, fa *mobileip.ForeignAgent) {
-	inj.At(at, "foreign agent crash", fa.Crash)
-}
-
-// RestartForeignAgent restarts a crashed fa at time at.
-func (inj *Injector) RestartForeignAgent(at vtime.Time, fa *mobileip.ForeignAgent) {
-	inj.At(at, "foreign agent restart", fa.Restart)
-}

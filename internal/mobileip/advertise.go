@@ -99,7 +99,7 @@ func (mn *MobileNode) ListenForAgents() (cancel func(), err error) {
 		if err != nil || adv.Flags&AdvFlagFA == 0 {
 			return
 		}
-		if mn.atHome || mn.registered {
+		if mn.AtHome() || mn.Registered() {
 			return
 		}
 		if mn.viaFA && mn.careOf == adv.Agent {

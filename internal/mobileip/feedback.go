@@ -12,9 +12,6 @@ import (
 // that the currently selected delivery method may not be working."
 type SelectorFeedback struct {
 	Selector *core.Selector
-	// OnSwitch, when non-nil, fires when accumulated retransmissions
-	// cause a delivery-method change.
-	OnSwitch func(remote ipv4.Addr, newMode core.OutMode)
 
 	// Switches counts delivery-method changes triggered by feedback.
 	Switches uint64
@@ -22,12 +19,8 @@ type SelectorFeedback struct {
 
 // Retransmission implements tcplite.FeedbackListener.
 func (f *SelectorFeedback) Retransmission(remote ipv4.Addr) {
-	switched, mode := f.Selector.ReportRetransmission(remote)
-	if switched {
+	if switched, _ := f.Selector.ReportRetransmission(remote); switched {
 		f.Switches++
-		if f.OnSwitch != nil {
-			f.OnSwitch(remote, mode)
-		}
 	}
 }
 

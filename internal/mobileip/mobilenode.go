@@ -102,9 +102,8 @@ type MobileNode struct {
 	ifc  *stack.Iface
 	cfg  MobileNodeConfig
 
-	careOf     ipv4.Addr
-	atHome     bool
-	registered bool
+	careOf ipv4.Addr
+	state  regState
 	// viaFA marks foreign-agent attachment: the care-of address is the
 	// agent's, the node keeps its home address on the local link, and —
 	// as the paper stresses — the agent "restrict[s] the freedom of the
@@ -112,22 +111,17 @@ type MobileNode struct {
 	// optimizations": outgoing traffic is Out-DH only.
 	viaFA bool
 
-	ids        IDClock // registration identifications
-	regTimer   *vtime.Timer
-	renewTimer *vtime.Timer
-	probeTimer *vtime.Timer
-	regTries   int
-	// awaitingReply is true while a registration exchange (initial or
-	// renewal) has an unanswered request in flight; it is what the retry
-	// timer checks, so renewals retransmit exactly like first
-	// registrations.
-	awaitingReply bool
+	ids IDClock // registration identifications
+	// timer is the registration clock: what its firing means depends on
+	// the state (see onTimer).
+	timer    *vtime.Timer
+	regTries int
 	// regBackoff is the current retransmission interval, doubling per
 	// retry up to regBackoffMax.
 	regBackoff vtime.Duration
 	// renewAt is the absolute deadline of the scheduled renewal, kept so
-	// MoveToRegional can re-arm the renewal timer after a migration
-	// (DetachRetain nils timer handles but the home binding lives on).
+	// MoveToRegional can re-arm the renewal after a migration
+	// (DetachRetain stops the timer but the home binding lives on).
 	renewAt vtime.Time
 	sock    *stack.UDPSocket
 
@@ -141,13 +135,6 @@ type MobileNode struct {
 	// OnRegistered, when non-nil, fires when a registration (not a
 	// renewal) is accepted.
 	OnRegistered func()
-
-	// OnRegistrationLost, when non-nil, fires when a registration
-	// exchange exhausts its retries: the node no longer believes it is
-	// registered and (if RegProbeInterval is set) has fallen back to
-	// periodic probing. Applications use it to stop relying on
-	// tunnel-dependent delivery modes.
-	OnRegistrationLost func()
 
 	// OnInPacket, when non-nil, observes every arrival the node classifies
 	// into the In half of the grid, after the mode counters are bumped.
@@ -189,6 +176,18 @@ const (
 	regBackoffMax    = vtime.Duration(8e9) // 8s
 )
 
+// regState is where the node stands in the registration protocol;
+// onTimer says what the one timer means in each state.
+type regState uint8
+
+const (
+	stHome       regState = iota // on the home network, no binding
+	stIdle                       // away and unregistered, no request in flight
+	stRequesting                 // away and unregistered, request in flight
+	stRegistered                 // away and bound, renewal armed
+	stRenewing                   // away and bound, renewal in flight
+)
+
 // NewMobileNode installs mobility support on host. The host must already
 // have its physical interface configured at home (address == cfg.Home).
 func NewMobileNode(host *stack.Host, ifc *stack.Iface, cfg MobileNodeConfig) (*MobileNode, error) {
@@ -213,7 +212,6 @@ func NewMobileNode(host *stack.Host, ifc *stack.Iface, cfg MobileNodeConfig) (*M
 		ifc:    ifc,
 		cfg:    cfg,
 		careOf: cfg.Home,
-		atHome: true,
 		reg:    reg,
 		regRTT: reg.Histogram("mn/reg_rtt_ns", metrics.DefaultLatencyBuckets),
 		rng:    host.Sched().NewStream(),
@@ -260,17 +258,17 @@ func (mn *MobileNode) CareOf() ipv4.Addr { return mn.careOf }
 func (mn *MobileNode) HomeAgentAddr() ipv4.Addr { return mn.cfg.HomeAgent }
 
 // AtHome reports whether the node is on its home network.
-func (mn *MobileNode) AtHome() bool { return mn.atHome }
+func (mn *MobileNode) AtHome() bool { return mn.state == stHome }
 
 // Registered reports whether the current care-of address is registered
 // with the home agent.
-func (mn *MobileNode) Registered() bool { return mn.registered }
+func (mn *MobileNode) Registered() bool { return mn.state == stRegistered || mn.state == stRenewing }
 
 // Report implements metrics.Source. Grid cells are reported only when
 // nonzero, so a mode the node never used stays out of the dump.
 func (mn *MobileNode) Report(a *metrics.Adder) {
 	var registered int64
-	if mn.registered {
+	if mn.Registered() {
 		registered = 1
 	}
 	a.Level("mn/registered", registered)
@@ -309,25 +307,14 @@ func (mn *MobileNode) SetPrivacy(v bool) { mn.cfg.Privacy = v }
 // location with the home agent ("If the mobile host moves again ... it
 // must again inform its home agent of its new location").
 func (mn *MobileNode) MoveTo(seg *netsim.Segment, careOf ipv4.Addr, prefix ipv4.Prefix, gateway ipv4.Addr) {
-	mn.cancelTimers()
-	mn.registered = false
-	mn.atHome = false
-	mn.viaFA = false
-	mn.careOf = careOf
-	mn.Stats.Moves++
-	mn.ifc.Attach(seg)
-	mn.ifc.SetAddr(careOf, prefix)
-	mn.host.Routes().Remove(ipv4.Prefix{}) // old default route
-	if !gateway.IsZero() {
-		mn.host.Routes().AddDefault(mn.ifc, gateway)
-	}
-	// History built at the old location may be wrong here (different
-	// filters on the path); start conversations fresh.
-	mn.cfg.Selector.Reset()
+	// Leave home first: the presence announcement and the request both
+	// route through routeOverride, which passes everything through at home.
+	mn.enter(stIdle)
+	mn.attach(seg, careOf, prefix, gateway, false)
 	if mn.cfg.AnnouncePresence && !mn.cfg.Privacy {
 		mn.AnnouncePresence()
 	}
-	mn.register()
+	mn.startExchange(stRequesting)
 }
 
 // MoveToForeignAgent attaches the node to a visited segment served by a
@@ -335,21 +322,9 @@ func (mn *MobileNode) MoveTo(seg *netsim.Segment, careOf ipv4.Addr, prefix ipv4.
 // its home address on the local link; the agent's address becomes the
 // care-of address; registration is relayed through the agent.
 func (mn *MobileNode) MoveToForeignAgent(seg *netsim.Segment, faAddr ipv4.Addr) {
-	mn.cancelTimers()
-	mn.registered = false
-	mn.atHome = false
-	mn.viaFA = true
-	mn.careOf = faAddr
-	mn.Stats.Moves++
-	mn.ifc.Attach(seg)
-	// Keep the home address; no on-link prefix is configured because the
-	// home address is not topologically valid here. The node answers ARP
-	// for its home address, which is how the agent link-delivers to it.
-	mn.ifc.SetAddr(mn.cfg.Home, ipv4.Prefix{})
-	mn.host.Routes().Remove(ipv4.Prefix{})
-	mn.host.Routes().AddDefault(mn.ifc, faAddr)
-	mn.cfg.Selector.Reset()
-	mn.register()
+	mn.enter(stIdle)
+	mn.attach(seg, faAddr, ipv4.Prefix{}, faAddr, true)
+	mn.startExchange(stRequesting)
 }
 
 // ViaForeignAgent reports whether the node is attached through a foreign
@@ -360,19 +335,8 @@ func (mn *MobileNode) ViaForeignAgent() bool { return mn.viaFA }
 // ("When the mobile host is at home, it ... functions like a normal
 // non-mobile Internet host").
 func (mn *MobileNode) GoHome(seg *netsim.Segment, gateway ipv4.Addr) {
-	mn.cancelTimers()
-	mn.Stats.Moves++
-	mn.ifc.Attach(seg)
-	mn.ifc.SetAddr(mn.cfg.Home, mn.cfg.HomePrefix)
-	mn.host.Routes().Remove(ipv4.Prefix{})
-	if !gateway.IsZero() {
-		mn.host.Routes().AddDefault(mn.ifc, gateway)
-	}
-	mn.careOf = mn.cfg.Home
-	mn.atHome = true
-	mn.viaFA = false
-	mn.registered = false
-	mn.cfg.Selector.Reset()
+	mn.enter(stHome)
+	mn.attach(seg, mn.cfg.Home, mn.cfg.HomePrefix, gateway, false)
 	// Deregister and reclaim our address on the home segment.
 	mn.sendRegistration(0, mn.cfg.Home)
 	mn.ifc.GratuitousARP(mn.cfg.Home)
@@ -382,51 +346,65 @@ func (mn *MobileNode) GoHome(seg *netsim.Segment, gateway ipv4.Addr) {
 // metro without touching the home registration: the home agent keeps
 // tunneling to the stable regional care-of address (cfg.RegisterCareOf),
 // so only the regional agent needs to learn the new location — the
-// caller's local registrar does that. The registered flag and the
-// renewal schedule survive the move; if a migration (DetachRetain +
-// Rehome) nilled the renewal timer, it is re-armed here from the
-// preserved deadline.
+// caller's local registrar does that. The binding and the renewal
+// schedule survive the move; if a migration (DetachRetain + Rehome)
+// stopped the renewal, it is re-armed here from the preserved deadline.
 func (mn *MobileNode) MoveToRegional(seg *netsim.Segment, careOf ipv4.Addr, prefix ipv4.Prefix, gateway ipv4.Addr) {
-	mn.atHome = false
-	mn.viaFA = false
-	mn.careOf = careOf
-	mn.Stats.Moves++
-	mn.ifc.Attach(seg)
-	mn.ifc.SetAddr(careOf, prefix)
-	mn.host.Routes().Remove(ipv4.Prefix{})
-	if !gateway.IsZero() {
-		mn.host.Routes().AddDefault(mn.ifc, gateway)
+	if mn.state == stHome {
+		mn.enter(stIdle)
 	}
-	mn.cfg.Selector.Reset()
-	if !mn.registered || mn.awaitingReply {
+	mn.attach(seg, careOf, prefix, gateway, false)
+	if mn.state != stRegistered {
 		return
 	}
 	now := mn.host.Sim().Now()
 	switch {
-	case mn.renewTimer.Pending():
+	case mn.timer.Pending():
 		// Intra-region move without migration: the schedule is intact.
 	case mn.renewAt > now:
-		if mn.renewTimer == nil {
-			mn.renewTimer = mn.host.Sched().After(mn.renewAt.Sub(now), mn.onRenew)
-		} else {
-			mn.renewTimer.Reset(mn.renewAt.Sub(now))
-		}
+		mn.arm(mn.renewAt.Sub(now))
 	default:
 		// The renewal came due while the node was in transit: renew now
 		// rather than letting the home binding silently expire.
-		mn.onRenew()
+		mn.renew()
 	}
+}
+
+// attach moves the interface onto seg with care-of address careOf on
+// prefix, points the default route at gateway (none when zero) and starts
+// the outgoing-mode history afresh: what was learned at the old location
+// (different filters on the path) may be wrong here.
+func (mn *MobileNode) attach(seg *netsim.Segment, careOf ipv4.Addr, prefix ipv4.Prefix, gateway ipv4.Addr, viaFA bool) {
+	mn.careOf = careOf
+	mn.viaFA = viaFA
+	mn.Stats.Moves++
+	mn.ifc.Attach(seg)
+	addr := careOf
+	if viaFA {
+		// The agent's address is the care-of address; the node keeps its
+		// home address, with no on-link prefix, and answers ARP for it.
+		addr = mn.cfg.Home
+	}
+	mn.ifc.SetAddr(addr, prefix)
+	mn.host.Routes().Remove(ipv4.Prefix{}) // old default route
+	if !gateway.IsZero() {
+		mn.host.Routes().AddDefault(mn.ifc, gateway)
+	}
+	mn.cfg.Selector.Reset()
 }
 
 // DetachRetain detaches the node for migration while keeping its home
 // registration: the hierarchical tier's intra-metro moves never clear
 // the home binding (the home agent points at the regional care-of
-// address, which does not change). Timers are stopped — Rehome requires
-// a quiet node — and MoveToRegional re-arms renewal from the preserved
-// deadline.
+// address, which does not change). The timer is stopped — Rehome
+// requires a quiet node — and MoveToRegional re-arms renewal from the
+// preserved deadline.
 func (mn *MobileNode) DetachRetain() {
-	mn.cancelTimers()
-	mn.atHome = false
+	if mn.Registered() {
+		mn.enter(stRegistered)
+	} else {
+		mn.enter(stIdle)
+	}
 	mn.ifc.Detach()
 }
 
@@ -435,9 +413,7 @@ func (mn *MobileNode) DetachRetain() {
 // either discovers an agent (ListenForAgents), acquires an address
 // (MoveTo/DHCP), or is explicitly returned home (GoHome).
 func (mn *MobileNode) Detach() {
-	mn.cancelTimers()
-	mn.registered = false
-	mn.atHome = false
+	mn.enter(stIdle)
 	mn.ifc.Detach()
 }
 
@@ -453,10 +429,10 @@ func (mn *MobileNode) Detach() {
 //     the old region's registry; they are re-resolved from the new one.
 //     The node's own counts stay a source of the registry it was built
 //     in, which only reads them after the shard workers have joined.
-//   - Timer handles carry the old region's *Scheduler inside them, so
-//     Reset would re-arm on a shard this node no longer runs on. They are
-//     nilled; the next arm lazily creates fresh handles on the new
-//     scheduler (the usual nil-handle path in armRegRetry and friends).
+//   - The timer handle carries the old region's *Scheduler inside it, so
+//     Reset would re-arm on a shard this node no longer runs on. It is
+//     nilled; the next arm lazily creates a fresh handle on the new
+//     scheduler.
 //   - The jitter rng is NOT touched: it is plain PRNG state, and the
 //     node's events are totally ordered in virtual time across
 //     migrations, so carrying the stream keeps the draw sequence — and
@@ -466,12 +442,12 @@ func (mn *MobileNode) Rehome() {
 	// along — its stable regional care-of address stays valid across the
 	// migration — but an unanswered exchange may not: its reply would
 	// arrive on the old shard.
-	if mn.awaitingReply {
+	if mn.state == stRequesting || mn.state == stRenewing {
 		assert.Unreachable("mobileip: Rehome of %s with a registration exchange in flight",
 			mn.host.Name())
 	}
-	if mn.regTimer.Pending() || mn.renewTimer.Pending() || mn.probeTimer.Pending() {
-		assert.Unreachable("mobileip: Rehome of %s with pending timers", mn.host.Name())
+	if mn.timer.Pending() {
+		assert.Unreachable("mobileip: Rehome of %s with a pending timer", mn.host.Name())
 	}
 	reg := mn.host.Sim().Metrics
 	mn.reg = reg
@@ -479,21 +455,57 @@ func (mn *MobileNode) Rehome() {
 	if w, ok := mn.cfg.Codec.(*encap.Instrumented); ok {
 		mn.cfg.Codec = encap.Instrument(w.Unwrap(), reg, "mn")
 	}
-	mn.regTimer, mn.renewTimer, mn.probeTimer = nil, nil, nil
+	mn.timer = nil
 }
 
-func (mn *MobileNode) cancelTimers() {
-	// Stop, don't nil: the handles are reused via Reset so re-arming a
-	// timer never allocates (the tcplite retransmission idiom).
-	mn.regTimer.Stop()
-	mn.renewTimer.Stop()
-	mn.probeTimer.Stop()
-	mn.awaitingReply = false
+// enter moves the registration state machine to s, stopping the timer:
+// whatever it was armed for belonged to the state being left, and the
+// new state arms its own. A move outside the table is a logic error.
+func (mn *MobileNode) enter(s regState) {
+	// next[from] is the set of states from may move to. Every state may
+	// go home (GoHome) or idle (a move, Detach, a give-up); a binding is
+	// only ever reached through an accepted request.
+	next := [...]uint8{
+		stHome:       1<<stHome | 1<<stIdle,
+		stIdle:       1<<stHome | 1<<stIdle | 1<<stRequesting,
+		stRequesting: 1<<stHome | 1<<stIdle | 1<<stRegistered,
+		stRegistered: 1<<stHome | 1<<stIdle | 1<<stRegistered | 1<<stRenewing,
+		stRenewing:   1<<stHome | 1<<stIdle | 1<<stRegistered,
+	}
+	if next[mn.state]&(1<<s) == 0 {
+		assert.Unreachable("mobileip: %s: illegal registration move %d -> %d", mn.host.Name(), mn.state, s)
+	}
+	mn.state = s
+	mn.timer.Stop()
 }
 
-// register starts (or restarts) the registration exchange.
-func (mn *MobileNode) register() {
-	mn.startExchange()
+// arm (re)starts the timer d from now. Handles are reused via Reset so
+// re-arming never allocates (the tcplite retransmission idiom).
+func (mn *MobileNode) arm(d vtime.Duration) {
+	if mn.timer == nil {
+		mn.timer = mn.host.Sched().After(d, mn.onTimer)
+	} else {
+		mn.timer.Reset(d)
+	}
+}
+
+// onTimer is the registration clock's one callback.
+func (mn *MobileNode) onTimer() {
+	switch mn.state {
+	case stRequesting, stRenewing:
+		mn.retransmit()
+	case stRegistered:
+		mn.renew()
+	case stIdle: // recovery probe: the last exchange gave up
+		mn.Stats.RecoveryProbes++
+		mn.startExchange(stRequesting)
+	}
+}
+
+// renew refreshes the binding before its lifetime runs out.
+func (mn *MobileNode) renew() {
+	mn.Stats.Renewals++
+	mn.startExchange(stRenewing)
 }
 
 // ieDecapsulator is where Out-IE tunnels terminate: the regional gateway
@@ -520,24 +532,23 @@ func (mn *MobileNode) registerCareOf() ipv4.Addr {
 // address without moving — the recovery primitive after an interface
 // bounce or a suspected agent restart. A no-op at home.
 func (mn *MobileNode) Reregister() {
-	if mn.atHome {
+	if mn.state == stHome {
 		return
 	}
-	mn.cancelTimers()
-	mn.registered = false
-	mn.startExchange()
+	mn.enter(stIdle)
+	mn.startExchange(stRequesting)
 }
 
-// startExchange begins a registration exchange (initial, renewal or
-// recovery probe): fresh try count, initial backoff, first transmission,
-// retry timer armed.
-func (mn *MobileNode) startExchange() {
+// startExchange enters s (requesting or renewing) and begins a
+// registration exchange: fresh try count, initial backoff, first
+// transmission, retransmission armed.
+func (mn *MobileNode) startExchange(s regState) {
+	mn.enter(s)
 	mn.regTries = 0
 	mn.regBackoff = regRetryInterval
-	mn.awaitingReply = true
 	mn.regExchangeAt = mn.host.Sim().Now()
 	mn.sendRegistration(mn.cfg.Lifetime, mn.registerCareOf())
-	mn.armRegRetry()
+	mn.armRetry()
 }
 
 func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
@@ -571,37 +582,29 @@ func (mn *MobileNode) sendRegistration(lifetime uint16, careOf ipv4.Addr) {
 	netsim.PutBuf(buf)
 }
 
-// armRegRetry schedules the next retransmission at the current backoff.
+// armRetry schedules the next retransmission at the current backoff.
 // From the second retry on, a jitter of up to backoff/4 is added so
 // nodes re-registering after a shared outage do not stay synchronized
 // (the first arm is unjittered, keeping the common lossless exchange
 // free of extra RNG draws).
-func (mn *MobileNode) armRegRetry() {
+func (mn *MobileNode) armRetry() {
 	d := mn.regBackoff
 	if d > regRetryInterval {
 		if q := int64(d / 4); q > 0 {
 			d += vtime.Duration(mn.rng.Int64N(q))
 		}
 	}
-	if mn.regTimer == nil {
-		mn.regTimer = mn.host.Sched().After(d, mn.onRegRetry)
-	} else {
-		mn.regTimer.Reset(d)
-	}
+	mn.arm(d)
 }
 
-// onRegRetry fires when a registration request has gone unanswered for
+// retransmit fires when a registration request has gone unanswered for
 // the current backoff interval: retransmit with the interval doubled, or
-// — once the exchange's try budget is spent — give up, report the loss,
-// and fall back to recovery probing.
-func (mn *MobileNode) onRegRetry() {
-	if !mn.awaitingReply || mn.atHome {
-		return
-	}
+// — once the exchange's try budget is spent — give up, drop the binding
+// and fall back to recovery probing (if RegProbeInterval is set).
+func (mn *MobileNode) retransmit() {
 	mn.regTries++
 	if mn.regTries >= mn.cfg.RegMaxRetries {
-		mn.awaitingReply = false
-		mn.registered = false
+		mn.enter(stIdle)
 		mn.Stats.RegistrationFails++
 		if tr := mn.host.Sim().Trace; tr.On() {
 			tr.Record(netsim.Event{
@@ -609,10 +612,9 @@ func (mn *MobileNode) onRegRetry() {
 				Detail: "registration abandoned: retries exhausted",
 			})
 		}
-		if mn.OnRegistrationLost != nil {
-			mn.OnRegistrationLost()
+		if mn.cfg.RegProbeInterval > 0 {
+			mn.arm(mn.cfg.RegProbeInterval)
 		}
-		mn.armRecoveryProbe()
 		return
 	}
 	mn.regBackoff *= 2
@@ -620,35 +622,7 @@ func (mn *MobileNode) onRegRetry() {
 		mn.regBackoff = regBackoffMax
 	}
 	mn.sendRegistration(mn.cfg.Lifetime, mn.registerCareOf())
-	mn.armRegRetry()
-}
-
-// armRecoveryProbe schedules the next post-give-up registration attempt.
-func (mn *MobileNode) armRecoveryProbe() {
-	if mn.cfg.RegProbeInterval <= 0 || mn.atHome {
-		return
-	}
-	if mn.probeTimer == nil {
-		mn.probeTimer = mn.host.Sched().After(mn.cfg.RegProbeInterval, mn.onRecoveryProbe)
-	} else {
-		mn.probeTimer.Reset(mn.cfg.RegProbeInterval)
-	}
-}
-
-func (mn *MobileNode) onRecoveryProbe() {
-	if mn.registered || mn.atHome || mn.awaitingReply {
-		return
-	}
-	mn.Stats.RecoveryProbes++
-	mn.startExchange()
-}
-
-func (mn *MobileNode) onRenew() {
-	if mn.atHome || !mn.registered {
-		return
-	}
-	mn.Stats.Renewals++
-	mn.startExchange()
+	mn.armRetry()
 }
 
 func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, payload []byte) {
@@ -666,7 +640,7 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	if rep.ID != mn.ids.Last() || rep.Home != mn.cfg.Home {
 		return
 	}
-	if !mn.awaitingReply {
+	if mn.state != stRequesting && mn.state != stRenewing {
 		// The exchange this reply answers is already settled: a network
 		// duplicate, or the agent's denial of a replayed copy of our
 		// request spoofed back at us. Either way there is nothing to
@@ -681,16 +655,11 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	if rep.Lifetime == 0 {
 		return // deregistration confirmed
 	}
-	mn.regTimer.Stop()
-	mn.probeTimer.Stop()
-	if mn.awaitingReply {
-		// Exchange latency: first transmission of this exchange to the
-		// accepted reply, including any retransmission backoff.
-		mn.regRTT.ObserveDuration(mn.host.Sim().Now().Sub(mn.regExchangeAt))
-	}
-	mn.awaitingReply = false
-	first := !mn.registered
-	mn.registered = true
+	first := mn.state == stRequesting
+	mn.enter(stRegistered)
+	// Exchange latency: first transmission of this exchange to the
+	// accepted reply, including any retransmission backoff.
+	mn.regRTT.ObserveDuration(mn.host.Sim().Now().Sub(mn.regExchangeAt))
 	mn.Stats.Registrations++
 	if tr := mn.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
@@ -701,11 +670,7 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 	// Renew at 80% of the granted lifetime.
 	renewAt := vtime.Duration(rep.Lifetime) * 1e9 * 8 / 10
 	mn.renewAt = mn.host.Sim().Now().Add(renewAt)
-	if mn.renewTimer == nil {
-		mn.renewTimer = mn.host.Sched().After(renewAt, mn.onRenew)
-	} else {
-		mn.renewTimer.Reset(renewAt)
-	}
+	mn.arm(renewAt)
 	if first && mn.OnRegistered != nil {
 		mn.OnRegistered()
 	}
@@ -721,7 +686,7 @@ func (mn *MobileNode) handleRegistrationReply(src ipv4.Addr, srcPort uint16, dst
 // outers to the care-of address are skipped here and counted as
 // In-IE/In-DE after decapsulation.
 func (mn *MobileNode) classifyDelivery(ifc *stack.Iface, pkt ipv4.Packet) {
-	if ifc == nil || mn.atHome {
+	if ifc == nil || mn.state == stHome {
 		return
 	}
 	switch pkt.Dst {
@@ -808,7 +773,7 @@ func (mn *MobileNode) countOut(mode core.OutMode, pkt *ipv4.Packet) {
 // routes the packet onto the tunnel virtual interface (encapsulated
 // modes) or pins the source address and falls through to normal routing.
 func (mn *MobileNode) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
-	if mn.atHome {
+	if mn.state == stHome {
 		return stack.Route{}, false // normal host at home: normal routing
 	}
 	if mn.viaFA {

@@ -32,11 +32,6 @@ func (mn *MobileNode) JoinMulticastLocal(group ipv4.Addr) {
 	mn.host.JoinGroup(mn.ifc, group)
 }
 
-// LeaveMulticastLocal drops the local subscription.
-func (mn *MobileNode) LeaveMulticastLocal(group ipv4.Addr) {
-	mn.host.LeaveGroup(mn.ifc, group)
-}
-
 // RelayGroup makes the home agent join the group on the home segment on
 // behalf of the registered mobile host with the given home address, and
 // tunnel every packet of that group through the binding. Returns an error

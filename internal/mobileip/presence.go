@@ -22,7 +22,7 @@ const PortPresence = 436
 // node's current segment. Call after each move (and optionally
 // periodically); it is a no-op at home or when detached.
 func (mn *MobileNode) AnnouncePresence() {
-	if mn.atHome || !mn.ifc.NIC().Attached() {
+	if mn.AtHome() || !mn.ifc.NIC().Attached() {
 		return
 	}
 	// Reuse the binding-notice wire format via a tiny header: the

@@ -43,9 +43,8 @@ func NewAutoProber(mn *MobileNode, interval vtime.Duration) *AutoProber {
 }
 
 // Track adds a correspondent to the probing set (call when a conversation
-// starts). Untrack removes it (conversation over — no point probing).
-func (p *AutoProber) Track(dst ipv4.Addr)   { p.active[dst] = true }
-func (p *AutoProber) Untrack(dst ipv4.Addr) { delete(p.active, dst) }
+// starts).
+func (p *AutoProber) Track(dst ipv4.Addr) { p.active[dst] = true }
 
 // Stop halts probing and releases the pending tick, so a stopped prober
 // leaves nothing in the scheduler.

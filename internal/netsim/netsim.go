@@ -17,7 +17,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"mob4x4/internal/assert"
 	"mob4x4/internal/metrics"
@@ -298,10 +297,10 @@ func SplitPair(a, b *Sim, name string, opts SegmentOpts) (*Segment, *Segment, er
 	if sa == sb {
 		return nil, nil, fmt.Errorf("netsim: SplitPair(%s): both ends on shard %d — use NewSegment for an intra-region link", name, sa)
 	}
-	if err := ga.EnsureLink(sa, sb, opts.Latency); err != nil {
+	if err := ga.Link(sa, sb, opts.Latency); err != nil {
 		return nil, nil, err
 	}
-	if err := ga.EnsureLink(sb, sa, opts.Latency); err != nil {
+	if err := ga.Link(sb, sa, opts.Latency); err != nil {
 		return nil, nil, err
 	}
 	ha := a.NewSegment(name, opts)
@@ -681,15 +680,4 @@ func (n *NIC) Send(f Frame) {
 	n.TxFrames++
 	n.TxBytes += uint64(len(f.Payload) + FrameHeaderLen)
 	n.segment.send(n, f)
-}
-
-// SortedSegmentNames is a test/debug helper returning segment names in
-// lexical order.
-func (s *Sim) SortedSegmentNames() []string {
-	names := make([]string, 0, len(s.segments))
-	for _, seg := range s.segments {
-		names = append(names, seg.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -32,11 +32,10 @@ type writeWaiter struct {
 }
 
 // Conn adapts one tcplite connection to net.Conn. All unexported state
-// below the driver pointer is sim-side: touched only on the event loop
-// (via Driver.do from the blocking layer, or directly by core-layer
-// callers that already run on the loop).
+// below the driver pointer is sim-side: touched only on the event loop,
+// via Driver.do from the blocking methods.
 type Conn struct {
-	d  *Driver // nil in core mode: blocking methods are unavailable
+	d  *Driver
 	tc *tcplite.Conn
 
 	local, remote Addr
@@ -59,10 +58,6 @@ type Conn struct {
 	wrDeadline vtime.Time
 	wrHas      bool
 	wrTimer    *vtime.Timer
-
-	// event, when set (core mode), fires on the event loop whenever the
-	// connection's readable/established/error status may have changed.
-	event func()
 }
 
 // newConn wraps tc and installs its callbacks. Runs on the event loop.
@@ -81,14 +76,6 @@ func newConn(d *Driver, tc *tcplite.Conn, proto string) *Conn {
 	tc.OnDrain = c.onDrain
 	return c
 }
-
-// Tcplite exposes the wrapped transport connection for metrics reads
-// (SRTT, byte counters). Event-loop context only.
-func (c *Conn) Tcplite() *tcplite.Conn { return c.tc }
-
-// SetEvent installs the core-layer notification hook (see DialCore).
-// Event-loop context only.
-func (c *Conn) SetEvent(fn func()) { c.event = fn }
 
 // LocalAddr returns the connection's endpoint identifier — the address
 // the mobility policy chose at setup (home vs care-of), which is
@@ -111,7 +98,6 @@ func (c *Conn) onEstablished() {
 		c.notifyWake()
 	}
 	c.estWaiters = nil
-	c.notifyEvent()
 }
 
 func (c *Conn) onData(p []byte) {
@@ -119,13 +105,11 @@ func (c *Conn) onData(p []byte) {
 	// its buffer regardless of what the transport does next.
 	c.buf = append(c.buf, p...)
 	c.pumpReaders()
-	c.notifyEvent()
 }
 
 func (c *Conn) onPeerClose() {
 	c.eof = true
 	c.pumpReaders()
-	c.notifyEvent()
 }
 
 func (c *Conn) onConnError(err error) {
@@ -139,26 +123,15 @@ func (c *Conn) onConnError(err error) {
 	c.estWaiters = nil
 	c.pumpReaders()
 	c.failWriters(c.opErr("write", err))
-	c.notifyEvent()
 }
 
 func (c *Conn) onDrain() {
 	c.pumpWriters()
 }
 
-func (c *Conn) notifyEvent() {
-	if c.event != nil {
-		c.event()
-	}
-}
-
 // notifyWake tells the driver a blocked caller was released, so virtual
 // time settles before advancing (the determinism contract).
-func (c *Conn) notifyWake() {
-	if c.d != nil {
-		c.d.noteActivity()
-	}
-}
+func (c *Conn) notifyWake() { c.d.noteActivity() }
 
 // --- read path ---
 
@@ -214,26 +187,6 @@ func (c *Conn) copyOut(p []byte) int {
 		c.bufOff = 0
 	}
 	return n
-}
-
-// TryRead is the core-layer read: copy what is buffered without
-// blocking. Returns 0, nil when nothing is readable yet; io.EOF after
-// the peer's orderly close; the sticky connection error otherwise.
-// Event-loop context only.
-func (c *Conn) TryRead(p []byte) (int, error) {
-	if c.closed {
-		return 0, c.opErr("read", net.ErrClosed)
-	}
-	if c.readable() > 0 {
-		return c.copyOut(p), nil
-	}
-	if c.eof {
-		return 0, io.EOF
-	}
-	if c.connErr != nil {
-		return 0, c.opErr("read", c.connErr)
-	}
-	return 0, nil
 }
 
 // pumpReaders releases parked Read calls in FIFO order as data, EOF or
@@ -320,18 +273,6 @@ func (c *Conn) writeSome(p []byte, off int) (int, error) {
 	return off, nil
 }
 
-// WriteCore is the core-layer write: accepts what fits in the backlog
-// without blocking and reports how much. Event-loop context only.
-func (c *Conn) WriteCore(p []byte) (int, error) {
-	if c.closed {
-		return 0, c.opErr("write", net.ErrClosed)
-	}
-	if c.connErr != nil {
-		return 0, c.opErr("write", c.connErr)
-	}
-	return c.writeSome(p, 0)
-}
-
 // pumpWriters resumes parked Write calls as acknowledgements free
 // backlog space.
 func (c *Conn) pumpWriters() {
@@ -364,13 +305,11 @@ func (c *Conn) failWriters(err error) {
 // Close implements net.Conn: initiates the orderly transport shutdown
 // and releases every blocked Read/Write with net.ErrClosed.
 func (c *Conn) Close() error {
-	c.d.do(func() { c.closeCore() })
+	c.d.do(c.closeCore)
 	return nil
 }
 
-// CloseCore is the core-layer close. Event-loop context only.
-func (c *Conn) CloseCore() { c.closeCore() }
-
+// closeCore runs on the event loop.
 func (c *Conn) closeCore() {
 	if c.closed {
 		return

@@ -2,7 +2,6 @@ package sock_test
 
 import (
 	"errors"
-	"io"
 	"net"
 	"os"
 	"testing"
@@ -43,103 +42,8 @@ func newCoreWorld(seed int64) *coreWorld {
 	}
 }
 
-// TestCoreTCPConversation drives a full TCP conversation through the
-// goroutine-free core layer: ListenCore's accept callback, DialCore's
-// in-flight handshake observed via SetEvent/IsEstablished, TryRead /
-// WriteCore data exchange, orderly close delivering EOF, and the
-// post-close error contract.
-func TestCoreTCPConversation(t *testing.T) {
-	w := newCoreWorld(17)
-	if w.cnet.Driver() != nil {
-		t.Fatal("core-only Net reports a driver")
-	}
-
-	var accepted []*sock.Conn
-	ln, err := w.snet.ListenCore(sock.Addr{Port: 7000}, func(c *sock.Conn) {
-		accepted = append(accepted, c)
-	})
-	if err != nil {
-		t.Fatalf("ListenCore: %v", err)
-	}
-
-	cli, err := w.cnet.DialCore(sock.Addr{IP: w.server.FirstAddr(), Port: 7000})
-	if err != nil {
-		t.Fatalf("DialCore: %v", err)
-	}
-	events := 0
-	cli.SetEvent(func() { events++ })
-	if cli.IsEstablished() {
-		t.Fatal("established before any packet moved")
-	}
-	w.nw.Run()
-	if !cli.IsEstablished() || cli.Err() != nil {
-		t.Fatalf("handshake: established=%v err=%v", cli.IsEstablished(), cli.Err())
-	}
-	if events == 0 {
-		t.Fatal("SetEvent hook never fired during the handshake")
-	}
-	if len(accepted) != 1 {
-		t.Fatalf("accepted %d connections, want 1", len(accepted))
-	}
-	sc := accepted[0]
-	if cli.Tcplite() == nil || sc.Tcplite() == nil {
-		t.Fatal("Tcplite returned nil for a live connection")
-	}
-
-	buf := make([]byte, 128)
-	if n, err := cli.TryRead(buf); n != 0 || err != nil {
-		t.Fatalf("TryRead on empty conn: n=%d err=%v", n, err)
-	}
-
-	payload := []byte("core-layer request")
-	if n, err := cli.WriteCore(payload); err != nil || n != len(payload) {
-		t.Fatalf("WriteCore: n=%d err=%v", n, err)
-	}
-	w.nw.Run()
-	n, err := sc.TryRead(buf)
-	if err != nil || string(buf[:n]) != string(payload) {
-		t.Fatalf("server TryRead: %q err=%v", buf[:n], err)
-	}
-	if _, err := sc.WriteCore(buf[:n]); err != nil {
-		t.Fatalf("server echo WriteCore: %v", err)
-	}
-	w.nw.Run()
-	n, err = cli.TryRead(buf)
-	if err != nil || string(buf[:n]) != string(payload) {
-		t.Fatalf("client TryRead echo: %q err=%v", buf[:n], err)
-	}
-
-	// Orderly close: FIN is delivered as EOF after buffered data.
-	sc.CloseCore()
-	w.nw.Run()
-	if _, err := cli.TryRead(buf); !errors.Is(err, io.EOF) {
-		t.Fatalf("TryRead after peer close: %v, want EOF", err)
-	}
-	cli.CloseCore()
-	if _, err := cli.TryRead(buf); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("TryRead after local close: %v, want net.ErrClosed", err)
-	}
-	if _, err := cli.WriteCore(payload); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("WriteCore after local close: %v, want net.ErrClosed", err)
-	}
-
-	// A dial against the closed listener must surface a sticky error —
-	// polled through Err, the core layer's failure channel.
-	ln.CloseCore()
-	c2, err := w.cnet.DialCore(sock.Addr{IP: w.server.FirstAddr(), Port: 7000})
-	if err != nil {
-		t.Fatalf("DialCore after listener close: %v", err)
-	}
-	w.nw.Run()
-	if c2.IsEstablished() || c2.Err() == nil {
-		t.Fatalf("dial to closed listener: established=%v err=%v", c2.IsEstablished(), c2.Err())
-	}
-	c2.CloseCore()
-	w.nw.Run()
-}
-
 // TestCorePacketConnLifecycle exercises the packet side of the core
-// layer: address accessors, ConnectCore pinning, WriteToCore /
+// layer: address accessors, WriteToCore /
 // TryReadFrom exchange via SetEvent, and the closed-socket error paths.
 func TestCorePacketConnLifecycle(t *testing.T) {
 	w := newCoreWorld(19)
@@ -160,10 +64,6 @@ func TestCorePacketConnLifecycle(t *testing.T) {
 	}
 
 	peer := sock.Addr{IP: w.server.FirstAddr(), Port: 6100}
-	cli.ConnectCore(peer)
-	if ra := cli.RemoteAddr().(sock.Addr); ra.IP != peer.IP || ra.Port != peer.Port {
-		t.Fatalf("connected RemoteAddr: %v, want %v", ra, peer)
-	}
 
 	sbuf := make([]byte, 64)
 	srv.SetEvent(func() {

@@ -24,10 +24,6 @@ type Listener struct {
 	backlog []*Conn
 	waiters []*acceptWaiter
 	closed  bool
-
-	// acceptCore, when set (core mode), receives each established
-	// connection on the event loop instead of the backlog.
-	acceptCore func(*Conn)
 }
 
 // Addr returns the listening address. A zero IP means the listener
@@ -61,15 +57,11 @@ func (l *Listener) onSYN(tc *tcplite.Conn) {
 	}
 }
 
-// deliver hands an established connection to Accept (or the core
-// callback). Event-loop context.
+// deliver hands an established connection to Accept. Event-loop
+// context.
 func (l *Listener) deliver(c *Conn) {
 	if l.closed {
 		c.closeCore()
-		return
-	}
-	if l.acceptCore != nil {
-		l.acceptCore(c)
 		return
 	}
 	if len(l.waiters) > 0 {
@@ -77,9 +69,7 @@ func (l *Listener) deliver(c *Conn) {
 		l.waiters = l.waiters[1:]
 		w.c = c
 		close(w.done)
-		if l.d != nil {
-			l.d.noteActivity()
-		}
+		l.d.noteActivity()
 		return
 	}
 	l.backlog = append(l.backlog, c)
@@ -123,13 +113,11 @@ func (l *Listener) Accept() (net.Conn, error) {
 // Accept calls with net.ErrClosed and closes queued-but-unaccepted
 // connections.
 func (l *Listener) Close() error {
-	l.d.do(func() { l.closeCore() })
+	l.d.do(l.closeCore)
 	return nil
 }
 
-// CloseCore is the core-layer close. Event-loop context only.
-func (l *Listener) CloseCore() { l.closeCore() }
-
+// closeCore runs on the event loop.
 func (l *Listener) closeCore() {
 	if l.closed {
 		return
@@ -139,9 +127,7 @@ func (l *Listener) closeCore() {
 	for _, w := range l.waiters {
 		w.err = l.opErr("accept", net.ErrClosed)
 		close(w.done)
-		if l.d != nil {
-			l.d.noteActivity()
-		}
+		l.d.noteActivity()
 	}
 	l.waiters = nil
 	for _, c := range l.backlog {

@@ -17,8 +17,9 @@ import (
 // table with transport context (the §7.1.2 port heuristic), exactly as
 // for raw sockets; the facade adds no addressing decisions of its own.
 //
-// Blocking methods require a started Driver. The *Core variants run on
-// the event loop (no Driver needed) for deterministic workloads.
+// Blocking methods require a started Driver. ListenPacketCore runs on
+// the event loop (no Driver needed) for deterministic workloads; TCP has
+// only the blocking layer.
 type Net struct {
 	d    *Driver
 	host *stack.Host
@@ -28,7 +29,7 @@ type Net struct {
 }
 
 // NewNet builds a facade for host. tcp may be shared with other users
-// of the endpoint; d may be nil for core-only (event-loop) use.
+// of the endpoint; d may be nil when only ListenPacketCore is used.
 func NewNet(d *Driver, host *stack.Host, tcp *tcplite.Endpoint) *Net {
 	return &Net{d: d, host: host, tcp: tcp, nextListenPort: 50000}
 }
@@ -100,24 +101,6 @@ func (n *Net) dialUDP(raddr Addr) (net.Conn, error) {
 	return pc, nil
 }
 
-// DialCore opens a TCP facade connection from the event loop: returns
-// immediately with the handshake in flight. Install SetEvent (or poll
-// IsEstablished / Err) to learn the outcome. Event-loop context only.
-func (n *Net) DialCore(raddr Addr) (*Conn, error) {
-	tc, err := n.tcp.Dial(ipv4.Zero, raddr.IP, raddr.Port)
-	if err != nil {
-		return nil, opError("dial", "tcp", nil, raddr, err)
-	}
-	return newConn(n.d, tc, "tcp"), nil
-}
-
-// IsEstablished reports handshake completion. Event-loop context only.
-func (c *Conn) IsEstablished() bool { return c.established }
-
-// Err returns the sticky connection error (nil while healthy).
-// Event-loop context only.
-func (c *Conn) Err() error { return c.connErr }
-
 // Listen announces on a TCP address. Port 0 allocates one.
 func (n *Net) Listen(network, address string) (net.Listener, error) {
 	laddr, err := resolveAddr(network, address)
@@ -128,23 +111,15 @@ func (n *Net) Listen(network, address string) (net.Listener, error) {
 		return nil, net.UnknownNetworkError(network)
 	}
 	var l *Listener
-	n.d.do(func() { l, err = n.listenCore(laddr, nil) })
+	n.d.do(func() { l, err = n.listen(laddr) })
 	if err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// ListenCore is Listen from the event loop: each established inbound
-// connection is handed to accept instead of an Accept queue.
-// Event-loop context only.
-func (n *Net) ListenCore(laddr Addr, accept func(*Conn)) (*Listener, error) {
-	laddr.Proto = "tcp"
-	return n.listenCore(laddr, accept)
-}
-
-func (n *Net) listenCore(laddr Addr, accept func(*Conn)) (*Listener, error) {
-	l := &Listener{d: n.d, addr: laddr, acceptCore: accept}
+func (n *Net) listen(laddr Addr) (*Listener, error) {
+	l := &Listener{d: n.d, addr: laddr}
 	if laddr.Port == 0 {
 		for tries := 0; ; tries++ {
 			if tries > 65535 {

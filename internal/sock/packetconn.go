@@ -101,12 +101,6 @@ func (p *PacketConn) Connect(addr net.Addr) error {
 	return err
 }
 
-// ConnectCore is Connect from the event loop. Event-loop context only.
-func (p *PacketConn) ConnectCore(a Addr) {
-	a.Proto = "udp"
-	p.connected, p.peer = true, a
-}
-
 func (p *PacketConn) opErr(op string, err error) error {
 	var remote net.Addr
 	if p.connected {

@@ -195,12 +195,17 @@ func (s *Scheduler) Group() *Group {
 
 // Link declares a directed src→dst edge with the given lookahead: every
 // SendTo over the pair must carry a timestamp at least lookahead past the
-// sender's clock. A zero or negative lookahead is rejected — with no
-// timestamp slack the receiver could never safely execute anything, so
-// such a link would deadlock the pair (model zero-latency coupling by
-// putting both endpoints in one shard instead). Declaring a link
-// allocates the pair's SPSC ring; pairs without a declared link may still
-// communicate through the overflow inbox when SetDefaultLookahead is set.
+// sender's clock. Declaring an edge that exists tightens its lookahead to
+// the smaller of the two: split segments laid over the same shard pair
+// each promise their own link latency, the pair's safe window is the
+// minimum of them, and callers need not know whether an earlier segment
+// already declared the edge. A zero or negative lookahead is rejected —
+// with no timestamp slack the receiver could never safely execute
+// anything, so such a link would deadlock the pair (model zero-latency
+// coupling by putting both endpoints in one shard instead). Declaring a
+// link allocates the pair's SPSC ring; pairs without a declared link may
+// still communicate through the overflow inbox when SetDefaultLookahead
+// is set.
 func (g *Group) Link(src, dst int, lookahead Duration) error {
 	if src < 0 || src >= len(g.shards) || dst < 0 || dst >= len(g.shards) {
 		return fmt.Errorf("vtime: Link(%d, %d): shard index out of range [0, %d)", src, dst, len(g.shards))
@@ -214,53 +219,22 @@ func (g *Group) Link(src, dst int, lookahead Duration) error {
 			src, dst, lookahead)
 	}
 	ss, ds := g.shards[src].sh, g.shards[dst].sh
+	if Time(lookahead) < ds.minIn {
+		ds.minIn = Time(lookahead)
+	}
 	if ss.out[dst] != nil {
-		return fmt.Errorf("vtime: Link(%d, %d): link already declared", src, dst)
+		for i := range ds.upstream {
+			if ds.upstream[i].src == g.shards[src] {
+				ds.upstream[i].lookahead = min(ds.upstream[i].lookahead, Time(lookahead))
+				return nil
+			}
+		}
+		assert.Unreachable("vtime: link ring exists without upstream record")
 	}
 	r := new(ring)
 	ss.out[dst] = r
 	ds.upstream = append(ds.upstream, upLink{src: g.shards[src], lookahead: Time(lookahead), ring: r})
-	if Time(lookahead) < ds.minIn {
-		ds.minIn = Time(lookahead)
-	}
 	g.anyLink = true
-	return nil
-}
-
-// EnsureLink declares the src→dst edge if absent, or tightens the
-// declared lookahead when the new constraint is smaller. Two split
-// segments laid over the same shard pair each promise their own link
-// latency; the pair's safe window must be the minimum of them, and
-// callers should not have to know whether some earlier segment already
-// declared the edge. Validation mirrors Link's.
-func (g *Group) EnsureLink(src, dst int, lookahead Duration) error {
-	if src < 0 || src >= len(g.shards) || dst < 0 || dst >= len(g.shards) {
-		return fmt.Errorf("vtime: EnsureLink(%d, %d): shard index out of range [0, %d)", src, dst, len(g.shards))
-	}
-	if src == dst {
-		return fmt.Errorf("vtime: EnsureLink(%d, %d): a shard needs no link to itself", src, dst)
-	}
-	if lookahead <= 0 {
-		return fmt.Errorf("vtime: EnsureLink(%d, %d): lookahead %v must be positive — a zero-latency "+
-			"inter-shard link admits no safe execution window (merge the regions into one shard instead)",
-			src, dst, lookahead)
-	}
-	ss, ds := g.shards[src].sh, g.shards[dst].sh
-	if ss.out[dst] == nil {
-		return g.Link(src, dst, lookahead)
-	}
-	for i := range ds.upstream {
-		if ds.upstream[i].src == g.shards[src] {
-			if Time(lookahead) < ds.upstream[i].lookahead {
-				ds.upstream[i].lookahead = Time(lookahead)
-				if Time(lookahead) < ds.minIn {
-					ds.minIn = Time(lookahead)
-				}
-			}
-			return nil
-		}
-	}
-	assert.Unreachable("vtime: link ring exists without upstream record")
 	return nil
 }
 

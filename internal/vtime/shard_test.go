@@ -92,19 +92,28 @@ func TestZeroLatencyLinkRejected(t *testing.T) {
 	if err := g.SetDefaultLookahead(0); err == nil {
 		t.Fatal("SetDefaultLookahead(0): want error, got nil")
 	}
-	// Out-of-range / duplicate / self links are also configuration
-	// errors, not panics.
+	// Out-of-range / self links are also configuration errors, not
+	// panics.
 	if err := g.Link(0, 5, 1e6); err == nil {
 		t.Fatal("Link to out-of-range shard: want error")
 	}
 	if err := g.Link(0, 0, 1e6); err == nil {
 		t.Fatal("self link: want error")
 	}
-	if err := g.Link(0, 1, 1e6); err != nil {
+	if err := g.Link(0, 1, 2e6); err != nil {
 		t.Fatalf("valid link rejected: %v", err)
 	}
-	if err := g.Link(0, 1, 1e6); err == nil {
-		t.Fatal("duplicate link: want error")
+	// Declaring the edge again tightens it to the smaller lookahead and
+	// never loosens it; the ring and upstream record stay single.
+	dst := g.shards[1].sh
+	for _, d := range []Duration{1e6, 3e6} {
+		if err := g.Link(0, 1, d); err != nil {
+			t.Fatalf("re-declared link (lookahead %v) rejected: %v", d, err)
+		}
+		if len(dst.upstream) != 1 || dst.upstream[0].lookahead != 1e6 || dst.minIn != 1e6 {
+			t.Fatalf("after Link(0, 1, %v): %d upstream, lookahead %v, minIn %v; want 1, 1ms, 1ms",
+				d, len(dst.upstream), dst.upstream[0].lookahead, dst.minIn)
+		}
 	}
 }
 
