@@ -7,6 +7,7 @@ import (
 
 	"mob4x4/internal/core"
 	"mob4x4/internal/netsim"
+	"mob4x4/internal/race"
 )
 
 // smallOpts is the CI-sized fleet: big enough to populate every
@@ -213,6 +214,40 @@ func TestStormScheduleWindows(t *testing.T) {
 	}
 	if massMoveAt+massMoveWindow >= endAt-quiesceFor {
 		t.Errorf("mass move ends at %v, not before quiesce at %v", massMoveAt+massMoveWindow, endAt-quiesceFor)
+	}
+}
+
+// TestFleetBytesPerNode pins what fleet.New allocates per node for a
+// 64-node, 4-cell fleet: hosts, interfaces, route tables, demux tables,
+// mobile nodes, sockets and the shard rings, amortized over the nodes.
+// A per-host map or an eager per-host structure would break the pin.
+func TestFleetBytesPerNode(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	const nodes = 64
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			New(Options{Seed: 1, Nodes: nodes, Cells: 4})
+		}
+	})
+	if got := res.AllocedBytesPerOp() / nodes; got > fleetBytesPerNode {
+		t.Errorf("fleet.New allocates %d B per node, want <= %d", got, fleetBytesPerNode)
+	}
+}
+
+// fleetBytesPerNode bounds TestFleetBytesPerNode: 4,255 B per node on
+// linux/amd64 (6,149 B with a Go map per demux table, an eager
+// reassembler and 256-slot shard rings), plus 5% headroom.
+const fleetBytesPerNode = 4470
+
+// BenchmarkFleetBuild is fleet.New alone at BenchmarkFleetHandoffStorm's
+// size: the build half of the storm, reported apart from the run.
+func BenchmarkFleetBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(Options{Seed: 1, Nodes: 64, Cells: 8})
 	}
 }
 

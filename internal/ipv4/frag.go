@@ -114,9 +114,10 @@ func NewReassembler() *Reassembler {
 func (r *Reassembler) Pending() int { return len(r.contexts) }
 
 // Add offers a fragment (or whole packet) to the reassembler. If the packet
-// is unfragmented it is returned immediately. When the final piece of a
-// fragmented packet arrives, the fully reassembled packet is returned with
-// done=true; otherwise done is false.
+// is unfragmented it is returned immediately, without touching r (which may
+// then be nil). When the final piece of a fragmented packet arrives, the
+// fully reassembled packet is returned with done=true; otherwise done is
+// false.
 func (r *Reassembler) Add(p Packet) (out Packet, done bool, err error) {
 	if !p.MoreFrags && p.FragOffset == 0 {
 		return p, true, nil

@@ -57,14 +57,14 @@ type Host struct {
 	// 3.1 of the paper): source-address checks at domain boundaries.
 	Filter *FilterPolicy
 
-	protoHandlers map[uint8]ProtoHandler
+	handlers *smallMap[uint8, ProtoHandler]
 
-	// claimed is the set of additional local addresses: a mobile host
+	// claims is the set of additional local addresses: a mobile host
 	// claims its home address wherever it is; a home agent claims the
 	// addresses of mobile hosts it serves (paired with proxy ARP).
-	claimed map[ipv4.Addr]ProtoOverride
+	claims *smallMap[ipv4.Addr, ProtoOverride]
 
-	udpSocks  map[uint16]*UDPSocket
+	socks     *smallMap[uint16, *UDPSocket]
 	ephemeral uint16
 	nextIPID  uint16 // beside ephemeral so the two share one word with portProbe
 	// portProbe is SourceForDestinationPort's scratch transport header
@@ -72,7 +72,7 @@ type Host struct {
 	// packet referencing it never forces a heap allocation.
 	portProbe [4]byte
 
-	reasm      *ipv4.Reassembler
+	reasm      *ipv4.Reassembler // built on the first fragment
 	reasmTimer *vtime.Timer
 
 	// FragNeeded, when non-nil, is called when a DF-marked packet
@@ -122,16 +122,16 @@ type ProtoOverride func(iface *Iface, pkt ipv4.Packet)
 // ReassemblyTimeout is how long fragments wait for their siblings.
 const ReassemblyTimeout = 30 * 1e9 // 30s in nanoseconds (vtime.Duration)
 
-// NewHost creates a host with no interfaces. The handler/claim/socket maps
-// are allocated lazily at their write sites: large grid scenarios build
-// hundreds of hosts, most of which never register handlers or claims.
+// NewHost creates a host with no interfaces. The handler, claim and socket
+// tables and the reassembler are allocated lazily at their write sites:
+// large grid scenarios build hundreds of hosts, most of which never
+// register handlers or claims, and almost none of which see a fragment.
 func NewHost(sim *netsim.Sim, name string) *Host {
 	h := &Host{
 		sim:         sim,
 		metrics:     sim.Metrics,
 		name:        name,
 		ephemeral:   49152,
-		reasm:       ipv4.NewReassembler(),
 		ARPTimeout:  vtime.Duration(1e9), // 1s
 		ARPRetries:  3,
 		ARPCacheTTL: vtime.Duration(300e9), // 5min, well above most runs
@@ -300,10 +300,7 @@ func segName(seg *netsim.Segment) string {
 
 // Handle registers a protocol handler (ICMP, TCP, tunnel decapsulators...).
 func (h *Host) Handle(proto uint8, fn ProtoHandler) {
-	if h.protoHandlers == nil {
-		h.protoHandlers = make(map[uint8]ProtoHandler)
-	}
-	h.protoHandlers[proto] = fn
+	tableFor(&h.handlers).set(proto, fn)
 }
 
 // Claim adds addr to the host's set of local addresses. If override is
@@ -311,20 +308,17 @@ func (h *Host) Handle(proto uint8, fn ProtoHandler) {
 // if nil, packets to addr are demultiplexed normally (mobile host's own
 // home address).
 func (h *Host) Claim(addr ipv4.Addr, override ProtoOverride) {
-	if h.claimed == nil {
-		h.claimed = make(map[ipv4.Addr]ProtoOverride)
-	}
-	h.claimed[addr] = override
+	tableFor(&h.claims).set(addr, override)
 }
 
 // Unclaim removes a claimed address.
 func (h *Host) Unclaim(addr ipv4.Addr) {
-	delete(h.claimed, addr)
+	h.claims.del(addr)
 }
 
 // Claimed reports whether addr is claimed (including interface addresses).
 func (h *Host) Claimed(addr ipv4.Addr) bool {
-	if _, ok := h.claimed[addr]; ok {
+	if _, ok := h.claims.get(addr); ok {
 		return true
 	}
 	return h.addrLocal(addr)
@@ -367,7 +361,9 @@ func (h *Host) Quiesce() {
 	if h.reasmTimer != nil {
 		h.reasmTimer.Stop()
 	}
-	h.reasm.Expire()
+	if h.reasm != nil {
+		h.reasm.Expire()
+	}
 	for _, ifc := range h.ifaces {
 		//mob4x4vet:allow mapiter only commutative drop counters escape; the jobs are discarded wholesale
 		for _, job := range ifc.pending {

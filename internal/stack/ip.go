@@ -286,6 +286,11 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 // deliverLocal reassembles and demultiplexes a packet destined for this
 // host.
 func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
+	// Add returns an unfragmented packet without touching a nil
+	// reassembler, so a host builds one only for its first fragment.
+	if h.reasm == nil && (pkt.MoreFrags || pkt.FragOffset != 0) {
+		h.reasm = ipv4.NewReassembler()
+	}
 	full, done, err := h.reasm.Add(pkt)
 	if err != nil {
 		h.metrics.Drop(metrics.DropMalformed)
@@ -320,11 +325,11 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 	if full.Dst.IsMulticast() && h.MulticastTap != nil && h.MulticastTap(ifc, full) {
 		return // consumed by the tap (e.g. a home agent's group relay)
 	}
-	if override, ok := h.claimed[full.Dst]; ok && override != nil {
+	if override, _ := h.claims.get(full.Dst); override != nil {
 		override(ifc, full)
 		return
 	}
-	if handler, ok := h.protoHandlers[full.Protocol]; ok {
+	if handler, ok := h.handlers.get(full.Protocol); ok {
 		handler(ifc, full)
 		return
 	}

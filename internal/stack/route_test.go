@@ -254,10 +254,11 @@ func TestRouteTableDifferential(t *testing.T) {
 }
 
 // TestRouteTableFootprint pins what a route table costs a host: two slice
-// headers inline, and for a visitor-shaped host (one interface with its
-// connected route, plus a default route) the bytes NewHost and the two
-// Adds allocate. A per-table array such as a lookup cache would break
-// both pins.
+// headers inline, and for a visitor-shaped host the bytes it allocates.
+// The host is built as a fleet visitor is: one interface with its
+// connected route, a default route, an ICMP handler, a claim on the home
+// address and two UDP sockets. A per-table array such as a lookup cache,
+// an eager reassembler or a map per demux table would break the pin.
 func TestRouteTableFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are unstable under the race detector")
@@ -268,12 +269,20 @@ func TestRouteTableFootprint(t *testing.T) {
 	sim := netsim.NewSim(1)
 	seg := sim.NewSegment("cell", netsim.SegmentOpts{})
 	cell := ipv4.MustParsePrefix("10.1.0.0/16")
+	home := ipv4.MustParseAddr("36.1.0.2")
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h := NewHost(sim, "v")
 			ifc := h.AddIface("eth0", seg, cell.Host(2+i%60000), cell)
 			h.Routes().AddDefault(ifc, cell.Host(1))
+			h.Handle(ipv4.ProtoICMP, func(*Iface, ipv4.Packet) {})
+			h.Claim(home, nil)
+			for range 2 {
+				if _, err := h.OpenUDP(ipv4.Zero, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	})
 	if got := res.AllocedBytesPerOp(); got > visitorHostBytes {
@@ -282,9 +291,10 @@ func TestRouteTableFootprint(t *testing.T) {
 }
 
 // visitorHostBytes bounds TestRouteTableFootprint's visitor-shaped host:
-// about 1,000 B on linux/amd64 (2,310 B with the old 64-slot lookup
-// cache), plus headroom for the amortized growth of the segment's slices.
-const visitorHostBytes = 1088
+// about 1,240 B on linux/amd64 (1,660 B with a Go map per demux table and
+// an eager reassembler), plus headroom for the amortized growth of the
+// segment's slices.
+const visitorHostBytes = 1328
 
 // routeSink keeps benchmarked lookups from being optimized away.
 var routeSink Route

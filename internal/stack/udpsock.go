@@ -38,20 +38,17 @@ func (h *Host) OpenUDP(bindAddr ipv4.Addr, port uint16, handler UDPHandler) (*UD
 			if h.ephemeral < 49152 {
 				h.ephemeral = 49152
 			}
-			if _, used := h.udpSocks[h.ephemeral]; !used {
+			if _, used := h.socks.get(h.ephemeral); !used {
 				port = h.ephemeral
 				break
 			}
 		}
 	}
-	if _, used := h.udpSocks[port]; used {
+	if _, used := h.socks.get(port); used {
 		return nil, fmt.Errorf("%s: udp port %d already bound", h.name, port)
 	}
 	s := &UDPSocket{host: h, bindAddr: bindAddr, port: port, handler: handler}
-	if h.udpSocks == nil {
-		h.udpSocks = make(map[uint16]*UDPSocket)
-	}
-	h.udpSocks[port] = s
+	tableFor(&h.socks).set(port, s)
 	h.ensureUDPDemux()
 	return s, nil
 }
@@ -72,7 +69,7 @@ func (s *UDPSocket) Close() {
 		return
 	}
 	s.closed = true
-	delete(s.host.udpSocks, s.port)
+	s.host.socks.del(s.port)
 }
 
 // SendTo transmits a datagram to dst:dstPort. The source address is the
@@ -167,13 +164,7 @@ func (h *Host) SourceForDestinationPort(dst ipv4.Addr, proto uint8, dstPort uint
 			return rt.Iface.addr
 		}
 	}
-	if h.Claimed(dst) {
-		return dst
-	}
-	if rt, ok := h.routes.Lookup(dst); ok && rt.Iface != nil {
-		return rt.Iface.addr
-	}
-	return ipv4.Zero
+	return h.SourceForDestinationPlain(dst)
 }
 
 // SourceForDestinationPlain is SourceForDestination ignoring any route
@@ -191,7 +182,7 @@ func (h *Host) SourceForDestinationPlain(dst ipv4.Addr) ipv4.Addr {
 }
 
 func (h *Host) ensureUDPDemux() {
-	if _, ok := h.protoHandlers[ipv4.ProtoUDP]; ok {
+	if _, ok := h.handlers.get(ipv4.ProtoUDP); ok {
 		return
 	}
 	h.Handle(ipv4.ProtoUDP, func(ifc *Iface, pkt ipv4.Packet) {
@@ -199,7 +190,7 @@ func (h *Host) ensureUDPDemux() {
 		if err != nil {
 			return
 		}
-		sock, ok := h.udpSocks[d.DstPort]
+		sock, ok := h.socks.get(d.DstPort)
 		if !ok {
 			return
 		}

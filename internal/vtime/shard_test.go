@@ -270,3 +270,63 @@ func timeout(t *testing.T) <-chan time.Time {
 	t.Helper()
 	return time.After(30 * time.Second)
 }
+
+// burstRun sends 3*ringCap events from shard 0 to shard 1 over one
+// declared link, perSender of them from each sender event, and returns the
+// receiver's execution order with the sender's counts. Sender events fire
+// one lookahead apart and every target lies past the last of them, so
+// perSender bounds how many events the ring holds between the receiver's
+// drains. Targets tie in groups (i*7%5 ns past base), so the sender's
+// sequence numbers decide among equal timestamps.
+func burstRun(t *testing.T, workers, perSender int) (order []int, overflow uint64) {
+	t.Helper()
+	const la = Duration(1e6)
+	const n = 3 * ringCap
+	g := NewGroup(1, 2)
+	if err := g.Link(0, 1, la); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Link(1, 0, la); err != nil {
+		t.Fatal(err)
+	}
+	a, b := g.Shard(0), g.Shard(1)
+	record := func(arg any) { order = append(order, arg.(int)) }
+	senders := n / perSender
+	base := Time(Duration(senders+1) * la)
+	for k := 0; k < senders; k++ {
+		k := k
+		a.At(Time(Duration(k)*la), func() {
+			for i := k * perSender; i < (k+1)*perSender; i++ {
+				a.SendTo(b, base.Add(Duration(i*7%5)), record, i)
+			}
+		})
+	}
+	g.RunUntil(base.Add(10), workers)
+	if len(order) != n {
+		t.Fatalf("receiver ran %d of %d events", len(order), n)
+	}
+	ring, overflow := g.Sends(0)
+	if ring+overflow != n {
+		t.Fatalf("sends: %d by ring + %d by inbox, want %d in all", ring, overflow, n)
+	}
+	return order, overflow
+}
+
+// TestRingOverflowKeepsOrder: a burst larger than the link's ring inside
+// one lookahead window spills into the mutex inbox, and the receiver still
+// executes it in the order of a run whose ring never fills.
+func TestRingOverflowKeepsOrder(t *testing.T) {
+	want, ref := burstRun(t, 1, ringCap/4)
+	if ref != 0 {
+		t.Fatalf("reference run overflowed %d events", ref)
+	}
+	for _, workers := range []int{1, 2} {
+		got, overflow := burstRun(t, workers, 3*ringCap)
+		if overflow == 0 {
+			t.Errorf("workers=%d: burst of %d never overflowed a %d-slot ring", workers, 3*ringCap, ringCap)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: overflowed order\n%v\nwant\n%v", workers, got, want)
+		}
+	}
+}
