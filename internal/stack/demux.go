@@ -8,7 +8,7 @@ import (
 
 // smallMap is a host's demux table (protocol handlers, bound UDP sockets,
 // claimed addresses): a slice matched by a linear scan, since a fleet
-// visitor holds three handlers, two or three sockets and one claim. Past
+// visitor holds two handlers, two or three sockets and one claim. Past
 // netsim.SegIndexMin entries — a home agent claims every bound home
 // address — it moves to a Go map, the threshold the segment MAC index
 // uses. A Host holds each table by a pointer that stays nil until the

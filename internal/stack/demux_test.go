@@ -12,8 +12,9 @@ import (
 )
 
 // demuxShadow is the reference model for a host's demux tables, one Go
-// map per table. Handler and override values are ids; handler id -1 is the
-// UDP socket demux OpenUDP installs.
+// map per table. Handler and override values are ids; handler id -1 marks
+// UDP going to the sockets, as it does from the first OpenUDP until a UDP
+// handler is registered.
 type demuxShadow struct {
 	handlers  map[uint8]int
 	claims    map[ipv4.Addr]int // 0 = nil override (deliver normally)

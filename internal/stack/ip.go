@@ -333,6 +333,10 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 		handler(ifc, full)
 		return
 	}
+	if full.Protocol == ipv4.ProtoUDP && h.socks != nil {
+		h.deliverUDP(full)
+		return
+	}
 	h.metrics.Drop(metrics.DropNoProto)
 }
 

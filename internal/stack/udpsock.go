@@ -49,7 +49,6 @@ func (h *Host) OpenUDP(bindAddr ipv4.Addr, port uint16, handler UDPHandler) (*UD
 	}
 	s := &UDPSocket{host: h, bindAddr: bindAddr, port: port, handler: handler}
 	tableFor(&h.socks).set(port, s)
-	h.ensureUDPDemux()
 	return s, nil
 }
 
@@ -181,27 +180,25 @@ func (h *Host) SourceForDestinationPlain(dst ipv4.Addr) ipv4.Addr {
 	return ipv4.Zero
 }
 
-func (h *Host) ensureUDPDemux() {
-	if _, ok := h.handlers.get(ipv4.ProtoUDP); ok {
+// deliverUDP hands a locally delivered datagram to the socket bound to its
+// destination port. Once a host has opened a socket, UDP comes here unless
+// a UDP handler was registered with Handle.
+func (h *Host) deliverUDP(pkt ipv4.Packet) {
+	d, err := udp.Unmarshal(pkt.Src, pkt.Dst, pkt.Payload)
+	if err != nil {
 		return
 	}
-	h.Handle(ipv4.ProtoUDP, func(ifc *Iface, pkt ipv4.Packet) {
-		d, err := udp.Unmarshal(pkt.Src, pkt.Dst, pkt.Payload)
-		if err != nil {
-			return
-		}
-		sock, ok := h.socks.get(d.DstPort)
-		if !ok {
-			return
-		}
-		// A socket bound to a specific address only accepts datagrams
-		// addressed to it (broadcast excepted).
-		if !sock.bindAddr.IsZero() && pkt.Dst != sock.bindAddr && !pkt.Dst.IsBroadcast() {
-			return
-		}
-		sock.Delivered++
-		if sock.handler != nil {
-			sock.handler(pkt.Src, d.SrcPort, pkt.Dst, d.Payload)
-		}
-	})
+	sock, ok := h.socks.get(d.DstPort)
+	if !ok {
+		return
+	}
+	// A socket bound to a specific address only accepts datagrams
+	// addressed to it (broadcast excepted).
+	if !sock.bindAddr.IsZero() && pkt.Dst != sock.bindAddr && !pkt.Dst.IsBroadcast() {
+		return
+	}
+	sock.Delivered++
+	if sock.handler != nil {
+		sock.handler(pkt.Src, d.SrcPort, pkt.Dst, d.Payload)
+	}
 }
