@@ -88,13 +88,15 @@ cover:
 
 # The seeded smokes under the race detector at one seed: chaos (E13),
 # the fleet storms (E14, E15, E17) with the fleet and routeopt unit
-# suites, and the socket facade with E16's capture determinism. At the
-# default SEED=1 they are part of `make race`; a failing smoke prints
-# the command that reproduces it:
+# suites, and the socket facade with E16's capture determinism, the
+# captures it returns and the CLI's capture writer. At the default
+# SEED=1 they are part of `make race`; a failing smoke prints the
+# command that reproduces it:
 #   make smoke SEED=<n>
 SEED ?= 1
 smoke:
-	SEED=$(SEED) $(GO) test -race -count=1 ./internal/experiments -run 'TestChaos|TestFleet|TestAdversary|TestRouteOpt|TestHTTPGrid|TestWriteCaptures'
+	SEED=$(SEED) $(GO) test -race -count=1 ./internal/experiments -run 'TestChaos|TestFleet|TestAdversary|TestRouteOpt|TestHTTPGrid'
+	$(GO) test -race -count=1 ./cmd/mob4x4 -run 'TestPcapFiles'
 	$(GO) test -race -count=1 ./internal/fleet ./internal/routeopt ./internal/sock ./internal/pcap
 
 # Runtime determinism gate (scripts/determinismdiff.go): build

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -160,24 +161,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		experiments.SetCollector(&coll)
 		defer experiments.SetCollector(nil)
 	}
-	// Capture files land after the experiment; the note goes to stderr so
-	// stdout stays byte-comparable across runs.
-	if c.pcapDir != "" {
-		experiments.SetCaptureDir(c.pcapDir)
-		defer func() {
-			n, err := experiments.WriteCaptures()
-			if err != nil {
-				fmt.Fprintf(stderr, "mob4x4: write captures: %v\n", err)
-				code = 1
-				return
-			}
-			fmt.Fprintf(stderr, "mob4x4: wrote %d capture(s) to %s\n", n, c.pcapDir)
-		}()
-	}
-
 	switch name {
 	case "report":
-		io.WriteString(stdout, experiments.Report(c.cfg))
+		out := experiments.Report(c.cfg)
+		io.WriteString(stdout, out.Text)
+		if code := c.writeCaptures(out.Captures, stderr); code != 0 {
+			return code
+		}
 	case "all":
 		for _, e := range experiments.Registry {
 			if !e.InAll {
@@ -204,11 +194,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // runOne runs one entry and prints its text and, under -metrics, its own
-// dumps. A broken invariant exits 1 with a line that reproduces the
-// failing trial from the entry's declared flags.
+// dumps, and writes its captures under -pcap. A broken invariant exits 1
+// with a line that reproduces the failing trial from the entry's declared
+// flags.
 func (c *cli) runOne(fs *flag.FlagSet, e experiments.Experiment, stdout, stderr io.Writer) int {
 	out := e.Run(c.cfg)
 	io.WriteString(stdout, out.Text)
+	if code := c.writeCaptures(out.Captures, stderr); code != 0 {
+		return code
+	}
 	for i := 0; c.cfg.Metrics && i < len(out.Dumps); i++ {
 		d := &out.Dumps[i]
 		fmt.Fprintf(stdout, "== %s ==\n", d.Label)
@@ -229,6 +223,25 @@ func (c *cli) runOne(fs *flag.FlagSet, e experiments.Experiment, stdout, stderr 
 	}
 	fmt.Fprintf(stderr, "mob4x4: %s invariant violations (reproduce: mob4x4 %s %s)\n", e.Name, repro, e.Name)
 	return 1
+}
+
+// writeCaptures writes each capture to <-pcap dir>/<name>.pcap, then
+// notes on stderr how many it wrote, so stdout stays byte-comparable
+// across runs. Without -pcap, or with no captures, it does nothing.
+func (c *cli) writeCaptures(caps []experiments.Capture, stderr io.Writer) int {
+	if c.pcapDir == "" || len(caps) == 0 {
+		return 0
+	}
+	err := os.MkdirAll(c.pcapDir, 0o755)
+	for i := 0; err == nil && i < len(caps); i++ {
+		err = os.WriteFile(filepath.Join(c.pcapDir, caps[i].Name+".pcap"), caps[i].Pcap, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "mob4x4: write captures: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stderr, "mob4x4: wrote %d capture(s) to %s\n", len(caps), c.pcapDir)
+	return 0
 }
 
 // writeMetrics renders a snapshot or the run-wide collector as text or

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -92,5 +95,51 @@ func TestHelpListsRegistry(t *testing.T) {
 		if !strings.Contains(help, e.Name) || !strings.Contains(help, e.Heading) {
 			t.Errorf("-h does not list %s with its heading %q", e.Name, e.Heading)
 		}
+	}
+}
+
+// TestPcapFiles: under -pcap each capture of a run lands in
+// <dir>/<name>.pcap (the directory is created on demand) and stderr
+// notes the count; without -pcap nothing is written or noted, and a
+// directory that cannot be created exits 1.
+func TestPcapFiles(t *testing.T) {
+	caps := []experiments.Capture{
+		{Name: "httpgrid_Out-IE_In-IE", Pcap: []byte("first capture")},
+		{Name: "second", Pcap: []byte("second capture")},
+	}
+
+	var stderr bytes.Buffer
+	if code := (&cli{}).writeCaptures(caps, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Errorf("without -pcap: exit %d, stderr %q", code, stderr.String())
+	}
+	for _, c := range caps {
+		if _, err := os.Stat(c.Name + ".pcap"); !os.IsNotExist(err) {
+			t.Errorf("without -pcap: %s.pcap written to the working directory", c.Name)
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "captures")
+	if code := (&cli{pcapDir: dir}).writeCaptures(caps, &stderr); code != 0 {
+		t.Fatalf("-pcap %s: exit %d, stderr %q", dir, code, stderr.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != len(caps) {
+		t.Fatalf("-pcap %s: %d files, error %v; want %d", dir, len(entries), err, len(caps))
+	}
+	for _, c := range caps {
+		got, err := os.ReadFile(filepath.Join(dir, c.Name+".pcap"))
+		if err != nil || !bytes.Equal(got, c.Pcap) {
+			t.Errorf("%s.pcap = %q, %v; want %q", c.Name, got, err, c.Pcap)
+		}
+	}
+	if want := fmt.Sprintf("mob4x4: wrote 2 capture(s) to %s\n", dir); stderr.String() != want {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
+	}
+
+	stderr.Reset()
+	blocked := filepath.Join(dir, "second.pcap", "sub") // a file where a directory must go
+	if code := (&cli{pcapDir: blocked}).writeCaptures(caps, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), "write captures") {
+		t.Errorf("-pcap %s: exit %d, stderr %q; want exit 1 and the error", blocked, code, stderr.String())
 	}
 }

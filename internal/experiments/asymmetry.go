@@ -110,8 +110,7 @@ func RunAsymmetry(seed int64) AsymmetryResult {
 
 	var res AsymmetryResult
 
-	// One echo for the latency asymmetry. (Reuse the Scenario helper's
-	// trace reconstruction by hand.)
+	// One echo for the latency asymmetry.
 	log, stop := n.Sim.Trace.Capture()
 	echoGot := false
 	chSock, err := chHost.OpenUDP(ipv4.Zero, 0, func(src ipv4.Addr, sp uint16, dst ipv4.Addr, pl []byte) {
@@ -128,17 +127,9 @@ func RunAsymmetry(seed int64) AsymmetryResult {
 	stop()
 	res.Delivered = echoGot
 
-	var reqID, repID uint64
-	for _, e := range *log {
-		if e.Kind == netsim.EventSend && e.Where == "ch" && reqID == 0 {
-			reqID = e.PktID
-		}
-		if e.Kind == netsim.EventSend && e.Where == "mh" && reqID != 0 && e.PktID > reqID && repID == 0 {
-			repID = e.PktID
-		}
-	}
-	res.RequestOneWay = packetTransit(log.Packet(reqID))
-	res.ReplyOneWay = packetTransit(log.Packet(repID))
+	reqID := log.Send("ch", 0)
+	res.RequestOneWay, _ = log.Transit(reqID)
+	res.ReplyOneWay, _ = log.Transit(log.Send("mh", reqID))
 	if res.ReplyOneWay > 0 {
 		res.Ratio = float64(res.RequestOneWay) / float64(res.ReplyOneWay)
 	}

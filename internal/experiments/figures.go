@@ -8,7 +8,6 @@ import (
 	"mob4x4/internal/dnssim"
 	"mob4x4/internal/icmp"
 	"mob4x4/internal/ipv4"
-	"mob4x4/internal/netsim"
 	"mob4x4/internal/vtime"
 )
 
@@ -100,10 +99,8 @@ func RunFig2(seed int64, filterOn bool) Fig2Result {
 		row.FilterDrops = homeBoundaryDrops(s) - dropsBefore
 		// Path of the last request.
 		var lastReqID uint64
-		for _, e := range *log {
-			if e.Kind == netsim.EventSend && e.Where == "mh" {
-				lastReqID = e.PktID
-			}
+		for id := log.Send("mh", 0); id != 0; id = log.Send("mh", id) {
+			lastReqID = id
 		}
 		row.Path = log.Path(lastReqID)
 		res.Rows = append(res.Rows, row)

@@ -20,7 +20,7 @@ import (
 // Experiment E16 (httpgrid): an unmodified net/http server on the mobile
 // host and an unmodified net/http client plus a DNS lookup on the
 // correspondent, run over the sock facade in every cell of the 4x4 grid,
-// with the NIC boundary tapped into a pcap capture. The cell's capture
+// with every frame written to a pcap capture. The cell's capture
 // SHA-256 is part of the printed table, so the determinism gate compares
 // the captured bytes themselves across repeats, -parallel and -shards.
 //
@@ -38,7 +38,7 @@ const httpGridName = "mh.mosquitonet.stanford.edu"
 
 // httpGridHorizon is how long past roam each cell stays open. Teardown
 // (FIN exchange, TIME-WAIT) and the periodic Mobile IP chatter all land
-// before it; cutting the tap at a pre-scheduled virtual instant makes
+// before it; stopping the capture at a pre-scheduled virtual instant makes
 // the capture's extent a virtual-time fact rather than a scheduling one.
 const httpGridHorizon = 10 * Second
 
@@ -62,6 +62,7 @@ type HTTPCell struct {
 
 	Packets int    // captured frames for the whole cell
 	PcapSHA string // SHA-256 of the capture bytes
+	Pcap    []byte // the capture file
 }
 
 // RunHTTPGridParallel measures all 16 cells on up to workers goroutines.
@@ -105,12 +106,10 @@ func runHTTPGridCell(seed int64, combo core.Combo) HTTPCell {
 	}
 
 	// Capture from here on: registration chatter is over, the
-	// conversation is what the capture shows. The tap detaches at the
+	// conversation is what the capture shows. The capture stops at the
 	// horizon via a timer scheduled before the driver takes over.
 	w := pcap.NewWriter()
-	pcap.Attach(s.Net.Sim, w)
-	sim := s.Net.Sim
-	s.Net.Sched().After(vtime.Duration(httpGridHorizon), func() { sim.SetTap(nil) })
+	s.Net.Sched().After(vtime.Duration(httpGridHorizon), pcap.Attach(s.Net.Sim, w))
 	horizonWall := sock.EpochTime().Add(time.Duration(s.Net.Sim.Now().Add(vtime.Duration(httpGridHorizon))))
 
 	d := sock.NewDriver(s.Net.Sched())
@@ -207,8 +206,18 @@ func runHTTPGridCell(seed int64, combo core.Combo) HTTPCell {
 
 	cell.Packets = w.Packets()
 	cell.PcapSHA = w.SHA256()
-	registerCapture(fmt.Sprintf("httpgrid_%s_%s", combo.Out, combo.In), w)
+	cell.Pcap = w.Bytes()
 	return cell
+}
+
+// httpGridOutput is E16's Output: the table and each cell's capture,
+// named httpgrid_<out>_<in>.
+func httpGridOutput(cells []HTTPCell) Output {
+	out := text(HTTPGridTable(cells))
+	for _, c := range cells {
+		out.Captures = append(out.Captures, Capture{Name: fmt.Sprintf("httpgrid_%s_%s", c.Combo.Out, c.Combo.In), Pcap: c.Pcap})
+	}
+	return out
 }
 
 // HTTPGridTable renders the E16 table, one row per cell, capture hash

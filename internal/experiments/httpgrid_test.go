@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mob4x4/internal/core"
@@ -54,53 +53,37 @@ func TestHTTPGridCaptureDeterminism(t *testing.T) {
 			t.Errorf("%s/%s: capture hash differs between runs: %s vs %s",
 				a[i].Combo.Out, a[i].Combo.In, a[i].PcapSHA, b[i].PcapSHA)
 		}
-		if a[i] != b[i] {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Errorf("%s/%s: cell differs between runs:\n%+v\n%+v",
 				a[i].Combo.Out, a[i].Combo.In, a[i], b[i])
 		}
 	}
 	serialCell := runHTTPGridCell(3, a[5].Combo)
-	if serialCell != a[5] {
+	if !reflect.DeepEqual(serialCell, a[5]) {
 		t.Errorf("serial cell differs from parallel run:\n%+v\n%+v", serialCell, a[5])
 	}
 }
 
-// TestHTTPGridCaptureParses: each cell's capture is a valid classic pcap
-// whose packet count matches the reported one.
+// TestHTTPGridCaptureParses: the entry's Output carries one capture per
+// cell, in cell order, each a valid classic pcap whose packet count
+// matches the cell's.
 func TestHTTPGridCaptureParses(t *testing.T) {
-	dir := t.TempDir()
-	SetCaptureDir(dir)
-	defer SetCaptureDir("")
 	cells := RunHTTPGridParallel(5, 8)
-	n, err := WriteCaptures()
-	if err != nil {
-		t.Fatalf("WriteCaptures: %v", err)
+	caps := httpGridOutput(cells).Captures
+	if len(caps) != 16 {
+		t.Fatalf("got %d captures, want 16", len(caps))
 	}
-	if n != 16 {
-		t.Fatalf("wrote %d captures, want 16", n)
-	}
-	for _, c := range cells {
-		path := filepath.Join(dir, fmt.Sprintf("httpgrid_%s_%s.pcap", c.Combo.Out, c.Combo.In))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", c.Combo.Out, c.Combo.In, err)
+	for i, c := range cells {
+		if want := fmt.Sprintf("httpgrid_%s_%s", c.Combo.Out, c.Combo.In); caps[i].Name != want {
+			t.Errorf("capture %d is named %q, want %q", i, caps[i].Name, want)
 		}
-		cap, err := pcap.Parse(b)
+		cap, err := pcap.Parse(caps[i].Pcap)
 		if err != nil {
 			t.Fatalf("%s/%s: capture does not parse: %v", c.Combo.Out, c.Combo.In, err)
 		}
 		if len(cap.Packets) != c.Packets {
-			t.Errorf("%s/%s: file has %d packets, cell reports %d",
+			t.Errorf("%s/%s: capture has %d packets, cell reports %d",
 				c.Combo.Out, c.Combo.In, len(cap.Packets), c.Packets)
 		}
-	}
-}
-
-// TestWriteCapturesDisabled: without a directory the registry stays off.
-func TestWriteCapturesDisabled(t *testing.T) {
-	SetCaptureDir("")
-	registerCapture("nope", pcap.NewWriter())
-	if n, err := WriteCaptures(); n != 0 || err != nil {
-		t.Fatalf("WriteCaptures = %d, %v", n, err)
 	}
 }

@@ -60,6 +60,15 @@ type Output struct {
 	// -metrics / -metrics-json by entries that declare OwnMetrics.
 	Dumps      []Dump
 	Violations []Violation
+	// Captures are the packet captures the run took, in cell order.
+	Captures []Capture
+}
+
+// Capture is one named classic pcap file; `mob4x4 -pcap <dir>` writes it
+// to <dir>/<Name>.pcap.
+type Capture struct {
+	Name string
+	Pcap []byte
 }
 
 // Dump is one labelled metrics snapshot; TSV, when set, is the trial's
@@ -115,17 +124,21 @@ func Lookup(name string) (Experiment, bool) {
 
 // Report runs every InAll entry and renders one markdown document, each
 // entry's text under its heading: the machine-generated companion to
-// EXPERIMENTS.md, deterministic per seed.
-func Report(c Config) string {
+// EXPERIMENTS.md, deterministic per seed. The entries' captures follow
+// in registry order.
+func Report(c Config) Output {
 	var b strings.Builder
+	var caps []Capture
 	fmt.Fprintf(&b, "# Internet Mobility 4x4 — measured results (seed %d)\n\n", c.Seed)
 	c.Metrics = false
 	for _, e := range Registry {
 		if e.InAll {
-			fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n", e.Heading, e.Run(c).Text)
+			out := e.Run(c)
+			fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n", e.Heading, out.Text)
+			caps = append(caps, out.Captures...)
 		}
 	}
-	return b.String()
+	return Output{Text: b.String(), Captures: caps}
 }
 
 // text wraps a plain-text result.
@@ -227,7 +240,7 @@ var Registry = []Experiment{
 	// real net/http goroutines drive the virtual clock.
 	{Name: "httpgrid", Heading: "E16 — HTTP + DNS over the socket facade, all 16 mode pairs",
 		Flags: []string{"pcap"}, Parallel: true, Shards: true, InAll: true,
-		Run: func(c Config) Output { return text(HTTPGridTable(RunHTTPGridParallel(c.Seed, c.Parallel))) }},
+		Run: func(c Config) Output { return httpGridOutput(RunHTTPGridParallel(c.Seed, c.Parallel)) }},
 	{Name: "dualmobile", Heading: "§1 — both hosts mobile", InAll: true,
 		Run: func(c Config) Output { return text(RunDualMobile(c.Seed).String()) }},
 	{Name: "asymmetry", Heading: "§2 — path asymmetry", InAll: true,

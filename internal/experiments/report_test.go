@@ -11,7 +11,7 @@ import (
 func TestReportCoversEverything(t *testing.T) {
 	c := DefaultConfig()
 	c.Seed = 3
-	out := Report(c)
+	out := Report(c).Text
 	for _, e := range Registry {
 		if got := strings.Contains(out, "## "+e.Heading+"\n"); got != e.InAll {
 			t.Errorf("report has section %q = %v, want %v (InAll)", e.Heading, got, e.InAll)
@@ -23,7 +23,7 @@ func TestReportCoversEverything(t *testing.T) {
 	// Deterministic per seed, for any worker count: the reproduction's
 	// core guarantee.
 	c.Parallel = 4
-	if Report(c) != out {
+	if Report(c).Text != out {
 		t.Error("report not deterministic for a fixed seed")
 	}
 }

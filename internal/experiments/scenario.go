@@ -383,53 +383,20 @@ func (s *Scenario) PingFrom(ic *icmphost.ICMP, host *stack.Host, dst ipv4.Addr, 
 	_ = ic.Ping(ipv4.Zero, dst, 0x4d4d, seq, []byte("probe"))
 	s.Net.RunFor(timeout)
 
-	// Reconstruct per-direction hop counts from the capture: the request
-	// is the first send from this host in the window, the reply the first
-	// later send from any other host.
+	// Reconstruct each direction from the capture: the request is the
+	// first send from this host in the window, the reply the first later
+	// send from the host the request reached.
 	stop()
-	evs := *log
-	var reqID, repID uint64
-	for _, e := range evs {
-		if e.Kind == netsim.EventSend && e.Where == host.Name() && reqID == 0 {
-			reqID = e.PktID
-		}
-	}
-	if reqID != 0 {
-		for _, e := range evs {
-			if e.Kind == netsim.EventSend && e.PktID > reqID && e.Where != host.Name() && repID == 0 {
-				repID = e.PktID
-			}
-		}
-		res.RequestHops = evs.Hops(reqID)
-		res.RequestPath = evs.Path(reqID)
-		res.RequestOneWay = packetTransit(evs.Packet(reqID))
-		if repID != 0 {
-			res.ReplyHops = evs.Hops(repID)
-			res.ReplyPath = evs.Path(repID)
-			res.ReplyOneWay = packetTransit(evs.Packet(repID))
+	if reqID := log.Send(host.Name(), 0); reqID != 0 {
+		var replier string
+		res.RequestHops = log.Hops(reqID)
+		res.RequestPath = log.Path(reqID)
+		res.RequestOneWay, replier = log.Transit(reqID)
+		if repID := log.Send(replier, reqID); repID != 0 {
+			res.ReplyHops = log.Hops(repID)
+			res.ReplyPath = log.Path(repID)
+			res.ReplyOneWay, _ = log.Transit(repID)
 		}
 	}
 	return res
-}
-
-// packetTransit returns the time between a packet's first send and its
-// last delivery event (zero if it was never delivered).
-func packetTransit(evs []netsim.Event) vtime.Duration {
-	var sent, delivered vtime.Time
-	haveSent := false
-	for _, e := range evs {
-		switch e.Kind {
-		case netsim.EventSend:
-			if !haveSent {
-				sent = e.Time
-				haveSent = true
-			}
-		case netsim.EventDeliver:
-			delivered = e.Time
-		}
-	}
-	if !haveSent || delivered.Before(sent) {
-		return 0
-	}
-	return delivered.Sub(sent)
 }

@@ -81,7 +81,7 @@ func BenchmarkModeDecision(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pkt := ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: dst}}
-				_, _ = w.mhHost.RouteOverride(&pkt)
+				_, _, _ = w.mhHost.RouteOverride(pkt)
 			}
 		})
 	}

@@ -184,7 +184,7 @@ func (c *Correspondent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 
 // routeOverride implements the smart correspondent's send path: if we
 // know the destination is a mobile host, bypass the home agent (Figure 5).
-func (c *Correspondent) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
+func (c *Correspondent) routeOverride(pkt ipv4.Packet) (stack.Route, ipv4.Addr, bool) {
 	mode := c.policy.ModeFor(pkt.Dst, false)
 	switch mode {
 	case core.InDH:
@@ -192,21 +192,21 @@ func (c *Correspondent) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
 		// delivered to the care-of MAC. "The only difference is in the
 		// link-layer destination."
 		if _, ok := c.policy.Binding(pkt.Dst); !ok {
-			return stack.Route{}, false
+			return stack.Route{}, pkt.Src, false
 		}
 		c.Stats.SentInDH++
-		return c.inDH, true
+		return c.inDH, pkt.Src, true
 	case core.InDE:
 		if _, ok := c.policy.Binding(pkt.Dst); !ok {
-			return stack.Route{}, false
+			return stack.Route{}, pkt.Src, false
 		}
 		c.Stats.SentInDE++
 		if pkt.Src.IsZero() {
-			pkt.Src = c.host.SourceForDestinationPlain(pkt.Dst)
+			return c.inDE, c.host.SourceForDestinationPlain(pkt.Dst), true
 		}
-		return c.inDE, true
+		return c.inDE, pkt.Src, true
 	default:
-		return stack.Route{}, false // In-IE: plain IP, the HA does the work
+		return stack.Route{}, pkt.Src, false // In-IE: plain IP, the HA does the work
 	}
 }
 

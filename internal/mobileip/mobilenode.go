@@ -772,17 +772,17 @@ func (mn *MobileNode) countOut(mode core.OutMode, pkt *ipv4.Packet) {
 // decides, per packet, which of the four outgoing modes to use and either
 // routes the packet onto the tunnel virtual interface (encapsulated
 // modes) or pins the source address and falls through to normal routing.
-func (mn *MobileNode) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
+func (mn *MobileNode) routeOverride(pkt ipv4.Packet) (stack.Route, ipv4.Addr, bool) {
 	if mn.state == stHome {
-		return stack.Route{}, false // normal host at home: normal routing
+		return stack.Route{}, pkt.Src, false // normal host at home: normal routing
 	}
 	if mn.viaFA {
 		// Foreign-agent attachment: the full menu is unavailable. All
 		// outgoing traffic is plain IP from the home address, routed
 		// via the agent (the restriction Section 2 criticizes).
 		pkt.Src = mn.cfg.Home
-		mn.countOut(core.OutDH, pkt)
-		return stack.Route{}, false
+		mn.countOut(core.OutDH, &pkt)
+		return stack.Route{}, pkt.Src, false
 	}
 	// Never intercept our own registration/tunnel machinery, and honor
 	// explicit bindings: a packet sourced from the care-of address — or
@@ -791,14 +791,14 @@ func (mn *MobileNode) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
 	// physical interface(s), then the packets sent through that socket
 	// are sent directly", §7.1.1) — is Out-DT by application request.
 	if pkt.Src == mn.careOf {
-		mn.countOut(core.OutDT, pkt)
-		return stack.Route{}, false
+		mn.countOut(core.OutDT, &pkt)
+		return stack.Route{}, pkt.Src, false
 	}
 	if !pkt.Src.IsZero() && pkt.Src != mn.cfg.Home {
 		for _, ifc := range mn.host.Ifaces() {
 			if ifc.Addr() == pkt.Src {
-				mn.countOut(core.OutDT, pkt)
-				return stack.Route{}, false
+				mn.countOut(core.OutDT, &pkt)
+				return stack.Route{}, pkt.Src, false
 			}
 		}
 	}
@@ -824,25 +824,21 @@ func (mn *MobileNode) routeOverride(pkt *ipv4.Packet) (stack.Route, bool) {
 	default:
 		mode = core.Decide(mn.cfg.Selector, pref, pkt.Dst, dstPort).Mode
 	}
-	mn.countOut(mode, pkt)
+	mn.countOut(mode, &pkt)
 
+	src := pkt.Src
+	if src.IsZero() {
+		src = mn.cfg.Home
+	}
 	switch mode {
 	case core.OutDT:
-		pkt.Src = mn.careOf
-		return stack.Route{}, false
+		return stack.Route{}, mn.careOf, false
 	case core.OutDH:
-		pkt.Src = mn.cfg.Home
-		return stack.Route{}, false
+		return stack.Route{}, mn.cfg.Home, false
 	case core.OutDE:
-		if pkt.Src.IsZero() {
-			pkt.Src = mn.cfg.Home
-		}
-		return mn.tunDE, true
+		return mn.tunDE, src, true
 	default: // core.OutIE
-		if pkt.Src.IsZero() {
-			pkt.Src = mn.cfg.Home
-		}
-		return mn.tunIE, true
+		return mn.tunIE, src, true
 	}
 }
 

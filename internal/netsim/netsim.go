@@ -80,15 +80,6 @@ type Sim struct {
 	// MAC allocation then draws from the cluster-wide counter so link
 	// addresses stay unique across all region Sims of one run.
 	cluster *Cluster
-	// tap, when non-nil, observes every frame that enters a segment of
-	// this Sim and survives the down and MTU checks — the vantage point
-	// of a capture at the sending NIC, before any fault-hook loss or
-	// corruption. The frame is passed by value (same
-	// escape-analysis reasoning as the fault hook) and the tap must copy
-	// any payload bytes it wants to keep before returning: the payload
-	// is pooled storage the link layer recycles after delivery. Nil (the
-	// default) costs one predictable branch on the fast path.
-	tap func(Frame)
 	// newARP, when non-nil, builds a segment's ARPResolver the first time
 	// a broadcast ARP frame lands on it. The network stack installs it.
 	newARP func(*Segment) ARPResolver
@@ -139,16 +130,10 @@ func (c *Cluster) Sims() []*Sim { return c.sims }
 // Now returns the current virtual time.
 func (s *Sim) Now() vtime.Time { return s.Sched.Now() }
 
-// SetTap installs (or with nil removes) the Sim-wide frame tap; see the
-// field comment for the vantage point and the ownership contract.
-// Install during the single-threaded build phase: the tap is read from
-// this Sim's event loop. Package pcap's Attach is the standard consumer.
-func (s *Sim) SetTap(fn func(Frame)) { s.tap = fn }
-
 // SetARPResolvers installs the constructor of the per-segment
 // ARPResolver (see there); nil keeps every broadcast ARP frame on the
 // plain per-NIC fan-out. Install it during the single-threaded build
-// phase, like the tap.
+// phase.
 func (s *Sim) SetARPResolvers(fn func(*Segment) ARPResolver) { s.newARP = fn }
 
 // AllocMAC returns a fresh unique MAC address (cluster-wide unique when
@@ -491,8 +476,13 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		PutBuf(f.Buf)
 		return
 	}
-	if t := seg.sim.tap; t != nil {
-		t(f)
+	if tr := seg.sim.Trace; tr.On() {
+		// The frame as transmitted, before any fault-hook loss or
+		// corruption: the vantage point of a capture at the sending NIC.
+		// Only this copy reaches the heap, so an untraced send does not
+		// allocate.
+		fc := f
+		tr.Record(Event{Kind: EventFrame, Time: seg.sim.Now(), Where: seg.name, PktID: f.TraceID, Frame: &fc})
 	}
 	var imp Impairment
 	if seg.fault != nil {

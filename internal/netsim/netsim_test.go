@@ -194,10 +194,10 @@ func TestTracerPathAndHops(t *testing.T) {
 	tr := NewTracer()
 	log, stop := tr.Capture()
 	id := tr.NextPacketID()
-	tr.Record(Event{Kind: EventSend, Where: "a", PktID: id})
-	tr.Record(Event{Kind: EventForward, Where: "r1", PktID: id})
-	tr.Record(Event{Kind: EventForward, Where: "r2", PktID: id})
-	tr.Record(Event{Kind: EventDeliver, Where: "b", PktID: id})
+	tr.Record(Event{Kind: EventSend, Time: 10, Where: "a", PktID: id})
+	tr.Record(Event{Kind: EventForward, Time: 15, Where: "r1", PktID: id})
+	tr.Record(Event{Kind: EventForward, Time: 20, Where: "r2", PktID: id})
+	tr.Record(Event{Kind: EventDeliver, Time: 35, Where: "b", PktID: id})
 	other := tr.NextPacketID()
 	tr.Record(Event{Kind: EventForward, Where: "rX", PktID: other})
 	tunneled := tr.NextPacketID()
@@ -219,8 +219,20 @@ func TestTracerPathAndHops(t *testing.T) {
 	if got := log.Path(tunneled); got != "ch -> ha[encap] -> mh[decap] -> X(drop-ttl@r9)" {
 		t.Errorf("tunneled Path = %q", got)
 	}
-	if got := len(log.Packet(id)); got != 4 {
-		t.Errorf("Packet = %d events", got)
+	if got := log.Send("a", 0); got != id {
+		t.Errorf("Send(a, 0) = %d, want %d", got, id)
+	}
+	if got := log.Send("ch", id); got != tunneled {
+		t.Errorf("Send(ch, %d) = %d, want %d", id, got, tunneled)
+	}
+	if got := log.Send("a", id); got != 0 {
+		t.Errorf("Send(a, %d) = %d, want 0", id, got)
+	}
+	if d, to := log.Transit(id); d != 25 || to != "b" {
+		t.Errorf("Transit = %v, %q; want 25ns, b", d, to)
+	}
+	if d, to := log.Transit(tunneled); d != 0 || to != "" {
+		t.Errorf("undelivered Transit = %v, %q", d, to)
 	}
 	if got := countKind(*log, EventForward); got != 3 {
 		t.Errorf("forward events = %d", got)

@@ -29,6 +29,7 @@ const (
 	EventDropNoDest                       // no attached receiver on the segment
 	EventDropDown                         // segment administratively down (fault window)
 	EventDropFault                        // fault-injection hook discarded the frame
+	EventFrame                            // a frame entered a segment (Event.Frame)
 )
 
 func (k EventKind) String() string {
@@ -63,6 +64,8 @@ func (k EventKind) String() string {
 		return "drop-down"
 	case EventDropFault:
 		return "drop-fault"
+	case EventFrame:
+		return "frame"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -75,6 +78,10 @@ type Event struct {
 	Where  string // node or segment name
 	PktID  uint64 // simulation-wide packet trace id (0 if not applicable)
 	Detail string
+	// Frame is set on EventFrame only, and is valid only while the hook
+	// runs: its payload is pooled storage the link layer recycles after
+	// delivery, so a sink copies what it keeps before returning.
+	Frame *Frame
 }
 
 func (e Event) String() string {
@@ -84,11 +91,13 @@ func (e Event) String() string {
 	return fmt.Sprintf("%10v %-12s %-14s %s", e.Time, e.Kind, e.Where, e.Detail)
 }
 
-// Tracer hands per-packet events to an optional hook. With no hook
-// installed (the default) nothing is recorded: record sites gate on On, so
-// they neither build an Event nor format its Detail. Counts live in the
-// metrics registry, not here; the tracer exists for the few readers that
-// need a packet's path, which open a Capture window around it.
+// Tracer hands per-packet events to an optional hook, the simulation's one
+// observation plane. With no hook installed (the default) nothing is
+// recorded: record sites gate on On, so they neither build an Event nor
+// format its Detail. Counts live in the metrics registry, not here. Sinks
+// nest on the hook (see Attach): a Capture window keeps a packet's path
+// for the few readers that need one, and package pcap writes the frame
+// events to a capture file.
 type Tracer struct {
 	hook    func(Event)
 	nextPkt uint64
@@ -119,20 +128,32 @@ func (t *Tracer) Record(e Event) {
 // window allocates its log once.
 const captureCap = 64
 
-// Capture opens a capture window: every event recorded until stop is
-// called is appended to the returned log and also handed to the hook
-// installed before the window, so windows nest. stop restores that hook.
-func (t *Tracer) Capture() (log *Log, stop func()) {
-	l := make(Log, 0, captureCap)
-	log = &l
+// Attach installs sink: every event recorded until stop is called is
+// handed to sink and then to the hook installed before it, so sinks nest.
+// stop restores that hook; stop nested sinks in the reverse order of
+// their Attach.
+func (t *Tracer) Attach(sink func(Event)) (stop func()) {
 	prev := t.hook
 	t.hook = func(e Event) {
-		*log = append(*log, e)
+		sink(e)
 		if prev != nil {
 			prev(e)
 		}
 	}
-	return log, func() { t.hook = prev }
+	return func() { t.hook = prev }
+}
+
+// Capture opens a capture window: a sink that appends every event to the
+// returned log until stop is called, except the frame events, whose
+// frames do not outlive the hook call.
+func (t *Tracer) Capture() (log *Log, stop func()) {
+	l := new(Log)
+	*l = make(Log, 0, captureCap)
+	return l, t.Attach(func(e Event) {
+		if e.Kind != EventFrame {
+			*l = append(*l, e)
+		}
+	})
 }
 
 // Discard removes any installed hook.
@@ -141,22 +162,32 @@ func (t *Tracer) Discard() { t.hook = nil }
 // Log is the event sequence one Capture window recorded, in order.
 type Log []Event
 
-// Packet returns the events for one packet trace id, in order. It counts
-// them first so the result is allocated once.
-func (l Log) Packet(pktID uint64) []Event {
-	n := 0
+// Send returns the trace id of the first packet host originated after
+// packet after (0: anywhere in the log), or 0 if there is none.
+func (l Log) Send(host string, after uint64) uint64 {
 	for _, e := range l {
-		if e.PktID == pktID {
-			n++
+		if e.Kind == EventSend && e.Where == host && e.PktID > after {
+			return e.PktID
 		}
 	}
-	out := make([]Event, 0, n)
+	return 0
+}
+
+// Transit returns the time from a packet's first send to its last
+// delivery and the node that delivery reached; zero and "" if the packet
+// was never delivered.
+func (l Log) Transit(pktID uint64) (d vtime.Duration, to string) {
+	sent := vtime.Time(-1)
 	for _, e := range l {
-		if e.PktID == pktID {
-			out = append(out, e)
+		switch {
+		case e.PktID != pktID:
+		case e.Kind == EventSend && sent < 0:
+			sent = e.Time
+		case e.Kind == EventDeliver && sent >= 0:
+			d, to = e.Time.Sub(sent), e.Where
 		}
 	}
-	return out
+	return d, to
 }
 
 // Hops returns the number of forwarding hops (EventForward) for a packet.

@@ -8,9 +8,10 @@ import (
 
 // BenchmarkWritePacket measures the per-frame cost of the capture plane:
 // one packet-header encode plus the layer copies. This is the price every
-// transmitted frame pays while a tap is attached; with the tap detached
-// the datapath pays nothing (the 0 allocs/op steady-state benchmarks in
-// netsim/stack run tapless and gate that half of the contract).
+// transmitted frame pays while a capture is attached; with no tracer
+// hook the datapath pays nothing (the 0 allocs/op steady-state
+// benchmarks in netsim/stack run untraced and gate that half of the
+// contract).
 func BenchmarkWritePacket(b *testing.B) {
 	hdr := make([]byte, 14)
 	payload := make([]byte, 60)

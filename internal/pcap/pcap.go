@@ -1,9 +1,8 @@
 // Package pcap writes — and minimally reads — classic libpcap capture
-// files, with zero dependencies beyond the standard library. The writer
-// is the repository's capture plane: a netsim tap (see Attach) streams
-// every frame entering a simulated segment into a Writer, stamped with
-// the deterministic virtual clock, so any experiment can emit a capture
-// that Wireshark/tcpdump open directly. The reader exists for the golden
+// files, with zero dependencies beyond the standard library. A tracer
+// sink (see Attach) streams every frame entering a simulated segment
+// into a Writer, stamped with the deterministic virtual clock, so any
+// experiment can emit a capture that Wireshark/tcpdump open directly. The reader exists for the golden
 // tests: it validates exactly the fields a capture consumer depends on
 // (magic, endianness, snaplen, link type, per-packet lengths) and
 // nothing more.
@@ -28,8 +27,8 @@ const (
 	// MagicMicros is the original microsecond-resolution magic. The
 	// writer never produces it; the reader accepts it.
 	MagicMicros = 0xa1b2c3d4
-	// LinkTypeEthernet is the DLT for Ethernet framing (what the netsim
-	// tap synthesizes).
+	// LinkTypeEthernet is the DLT for Ethernet framing (what Attach
+	// synthesizes).
 	LinkTypeEthernet = 1
 	// DefaultSnapLen captures frames in full; segments enforce MTUs far
 	// below it.
@@ -70,7 +69,7 @@ func NewWriterSnapLen(snapLen uint32) *Writer {
 }
 
 // WritePacket appends one packet whose on-wire bytes are the
-// concatenation of the given layers (the tap passes the synthesized
+// concatenation of the given layers (Attach passes the synthesized
 // Ethernet header and the pooled IP payload separately to avoid an
 // intermediate copy). tsNanos is the capture timestamp in nanoseconds;
 // the layers are copied before return, so callers may pass pooled

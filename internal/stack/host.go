@@ -45,10 +45,12 @@ type Host struct {
 
 	routes RouteTable
 	// RouteOverride, when non-nil, is consulted before the route table
-	// for every locally-originated packet. Returning ok=false falls
-	// through to the normal table. This is the paper's mobility policy
-	// hook; package mobileip installs it.
-	RouteOverride func(pkt *ipv4.Packet) (Route, bool)
+	// for every locally-originated packet. src is the source address the
+	// packet leaves with (the override may pin it even when it declines
+	// the packet); returning ok=false falls through to the normal table.
+	// This is the paper's mobility policy hook; package mobileip installs
+	// it.
+	RouteOverride func(pkt ipv4.Packet) (rt Route, src ipv4.Addr, ok bool)
 
 	// Forwarding enables IP forwarding (routers).
 	Forwarding bool
@@ -68,8 +70,9 @@ type Host struct {
 	ephemeral uint16
 	nextIPID  uint16 // beside ephemeral so the two share one word with portProbe
 	// portProbe is SourceForDestinationPort's scratch transport header
-	// (dst port at [2:4]); a field rather than a local so the probe
-	// packet referencing it never forces a heap allocation.
+	// (dst port at [2:4]). The probe packet goes to the route override
+	// by value, so it stays on the stack, but a local array its payload
+	// pointed at would escape through the call; a field does not.
 	portProbe [4]byte
 
 	reasm      *ipv4.Reassembler // built on the first fragment

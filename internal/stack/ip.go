@@ -72,13 +72,7 @@ func (h *Host) output(pkt ipv4.Packet, useOverride bool) error {
 	var rt Route
 	var ok bool
 	if useOverride && h.RouteOverride != nil {
-		// The override takes a pointer (it may rewrite Src even when it
-		// declines the packet, e.g. Out-DH pinning the home address);
-		// calling it with a copy keeps pkt itself off the heap on hosts
-		// that have no override installed.
-		po := pkt
-		rt, ok = h.RouteOverride(&po)
-		pkt = po
+		rt, pkt.Src, ok = h.RouteOverride(pkt)
 	}
 	if !ok {
 		rt, ok = h.routes.Lookup(pkt.Dst)

@@ -148,16 +148,16 @@ func (h *Host) SourceForDestinationPort(dst ipv4.Addr, proto uint8, dstPort uint
 	if proto != 0 {
 		// portProbe is a Host-owned scratch (hosts are single-goroutine,
 		// like everything on a Sim): a stack [4]byte here would escape
-		// through the probe pointer and cost an allocation per send.
+		// through the override call and cost an allocation per send.
 		binary.BigEndian.PutUint16(h.portProbe[2:], dstPort)
 		probe.Payload = h.portProbe[:]
 	}
 	if h.RouteOverride != nil {
-		rt, ok := h.RouteOverride(&probe)
+		rt, src, ok := h.RouteOverride(probe)
 		// The override may pin a source address even when it falls
 		// through to normal routing (the Out-DT and Out-DH cases).
-		if !probe.Src.IsZero() {
-			return probe.Src
+		if !src.IsZero() {
+			return src
 		}
 		if ok && rt.Iface != nil {
 			return rt.Iface.addr

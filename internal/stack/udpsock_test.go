@@ -153,9 +153,8 @@ func TestSourceForDestination(t *testing.T) {
 func TestSourceForDestinationHonorsOverridePinnedSource(t *testing.T) {
 	_, a, b := lanPair(t, netsim.SegmentOpts{})
 	pinned := ipv4.MustParseAddr("36.1.1.3")
-	a.RouteOverride = func(pkt *ipv4.Packet) (Route, bool) {
-		pkt.Src = pinned
-		return Route{}, false // fall through to the table
+	a.RouteOverride = func(ipv4.Packet) (Route, ipv4.Addr, bool) {
+		return Route{}, pinned, false // fall through to the table
 	}
 	if got := a.SourceForDestination(b.FirstAddr()); got != pinned {
 		t.Errorf("override-pinned source ignored: %s", got)
