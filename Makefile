@@ -21,15 +21,21 @@ FUZZ_TARGETS = \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 
-.PHONY: check build vet fmt lint test examples race smoke fuzz-smoke bench benchgate cover determinism
+.PHONY: check build vet vet-bench fmt lint test examples race smoke fuzz-smoke bench benchgate cover determinism
 
-check: build vet fmt lint test examples
+check: build vet vet-bench fmt lint test examples
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness under _bench is its own module (it imports
+# experiments, fleet, metrics and stack), so `go build ./...` and
+# `go vet ./...` above never compile it; vet it on its own.
+vet-bench:
+	cd _bench && $(GO) vet ./...
 
 # Check only: fail, listing the files, if any Go file is not gofmt-clean.
 # Fix with gofmt -w <file>.

@@ -30,7 +30,7 @@ func TestAppendEncapZeroAllocs(t *testing.T) {
 	for _, c := range All() {
 		buf := make([]byte, 0, 2048)
 		allocs := testing.AllocsPerRun(100, func() {
-			outer, err := c.AppendEncap(inner, src, dst, buf)
+			outer, err := c.AppendEncap(inner, src, dst, ipv4.Zero, buf)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,9 +29,9 @@ import (
 //   - The original destination is omitted with the dst-is-home flag
 //     when it equals the tunnel's mobile home address — the binding
 //     tunnel shape (HA or smart correspondent tunneling home-addressed
-//     traffic to a care-of address). The encapsulator states the home
-//     via AppendEncapHome (it knows the binding); the decapsulating
-//     mobile endpoint restores its own configured Home. Both ends of a
+//     traffic to a care-of address). The encapsulator passes the home
+//     to AppendEncap (it knows the binding); the decapsulating mobile
+//     endpoint restores its own configured Home. Both ends of a
 //     binding tunnel therefore agree by construction; a decapsulator
 //     without a Home rejects the flag instead of guessing.
 //
@@ -41,7 +41,7 @@ type Compact struct {
 	// Home, when non-zero, is the mobile home address this endpoint
 	// encapsulates for and restores on decapsulation of dst-is-home
 	// headers. Mobile nodes set it; agents and correspondents state the
-	// per-binding home through AppendEncapHome instead.
+	// per-binding home in each AppendEncap call instead.
 	Home ipv4.Addr
 }
 
@@ -60,27 +60,14 @@ func (Compact) Proto() uint8 { return ipv4.ProtoCompact }
 // Overhead implements Codec.
 func (Compact) Overhead() int { return 12 } // worst case: both addresses present
 
-// Encapsulate implements Codec.
-func (c Compact) Encapsulate(inner ipv4.Packet, src, dst ipv4.Addr) (ipv4.Packet, error) {
-	return c.AppendEncap(inner, src, dst, nil)
-}
-
-// AppendEncap implements Codec.
-func (c Compact) AppendEncap(inner ipv4.Packet, src, dst ipv4.Addr, buf []byte) (ipv4.Packet, error) {
-	return c.appendEncap(inner, src, dst, c.Home, buf)
-}
-
-// AppendEncapHome implements HomeEncapper: home is the binding's mobile
-// home address, enabling dst elision for home-addressed inner packets.
-// The decapsulating endpoint must be configured with the same Home.
-func (c Compact) AppendEncapHome(inner ipv4.Packet, src, dst, home ipv4.Addr, buf []byte) (ipv4.Packet, error) {
+// AppendEncap implements Codec. home is the binding's mobile home
+// address, enabling dst elision for home-addressed inner packets; a zero
+// home falls back to c.Home. The decapsulating endpoint must be
+// configured with the same Home.
+func (c Compact) AppendEncap(inner ipv4.Packet, src, dst, home ipv4.Addr, buf []byte) (ipv4.Packet, error) {
 	if home.IsZero() {
 		home = c.Home
 	}
-	return c.appendEncap(inner, src, dst, home, buf)
-}
-
-func (Compact) appendEncap(inner ipv4.Packet, src, dst, home ipv4.Addr, buf []byte) (ipv4.Packet, error) {
 	if inner.MoreFrags || inner.FragOffset != 0 {
 		return ipv4.Packet{}, fmt.Errorf("encap/compact: cannot encapsulate fragments")
 	}

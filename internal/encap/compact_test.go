@@ -80,7 +80,7 @@ func TestCompactElisionShapes(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			outer, err := tc.codec.AppendEncapHome(tc.inner, tc.src, tc.dst, tc.home, nil)
+			outer, err := tc.codec.AppendEncap(tc.inner, tc.src, tc.dst, tc.home, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestCompactElisionShapes(t *testing.T) {
 func TestCompactInstanceHome(t *testing.T) {
 	c := Compact{Home: compactHome}
 	inner := compactInner(compactCH, compactHome)
-	outer, err := c.AppendEncap(inner, compactHA, compactCareOf, nil)
+	outer, err := c.AppendEncap(inner, compactHA, compactCareOf, ipv4.Zero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCompactInstanceHome(t *testing.T) {
 // dst-is-home header rather than guess an inner destination.
 func TestCompactDstHomeNeedsHome(t *testing.T) {
 	inner := compactInner(compactCH, compactHome)
-	outer, err := Compact{}.AppendEncapHome(inner, compactHA, compactCareOf, compactHome, nil)
+	outer, err := Compact{}.AppendEncap(inner, compactHA, compactCareOf, compactHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +146,16 @@ func TestCompactRejects(t *testing.T) {
 
 	frag := inner
 	frag.MoreFrags = true
-	if _, err := c.Encapsulate(frag, compactCareOf, compactCH); err == nil {
+	if _, err := c.AppendEncap(frag, compactCareOf, compactCH, ipv4.Zero, nil); err == nil {
 		t.Error("encapsulated a fragment")
 	}
 	opts := inner
 	opts.Options = []byte{1}
-	if _, err := c.Encapsulate(opts, compactCareOf, compactCH); err == nil {
+	if _, err := c.AppendEncap(opts, compactCareOf, compactCH, ipv4.Zero, nil); err == nil {
 		t.Error("encapsulated IP options")
 	}
 
-	outer, err := c.Encapsulate(inner, compactCareOf, compactHA)
+	outer, err := c.AppendEncap(inner, compactCareOf, compactHA, ipv4.Zero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCompactRejects(t *testing.T) {
 func TestCompactMulticastInnerNotElided(t *testing.T) {
 	group := ipv4.AddrFrom(224, 0, 1, 9)
 	inner := compactInner(compactCH, group)
-	outer, err := Compact{Home: compactHome}.AppendEncapHome(inner, compactHA, compactCareOf, compactHome, nil)
+	outer, err := Compact{Home: compactHome}.AppendEncap(inner, compactHA, compactCareOf, compactHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,32 +212,30 @@ func TestCompactMulticastInnerNotElided(t *testing.T) {
 	}
 }
 
-// TestAppendEncapHomeFallback: the package helper must degrade to plain
-// AppendEncap for codecs without the HomeEncapper extension, and engage
-// it through the Instrumented wrapper for codecs with it.
-func TestAppendEncapHomeFallback(t *testing.T) {
+// TestEncapHomeArgument: the codecs without home elision must ignore
+// AppendEncap's home argument byte for byte, and Compact must engage it.
+func TestEncapHomeArgument(t *testing.T) {
 	inner := compactInner(compactCH, compactHome)
-	plain, err := AppendEncapHome(IPIP{}, inner, compactHA, compactCareOf, compactHome, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []Codec{IPIP{}, MinEnc{}, GRE{}, GRE{Key: 7}} {
+		withHome, err := c.AppendEncap(inner, compactHA, compactCareOf, compactHome, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := c.AppendEncap(inner, compactHA, compactCareOf, ipv4.Zero, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, errA := withHome.Marshal()
+		b, errB := without.Marshal()
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s: the home argument changed the encapsulation", c.Name())
+		}
 	}
-	want, err := IPIP{}.Encapsulate(inner, compactHA, compactCareOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.TotalLen() != want.TotalLen() {
-		t.Errorf("IPIP fallback produced %d bytes, want %d", plain.TotalLen(), want.TotalLen())
-	}
-
-	wrapped := Instrument(Compact{}, nil, "mn") // nil registry: unwrapped
-	if _, ok := wrapped.(Compact); !ok {
-		t.Fatal("nil-registry Instrument should return the codec unwrapped")
-	}
-	out, err := AppendEncapHome(Compact{}, inner, compactHA, compactCareOf, compactHome, nil)
+	out, err := Compact{}.AppendEncap(inner, compactHA, compactCareOf, compactHome, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := out.TotalLen() - inner.TotalLen(); got != 8 {
-		t.Errorf("home-aware helper overhead %d bytes, want 8", got)
+		t.Errorf("home-aware compact overhead %d bytes, want 8", got)
 	}
 }

@@ -16,52 +16,29 @@ import (
 
 // Codec encapsulates and decapsulates IP packets for tunneling.
 type Codec interface {
-	// Name identifies the scheme ("ipip", "minenc", "gre").
+	// Name identifies the scheme ("ipip", "minenc", "gre", "compact").
 	Name() string
 	// Proto is the IPv4 protocol number carried in the outer header.
 	Proto() uint8
 	// Overhead is the number of bytes the scheme adds to a packet
 	// (outer header + scheme header, if any).
 	Overhead() int
-	// Encapsulate wraps inner in an outer packet from src to dst. It
-	// allocates a fresh tunnel payload per call; hot paths use
-	// AppendEncap with a pooled buffer instead.
-	Encapsulate(inner ipv4.Packet, src, dst ipv4.Addr) (ipv4.Packet, error)
-	// AppendEncap is Encapsulate writing the tunnel payload into buf
-	// (appending, growing it only if needed): the returned outer
-	// packet's Payload references the appended bytes. Output bytes are
-	// identical to Encapsulate's. The caller owns buf and must keep it
-	// alive — and unrecycled — for as long as the outer packet is in
-	// use.
-	AppendEncap(inner ipv4.Packet, src, dst ipv4.Addr, buf []byte) (ipv4.Packet, error)
+	// AppendEncap wraps inner in an outer packet from src to dst,
+	// writing the tunnel payload into buf (appending, growing it only if
+	// needed): the returned outer packet's Payload references the
+	// appended bytes. The caller owns buf and must keep it alive — and
+	// unrecycled — for as long as the outer packet is in use; a nil buf
+	// allocates a fresh payload. home is the tunnel's mobile home
+	// address, or zero when there is none: a tunnel entry point that
+	// knows its binding (home agent, smart correspondent, regional
+	// gateway) states it so a home-aware codec (Compact) can elide a
+	// home-addressed inner destination. The other codecs ignore it.
+	AppendEncap(inner ipv4.Packet, src, dst, home ipv4.Addr, buf []byte) (ipv4.Packet, error)
 	// Decapsulate extracts the inner packet from an outer packet
 	// previously produced by this codec. Decapsulation is in-place:
 	// the inner packet's Payload aliases outer.Payload (no copy), so
 	// the inner packet lives only as long as the outer buffer.
 	Decapsulate(outer ipv4.Packet) (ipv4.Packet, error)
-}
-
-// HomeEncapper is the optional binding-tunnel extension of Codec: an
-// encapsulator that knows the binding it is tunneling through states the
-// mobile home address, letting the codec elide a home-addressed inner
-// destination that the decapsulating mobile endpoint reconstructs from
-// its own configuration. Codecs without the extension ignore the hint
-// (see AppendEncapHome).
-type HomeEncapper interface {
-	AppendEncapHome(inner ipv4.Packet, src, dst, home ipv4.Addr, buf []byte) (ipv4.Packet, error)
-}
-
-// AppendEncapHome encapsulates through c with the binding's home address
-// as a compression hint when c supports it, and falls back to plain
-// AppendEncap when it does not. Tunnel entry points that know their
-// binding (home agents, smart correspondents) call this instead of
-// AppendEncap so route-opt compression engages without a codec switch
-// in the caller.
-func AppendEncapHome(c Codec, inner ipv4.Packet, src, dst, home ipv4.Addr, buf []byte) (ipv4.Packet, error) {
-	if he, ok := c.(HomeEncapper); ok {
-		return he.AppendEncapHome(inner, src, dst, home, buf)
-	}
-	return c.AppendEncap(inner, src, dst, buf)
 }
 
 // ByName returns the codec for a scheme name.
@@ -109,13 +86,8 @@ func (IPIP) Proto() uint8 { return ipv4.ProtoIPIP }
 // Overhead implements Codec.
 func (IPIP) Overhead() int { return ipv4.HeaderLen }
 
-// Encapsulate implements Codec.
-func (c IPIP) Encapsulate(inner ipv4.Packet, src, dst ipv4.Addr) (ipv4.Packet, error) {
-	return c.AppendEncap(inner, src, dst, nil)
-}
-
 // AppendEncap implements Codec.
-func (IPIP) AppendEncap(inner ipv4.Packet, src, dst ipv4.Addr, buf []byte) (ipv4.Packet, error) {
+func (IPIP) AppendEncap(inner ipv4.Packet, src, dst, _ ipv4.Addr, buf []byte) (ipv4.Packet, error) {
 	start := len(buf)
 	b, err := inner.AppendMarshal(buf)
 	if err != nil {
@@ -166,13 +138,8 @@ func (MinEnc) Overhead() int { return 12 } // worst case: source present
 
 const minEncSrcPresent = 0x80
 
-// Encapsulate implements Codec.
-func (c MinEnc) Encapsulate(inner ipv4.Packet, src, dst ipv4.Addr) (ipv4.Packet, error) {
-	return c.AppendEncap(inner, src, dst, nil)
-}
-
 // AppendEncap implements Codec.
-func (MinEnc) AppendEncap(inner ipv4.Packet, src, dst ipv4.Addr, buf []byte) (ipv4.Packet, error) {
+func (MinEnc) AppendEncap(inner ipv4.Packet, src, dst, _ ipv4.Addr, buf []byte) (ipv4.Packet, error) {
 	if inner.MoreFrags || inner.FragOffset != 0 {
 		return ipv4.Packet{}, fmt.Errorf("encap/minenc: cannot encapsulate fragments")
 	}
@@ -275,16 +242,9 @@ func (g GRE) Overhead() int {
 
 const greKeyPresent = 0x2000
 
-// Encapsulate implements Codec.
-func (g GRE) Encapsulate(inner ipv4.Packet, src, dst ipv4.Addr) (ipv4.Packet, error) {
-	return g.AppendEncap(inner, src, dst, nil)
-}
-
-// AppendEncap implements Codec. Unlike the old Encapsulate it writes the
-// GRE header and the marshalled inner packet into one buffer directly (the
-// old path marshalled into a scratch slice and copied it into a second
-// allocation).
-func (g GRE) AppendEncap(inner ipv4.Packet, src, dst ipv4.Addr, buf []byte) (ipv4.Packet, error) {
+// AppendEncap implements Codec. It writes the GRE header and the
+// marshalled inner packet into one buffer directly.
+func (g GRE) AppendEncap(inner ipv4.Packet, src, dst, _ ipv4.Addr, buf []byte) (ipv4.Packet, error) {
 	hlen := 4
 	var flags uint16
 	if g.Key != 0 {

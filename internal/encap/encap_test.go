@@ -29,7 +29,7 @@ func TestRoundTripAllCodecs(t *testing.T) {
 	for _, codec := range All() {
 		t.Run(codec.Name(), func(t *testing.T) {
 			in := innerPacket([]byte("payload bytes"))
-			outer, err := codec.Encapsulate(in, coa, ha)
+			outer, err := codec.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestOverheadExactBytes(t *testing.T) {
 	// compact: src preserved in the outer header, dst carried -> 8B.
 	want := map[string]int{"ipip": 20, "minenc": 8, "gre": 24, "compact": 8}
 	for _, codec := range All() {
-		outer, err := codec.Encapsulate(in, home, ha) // minenc: src preserved -> 8B
+		outer, err := codec.AppendEncap(in, home, ha, ipv4.Zero, nil) // minenc: src preserved -> 8B
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestOverheadExactBytes(t *testing.T) {
 func TestMinEncSourcePresent(t *testing.T) {
 	in := innerPacket(make([]byte, 100))
 	// Outer source differs from inner source: the 12-byte form.
-	outer, err := MinEnc{}.Encapsulate(in, coa, ha)
+	outer, err := MinEnc{}.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMinEncSourcePresent(t *testing.T) {
 		t.Errorf("inner source lost: %s", got.Src)
 	}
 	// Same source: the 8-byte form, source reconstructed from outer.
-	outer2, err := MinEnc{}.Encapsulate(in, home, ha)
+	outer2, err := MinEnc{}.AppendEncap(in, home, ha, ipv4.Zero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,24 +109,24 @@ func TestMinEncSourcePresent(t *testing.T) {
 func TestMinEncRejectsFragmentsAndOptions(t *testing.T) {
 	in := innerPacket(make([]byte, 100))
 	in.MoreFrags = true
-	if _, err := (MinEnc{}).Encapsulate(in, coa, ha); err == nil {
+	if _, err := (MinEnc{}).AppendEncap(in, coa, ha, ipv4.Zero, nil); err == nil {
 		t.Error("fragment accepted")
 	}
 	in = innerPacket(make([]byte, 100))
 	in.FragOffset = 8
-	if _, err := (MinEnc{}).Encapsulate(in, coa, ha); err == nil {
+	if _, err := (MinEnc{}).AppendEncap(in, coa, ha, ipv4.Zero, nil); err == nil {
 		t.Error("offset fragment accepted")
 	}
 	in = innerPacket(make([]byte, 100))
 	in.Options = []byte{1, 2, 3, 4}
-	if _, err := (MinEnc{}).Encapsulate(in, coa, ha); err == nil {
+	if _, err := (MinEnc{}).AppendEncap(in, coa, ha, ipv4.Zero, nil); err == nil {
 		t.Error("options accepted")
 	}
 }
 
 func TestMinEncChecksumValidation(t *testing.T) {
 	in := innerPacket(make([]byte, 50))
-	outer, _ := MinEnc{}.Encapsulate(in, coa, ha)
+	outer, _ := MinEnc{}.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 	outer.Payload[4] ^= 0xff // corrupt the forwarding header
 	if _, err := (MinEnc{}).Decapsulate(outer); err == nil {
 		t.Error("corrupted minenc header accepted")
@@ -136,7 +136,7 @@ func TestMinEncChecksumValidation(t *testing.T) {
 func TestGREKey(t *testing.T) {
 	in := innerPacket(make([]byte, 100))
 	keyed := GRE{Key: 0xdeadbeef}
-	outer, err := keyed.Encapsulate(in, coa, ha)
+	outer, err := keyed.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestGREKey(t *testing.T) {
 
 func TestDecapsulateWrongProtocol(t *testing.T) {
 	in := innerPacket(make([]byte, 10))
-	ipip, _ := IPIP{}.Encapsulate(in, coa, ha)
+	ipip, _ := IPIP{}.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 	if _, err := (GRE{}).Decapsulate(ipip); err == nil {
 		t.Error("GRE decapsulated an IPIP packet")
 	}
 	if _, err := (MinEnc{}).Decapsulate(ipip); err == nil {
 		t.Error("MinEnc decapsulated an IPIP packet")
 	}
-	gre, _ := GRE{}.Encapsulate(in, coa, ha)
+	gre, _ := GRE{}.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 	if _, err := (IPIP{}).Decapsulate(gre); err == nil {
 		t.Error("IPIP decapsulated a GRE packet")
 	}
@@ -173,7 +173,7 @@ func TestDecapsulateWrongProtocol(t *testing.T) {
 func TestDecapsulateTruncated(t *testing.T) {
 	in := innerPacket(make([]byte, 10))
 	for _, codec := range All() {
-		outer, _ := codec.Encapsulate(in, coa, ha)
+		outer, _ := codec.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 		outer.Payload = outer.Payload[:3]
 		if _, err := codec.Decapsulate(outer); err == nil {
 			t.Errorf("%s: truncated accepted", codec.Name())
@@ -197,7 +197,7 @@ func TestTraceIDPreserved(t *testing.T) {
 	for _, codec := range All() {
 		in := innerPacket([]byte("x"))
 		in.TraceID = 777
-		outer, err := codec.Encapsulate(in, coa, ha)
+		outer, err := codec.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Payload: make([]byte, int(n)%4096),
 		}
 		rng.Read(in.Payload)
-		outer, err := codec.Encapsulate(in, ipv4.AddrFromUint32(oSrcU), ipv4.AddrFromUint32(oDstU))
+		outer, err := codec.AppendEncap(in, ipv4.AddrFromUint32(oSrcU), ipv4.AddrFromUint32(oDstU), ipv4.Zero, nil)
 		if err != nil {
 			return false
 		}
@@ -249,7 +249,7 @@ func BenchmarkCodecs(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(in.TotalLen()))
 			for i := 0; i < b.N; i++ {
-				outer, err := codec.Encapsulate(in, coa, ha)
+				outer, err := codec.AppendEncap(in, coa, ha, ipv4.Zero, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -31,7 +31,7 @@ func seedInner() ipv4.Packet {
 // or smart correspondent feeds whatever arrives on the wire into it, so
 // malformed bytes must produce an error, never a panic.
 func fuzzDecapsulate(f *testing.F, c Codec) {
-	if outer, err := c.Encapsulate(seedInner(), fuzzSrc, fuzzDst); err == nil {
+	if outer, err := c.AppendEncap(seedInner(), fuzzSrc, fuzzDst, ipv4.Zero, nil); err == nil {
 		f.Add(outer.Payload) // a genuine well-formed tunnel payload
 	}
 	f.Add([]byte{})
@@ -80,7 +80,7 @@ func FuzzDecapsulateGREKeyed(f *testing.F) {
 }
 
 // FuzzEncapRoundTrip builds an arbitrary (but marshalable) inner packet,
-// runs it through every codec, and checks that whatever Encapsulate
+// runs it through every codec, and checks that whatever AppendEncap
 // accepts comes back byte-identical from Decapsulate — the property the
 // paper's overhead comparison (Section 3.3) silently assumes.
 func FuzzEncapRoundTrip(f *testing.F) {
@@ -105,19 +105,20 @@ func FuzzEncapRoundTrip(f *testing.F) {
 			},
 			Payload: payload,
 		}
-		outer, err := c.Encapsulate(inner, fuzzSrc, fuzzDst)
+		outer, err := c.AppendEncap(inner, fuzzSrc, fuzzDst, ipv4.Zero, nil)
 		if err != nil {
 			return // e.g. payload too large for an IPv4 total length
 		}
 		if outer.Protocol != c.Proto() {
 			t.Fatalf("%s: outer protocol %d, want %d", c.Name(), outer.Protocol, c.Proto())
 		}
-		// AppendEncap must build the same outer packet even into dirty
-		// memory (it may not rely on make()'s zeroing).
+		// AppendEncap must build the same outer packet into dirty
+		// memory as into a nil buffer (it may not rely on make()'s
+		// zeroing).
 		dirty := bytes.Repeat([]byte{0xff}, len(outer.Payload))
-		outerA, err := c.AppendEncap(inner, fuzzSrc, fuzzDst, dirty[:0])
+		outerA, err := c.AppendEncap(inner, fuzzSrc, fuzzDst, ipv4.Zero, dirty[:0])
 		if err != nil {
-			t.Fatalf("%s: AppendEncap failed where Encapsulate succeeded: %v", c.Name(), err)
+			t.Fatalf("%s: AppendEncap into a dirty buffer failed where a nil one succeeded: %v", c.Name(), err)
 		}
 		wireA, errA := outerA.Marshal()
 		wire, errW := outer.Marshal()
@@ -125,7 +126,7 @@ func FuzzEncapRoundTrip(f *testing.F) {
 			t.Fatalf("%s: marshal of outer packets failed: %v / %v", c.Name(), errA, errW)
 		}
 		if !bytes.Equal(wireA, wire) {
-			t.Fatalf("%s: AppendEncap diverges from Encapsulate:\n append %x\nencap  %x", c.Name(), wireA, wire)
+			t.Fatalf("%s: AppendEncap into a dirty buffer diverges from a nil one:\n dirty %x\n nil   %x", c.Name(), wireA, wire)
 		}
 		got, err := c.Decapsulate(outer)
 		if err != nil {

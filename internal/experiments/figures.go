@@ -27,7 +27,7 @@ func RunFig1(seed int64) Fig1Result {
 	var r Fig1Result
 	r.Ping = s.PingFrom(s.CHFarIC, s.CHFar, s.MN.Home(), 5*Second)
 	r.HATunneled = s.HA.Stats.Forwarded
-	r.MHDetunneled = s.MN.Stats.InTunneled
+	r.MHDetunneled = s.MN.Stats.Decaps
 	return r
 }
 

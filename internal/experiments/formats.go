@@ -82,18 +82,18 @@ func RunFormats() []FormatRow {
 	var rows []FormatRow
 
 	// Figure 7: outgoing encapsulated (Out-IE, Out-DE).
-	oie, _ := codec.Encapsulate(inner(home, ch), coa, ha)
+	oie, _ := codec.AppendEncap(inner(home, ch), coa, ha, ipv4.Zero, nil)
 	rows = append(rows, encapRow("out", core.OutIE.String(), oie))
-	ode, _ := codec.Encapsulate(inner(home, ch), coa, ch)
+	ode, _ := codec.AppendEncap(inner(home, ch), coa, ch, ipv4.Zero, nil)
 	rows = append(rows, encapRow("out", core.OutDE.String(), ode))
 	// Figure 6: outgoing unencapsulated (Out-DH, Out-DT).
 	rows = append(rows, plainRow("out", core.OutDH.String(), inner(home, ch)))
 	rows = append(rows, plainRow("out", core.OutDT.String(), inner(coa, ch)))
 
 	// Figure 9: incoming encapsulated (In-IE from the HA, In-DE from the CH).
-	iie, _ := codec.Encapsulate(inner(ch, home), ha, coa)
+	iie, _ := codec.AppendEncap(inner(ch, home), ha, coa, ipv4.Zero, nil)
 	rows = append(rows, encapRow("in", core.InIE.String(), iie))
-	ide, _ := codec.Encapsulate(inner(ch, home), ch, coa)
+	ide, _ := codec.AppendEncap(inner(ch, home), ch, coa, ipv4.Zero, nil)
 	rows = append(rows, encapRow("in", core.InDE.String(), ide))
 	// Figure 8: incoming unencapsulated (In-DH same segment, In-DT).
 	rows = append(rows, plainRow("in", core.InDH.String(), inner(ch, home)))

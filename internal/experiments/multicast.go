@@ -52,7 +52,7 @@ func RunMulticast(seed int64, localJoin bool, packets int) MulticastResult {
 	}
 
 	fwdBefore := s.Net.Sim.Metrics.IPForwarded.Value()
-	tunBefore := s.MN.Stats.InTunneled
+	tunBefore := s.MN.Stats.Decaps
 	for i := 0; i < packets; i++ {
 		_ = sender.SendMulticast(sIfc, ipv4.Packet{
 			Header:  ipv4.Header{Protocol: 103, Src: sIfc.Addr(), Dst: group},
@@ -63,7 +63,7 @@ func RunMulticast(seed int64, localJoin bool, packets int) MulticastResult {
 	s.Net.RunFor(2 * Second)
 
 	res.PacketsGot = got
-	res.Tunneled = s.MN.Stats.InTunneled - tunBefore
+	res.Tunneled = s.MN.Stats.Decaps - tunBefore
 	res.RouterForwards = s.Net.Sim.Metrics.IPForwarded.Value() - fwdBefore
 	return res
 }

@@ -46,7 +46,7 @@ func RunOverhead(payloadSizes []int, mtu int) []OverheadRow {
 			}
 			row.PlainFragments = len(plainFrags)
 
-			outer, err := codec.Encapsulate(inner, src, ha)
+			outer, err := codec.AppendEncap(inner, src, ha, ipv4.Zero, nil)
 			if err != nil {
 				continue
 			}

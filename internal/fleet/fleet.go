@@ -111,7 +111,7 @@ type Options struct {
 	// Workers value; more workers only buy wall-clock speed.
 	Workers int
 
-	FAEvery int // every k-th node attaches via the cell's foreign agent (default 5, 0 disables)
+	FAEvery int // every k-th node attaches via the cell's foreign agent (0 means the default 5; negative disables)
 
 	// Auth provisions a mobility security association per node: a key
 	// derived from (Seed, index) shared by the node and the home agent,
@@ -511,7 +511,7 @@ func (f *Fleet) noteLearn(b core.Binding) {
 
 // tunnelCodec returns the fleet's tunnel codec for an endpoint whose
 // mobile home address is home (zero for agents and correspondents,
-// which state per-binding homes via AppendEncapHome). nil selects the
+// which pass each binding's home to AppendEncap). nil selects the
 // default IPIP.
 func (f *Fleet) tunnelCodec(home ipv4.Addr) encap.Codec {
 	if !f.Opts.RouteOpt.Compact {

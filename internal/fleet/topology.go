@@ -289,7 +289,6 @@ func (f *Fleet) buildNodes() {
 			Codec:            f.tunnelCodec(ifc.Addr()),
 		}
 		if hier {
-			cfg.RegisterCareOf = f.gfaAddr
 			cfg.RegionalAgent = f.gfaAddr
 		}
 		mn, err := mobileip.NewMobileNode(host, ifc, cfg)

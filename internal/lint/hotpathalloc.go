@@ -6,16 +6,15 @@ import (
 	"strings"
 )
 
-// hotpathallocMethods are the copying codec entry points. Each has an
-// append-style sibling (AppendMarshal, AppendEncap) that writes into a
-// caller-provided buffer, which is what the pooled fast path uses; a call
-// to the allocating form inside a datapath package is either a leftover
+// hotpathallocMethods are the copying codec entry points, mapped to what
+// the pooled fast path uses instead (AppendMarshal writes into a
+// caller-provided buffer, as does the codecs' only encapsulation method,
+// AppendEncap); a call to the allocating form inside a datapath package is either a leftover
 // from before the fast path existed or a deliberate retention point that
 // deserves an annotation explaining itself.
 var hotpathallocMethods = map[string]string{
-	"Marshal":     "AppendMarshal into a pooled buffer (netsim.GetBuf/PutBuf)",
-	"Clone":       "borrowing the original within the callback, or a pooled copy",
-	"Encapsulate": "AppendEncap into a pooled buffer (netsim.GetBuf/PutBuf)",
+	"Marshal": "AppendMarshal into a pooled buffer (netsim.GetBuf/PutBuf)",
+	"Clone":   "borrowing the original within the callback, or a pooled copy",
 }
 
 // hotpathallocPkgs are the per-packet datapath packages: every packet in
@@ -42,7 +41,7 @@ var hotpathallocPkgs = map[string]bool{
 func HotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
-		Doc:  "no allocating Marshal/Clone/Encapsulate calls in the packet datapath (internal/netsim, internal/stack, internal/encap, internal/mobileip, internal/fleet, internal/pcap, internal/routeopt); use the Append* forms with pooled buffers",
+		Doc:  "no allocating Marshal/Clone calls in the packet datapath (internal/netsim, internal/stack, internal/encap, internal/mobileip, internal/fleet, internal/pcap, internal/routeopt); use the Append* forms with pooled buffers",
 	}
 	a.Run = func(pass *Pass) {
 		pkg := pass.Pkg

@@ -15,9 +15,9 @@
 //   - panicpolicy: library code never calls bare panic; invariants go
 //     through internal/assert and input errors are returned.
 //   - hotpathalloc: the packet datapath (internal/netsim, internal/stack,
-//     internal/encap) never calls the allocating Marshal/Clone/Encapsulate
-//     codecs; the zero-allocation fast path uses the Append* forms with
-//     pooled buffers, and deliberate retention points are annotated.
+//     internal/encap) never calls the allocating Marshal/Clone codecs;
+//     the zero-allocation fast path uses AppendMarshal and AppendEncap
+//     with pooled buffers, and deliberate retention points are annotated.
 //
 // The determinism-and-shard-safety half of the suite machine-checks the
 // invariants the sharded multi-core engine will assume (see DESIGN.md

@@ -11,7 +11,7 @@ import (
 
 // Transmit reuses buf for both the tunnel wrap and the wire bytes.
 func Transmit(c encap.Codec, pkt ipv4.Packet, src, dst ipv4.Addr, buf []byte) ([]byte, error) {
-	outer, err := c.AppendEncap(pkt, src, dst, buf[:0])
+	outer, err := c.AppendEncap(pkt, src, dst, ipv4.Zero, buf[:0])
 	if err != nil {
 		return nil, err
 	}

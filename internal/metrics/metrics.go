@@ -15,8 +15,8 @@
 //     drop-cause vector). These are addressed at compile time — no map
 //     lookup, no interning, no allocation.
 //   - Named instruments: Counter and Histogram looked up by string name
-//     (the per-role encap counters, latency histograms). Callers resolve
-//     the instrument once and keep the pointer.
+//     (fleet/handoffs, latency histograms). Callers resolve the
+//     instrument once and keep the pointer.
 //   - Sources: an agent (home agent, mobile node, regional agent, ...)
 //     keeps its counts in its own Stats and registers itself with
 //     AddSource. Snapshot and Merge ask every source to Report its

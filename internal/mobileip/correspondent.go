@@ -36,7 +36,8 @@ type CorrespondentStats struct {
 	BindingsExpired uint64
 	SentInDE        uint64
 	SentInDH        uint64
-	Decapsulated    uint64
+	Encaps          uint64 // In-DE tunnel encapsulations
+	Decaps          uint64 // Out-DE tunnel decapsulations
 }
 
 // Correspondent wraps a host with the correspondent-side choices of
@@ -72,9 +73,6 @@ func NewCorrespondent(host *stack.Host, ic *icmphost.ICMP, cfg CorrespondentConf
 	if cfg.Codec == nil {
 		cfg.Codec = encap.IPIP{}
 	}
-	// Count tunnel work under the "ch" role alongside the registry's
-	// global Encaps/Decaps totals.
-	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "ch")
 	c := &Correspondent{
 		host:   host,
 		cfg:    cfg,
@@ -106,6 +104,8 @@ func (c *Correspondent) Report(a *metrics.Adder) {
 	a.Counter("ch/bindings_learned", c.Stats.BindingsLearned)
 	a.Counter("ch/sent_in_de", c.Stats.SentInDE)
 	a.Counter("ch/sent_in_dh", c.Stats.SentInDH)
+	a.Counter("ch/encaps", c.Stats.Encaps)
+	a.Counter("ch/decaps", c.Stats.Decaps)
 }
 
 // Policy exposes the Section 7.2 decision state.
@@ -171,7 +171,8 @@ func (c *Correspondent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	if err != nil {
 		return
 	}
-	c.Stats.Decapsulated++
+	c.host.Sim().Metrics.Decaps.Inc()
+	c.Stats.Decaps++
 	if tr := c.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventDecap, Time: c.host.Sim().Now(), Where: c.host.Name(),
@@ -249,11 +250,13 @@ func (c *Correspondent) tunnelOutput(inner ipv4.Packet) {
 	// The binding names the inner destination's home address, so a
 	// home-aware codec (compact) can elide the inner destination from
 	// the tunnel header entirely.
-	outer, err := encap.AppendEncapHome(c.cfg.Codec, inner, inner.Src, careOf, b.Home, buf.B)
+	outer, err := c.cfg.Codec.AppendEncap(inner, inner.Src, careOf, b.Home, buf.B)
 	if err != nil {
 		netsim.PutBuf(buf)
 		return
 	}
+	c.host.Sim().Metrics.Encaps.Inc()
+	c.Stats.Encaps++
 	if tr := c.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventEncap, Time: c.host.Sim().Now(), Where: c.host.Name(),

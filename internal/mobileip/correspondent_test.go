@@ -33,8 +33,8 @@ func TestOutDEDeliveredToDecapCapableCH(t *testing.T) {
 	if requests != 1 {
 		t.Fatalf("CH received %d requests", requests)
 	}
-	if w.chFarC.Stats.Decapsulated != 1 {
-		t.Errorf("decapsulated = %d", w.chFarC.Stats.Decapsulated)
+	if w.chFarC.Stats.Decaps != 1 {
+		t.Errorf("decapsulated = %d", w.chFarC.Stats.Decaps)
 	}
 	if replies != 1 {
 		t.Errorf("MH received %d replies", replies)

@@ -32,6 +32,7 @@ type ForeignAgentStats struct {
 	AuthStale   uint64 // authenticated requests suppressed at the relay: ID behind the window
 	Crashes     uint64
 	Restarts    uint64
+	Decaps      uint64 // tunnel decapsulations, for visitors or not
 }
 
 // ForeignAgent implements the IETF-style agent the paper contrasts its
@@ -83,8 +84,6 @@ func NewForeignAgent(host *stack.Host, iface *stack.Iface, cfg ForeignAgentConfi
 	if cfg.VisitorLifetime == 0 {
 		cfg.VisitorLifetime = 300
 	}
-	// Count decapsulations for visitors under the "fa" role.
-	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "fa")
 	fa := &ForeignAgent{
 		host:     host,
 		iface:    iface,
@@ -93,6 +92,7 @@ func NewForeignAgent(host *stack.Host, iface *stack.Iface, cfg ForeignAgentConfi
 		windows:  make(map[ipv4.Addr]*replayWindow),
 		reg:      host.Sim().Metrics,
 	}
+	fa.reg.AddSource(fa)
 	// A foreign agent routes on behalf of its visitors: their outgoing
 	// packets use it as the default gateway, so the host must forward.
 	host.Forwarding = true
@@ -111,6 +111,13 @@ func (fa *ForeignAgent) Addr() ipv4.Addr { return fa.iface.Addr() }
 
 // Visitors returns the number of registered visitors.
 func (fa *ForeignAgent) Visitors() int { return len(fa.visitors) }
+
+// Report implements metrics.Source. The agent only ever decapsulates,
+// so its encapsulation count is reported as a constant zero.
+func (fa *ForeignAgent) Report(a *metrics.Adder) {
+	a.Counter("fa/encaps", 0)
+	a.Counter("fa/decaps", fa.Stats.Decaps)
+}
 
 // Crash models the agent dying mid-service: the visitor table (and its
 // expiry timers) is lost and both the registration relay and the tunnel
@@ -282,6 +289,8 @@ func (fa *ForeignAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	if err != nil {
 		return
 	}
+	fa.reg.Decaps.Inc()
+	fa.Stats.Decaps++
 	if _, known := fa.visitors[inner.Dst]; !known {
 		return // not one of our visitors
 	}

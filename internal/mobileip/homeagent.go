@@ -51,6 +51,8 @@ type HomeAgentStats struct {
 	MulticastRelayed uint64
 	Crashes          uint64
 	Restarts         uint64
+	Encaps           uint64 // tunnel encapsulations (forwarded and relayed)
+	Decaps           uint64 // reverse-tunnel decapsulations, relayed or not
 }
 
 // HomeAgent is "a machine on the mobile host's home network that acts as a
@@ -114,9 +116,6 @@ func NewHomeAgent(host *stack.Host, iface *stack.Iface, cfg HomeAgentConfig) (*H
 	if cfg.NoticeLifetime == 0 {
 		cfg.NoticeLifetime = 60
 	}
-	// Count tunnel work under the "ha" role alongside the registry's
-	// global Encaps/Decaps totals.
-	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "ha")
 	reg := host.Sim().Metrics
 	ha := &HomeAgent{
 		host:     host,
@@ -155,6 +154,8 @@ func (ha *HomeAgent) Report(a *metrics.Adder) {
 	a.Counter("ha/reverse_relayed", ha.Stats.ReverseRelayed)
 	a.Counter("ha/notices_sent", ha.Stats.NoticesSent)
 	a.Counter("ha/expiries", ha.Stats.Expiries)
+	a.Counter("ha/encaps", ha.Stats.Encaps)
+	a.Counter("ha/decaps", ha.Stats.Decaps)
 }
 
 // CareOf returns the registered care-of address for a home address.
@@ -400,11 +401,13 @@ func (ha *HomeAgent) forwardToMobile(home ipv4.Addr, pkt ipv4.Packet) {
 	buf := netsim.GetBuf()
 	// home names the inner destination, so a home-aware codec (compact)
 	// can elide it from the tunnel header.
-	outer, err := encap.AppendEncapHome(ha.cfg.Codec, pkt, ha.Addr(), b.careOf, home, buf.B)
+	outer, err := ha.cfg.Codec.AppendEncap(pkt, ha.Addr(), b.careOf, home, buf.B)
 	if err != nil {
 		netsim.PutBuf(buf)
 		return
 	}
+	ha.host.Sim().Metrics.Encaps.Inc()
+	ha.Stats.Encaps++
 	ha.Stats.Forwarded++
 	if tr := ha.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
@@ -455,6 +458,8 @@ func (ha *HomeAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	if err != nil {
 		return
 	}
+	ha.host.Sim().Metrics.Decaps.Inc()
+	ha.Stats.Decaps++
 	b := ha.bindings.get(inner.Src)
 	if b == nil {
 		// Not one of ours. If the inner destination is a registered

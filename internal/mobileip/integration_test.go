@@ -195,7 +195,7 @@ func TestFig1BasicMobileIP(t *testing.T) {
 	if w.ha.Stats.Forwarded != 1 {
 		t.Errorf("HA forwarded = %d, want 1", w.ha.Stats.Forwarded)
 	}
-	if w.mn.Stats.InTunneled != 1 {
-		t.Errorf("MH tunneled-in = %d, want 1", w.mn.Stats.InTunneled)
+	if w.mn.Stats.Decaps != 1 {
+		t.Errorf("MH tunneled-in = %d, want 1", w.mn.Stats.Decaps)
 	}
 }

@@ -116,7 +116,7 @@ func TestReverseTunnelRejectsForgedOuterSource(t *testing.T) {
 		},
 		Payload: []byte("evil"),
 	}
-	outer, err := encap.IPIP{}.Encapsulate(inner, attacker.FirstAddr(), w.haHost.FirstAddr())
+	outer, err := encap.IPIP{}.AppendEncap(inner, attacker.FirstAddr(), w.haHost.FirstAddr(), ipv4.Zero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +130,79 @@ func TestReverseTunnelRejectsForgedOuterSource(t *testing.T) {
 	}
 	if w.ha.Stats.ReverseRelayed != relayedBefore {
 		t.Error("forged packet counted as relayed")
+	}
+}
+
+// TestTunnelEndpointCounts pins where the tunnel endpoints count their
+// work: a decapsulation the codec rejects counts nothing; one it accepts
+// counts at the endpoint and in the registry's global total, even when
+// the endpoint then drops the inner packet (the home agent's forged
+// reverse tunnel); and a packet tunneled to the roamed node counts one
+// encapsulation at the home agent and one decapsulation at the node.
+func TestTunnelEndpointCounts(t *testing.T) {
+	w := buildWorld(t, worldOpts{})
+	w.roam(t)
+	w.mhHost.Handle(99, func(*stack.Iface, ipv4.Packet) {})
+	reg := w.net.Sim.Metrics
+	type counts struct{ enc, dec, haEnc, haDec, mnEnc, mnDec uint64 }
+	read := func() counts {
+		return counts{reg.Encaps.Value(), reg.Decaps.Value(),
+			w.ha.Stats.Encaps, w.ha.Stats.Decaps, w.mn.Stats.Encaps, w.mn.Stats.Decaps}
+	}
+
+	attacker := w.chFar
+	inner := ipv4.Packet{
+		Header:  ipv4.Header{Protocol: 99, TTL: 64, Src: w.mn.Home(), Dst: w.chNear.FirstAddr()},
+		Payload: []byte("evil"),
+	}
+	forged, err := encap.IPIP{}.AppendEncap(inner, attacker.FirstAddr(), w.haHost.FirstAddr(), ipv4.Zero, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbled := forged
+	garbled.Payload = forged.Payload[:3] // too short for an inner header
+
+	before := read()
+	_ = attacker.SendIP(garbled)
+	w.net.RunFor(1e9)
+	if got := read(); got != before {
+		t.Errorf("rejected decapsulation counted: %+v -> %+v", before, got)
+	}
+
+	relayed := w.ha.Stats.ReverseRelayed
+	_ = attacker.SendIP(forged)
+	w.net.RunFor(1e9)
+	want := before
+	want.dec++
+	want.haDec++
+	if got := read(); got != want {
+		t.Errorf("dropped reverse tunnel: counts %+v, want %+v", got, want)
+	}
+	if w.ha.Stats.ReverseRelayed != relayed {
+		t.Error("forged reverse tunnel relayed")
+	}
+
+	before = read()
+	_ = w.chFar.SendIP(ipv4.Packet{
+		Header:  ipv4.Header{Protocol: 99, Dst: w.mn.Home()},
+		Payload: []byte("hello"),
+	})
+	w.net.RunFor(1e9)
+	want = before
+	want.enc++
+	want.haEnc++
+	want.dec++
+	want.mnDec++
+	if got := read(); got != want {
+		t.Errorf("tunneled delivery: counts %+v, want %+v", got, want)
+	}
+
+	// Every endpoint reports both of its counts, even at zero.
+	snap := reg.Snapshot()
+	for _, name := range []string{"ha/encaps", "ha/decaps", "mn/encaps", "mn/decaps", "ch/encaps", "ch/decaps"} {
+		if _, ok := snap.Counter(name); !ok {
+			t.Errorf("snapshot lacks %s", name)
+		}
 	}
 }
 

@@ -47,17 +47,15 @@ type MobileNodeConfig struct {
 	// In-DH (Row C discovery). Off when Privacy is set — announcing
 	// location defeats the point.
 	AnnouncePresence bool
-	// RegisterCareOf, when non-zero, is advertised to the home agent in
-	// place of the node's actual care-of address. The hierarchical
-	// route-optimization tier sets it to the regional gateway agent's
-	// address so the home agent sees one stable care-of address per
-	// metro; intra-metro moves then register locally only.
-	// Deregistrations (GoHome) still advertise the home address.
-	RegisterCareOf ipv4.Addr
-	// RegionalAgent, when non-zero, is the regional gateway agent this
-	// node tunnels through: Out-IE traffic is tunneled to it instead of
-	// the home agent, and tunnels arriving from it are classified In-IE
-	// (the agent is re-tunneling what the home agent sent it).
+	// RegionalAgent, when non-zero, is the regional gateway agent of the
+	// hierarchical route-optimization tier. Its address is advertised to
+	// the home agent in place of the node's actual care-of address, so
+	// the home agent sees one stable care-of address per metro and
+	// intra-metro moves register locally only (deregistrations, from
+	// GoHome, still advertise the home address). Out-IE traffic is
+	// tunneled to it instead of the home agent, and tunnels arriving
+	// from it are classified In-IE (the agent is re-tunneling what the
+	// home agent sent it).
 	RegionalAgent ipv4.Addr
 	// Auth, when non-nil, is the node's mobility security association:
 	// every registration carries the mobile-home authentication
@@ -88,8 +86,9 @@ type MobileNodeStats struct {
 	InByMode          [core.NumInModes]uint64
 	InBytes           [core.NumInModes]uint64
 	InWireBytes       [core.NumInModes]uint64
-	InTunneled        uint64 // packets received through the tunnel
 	InDirect          uint64 // plain packets to the home address (In-DH)
+	Encaps            uint64 // packets sent through the tunnel (Out-IE, Out-DE)
+	Decaps            uint64 // packets received through the tunnel
 }
 
 // MobileNode is the mobile host's mobility support: it owns the policy
@@ -155,9 +154,9 @@ type MobileNode struct {
 
 	Stats MobileNodeStats
 
-	// reg is the current region's registry (drops, the registration
-	// RTT histogram); the node reports its Stats as a metrics.Source to
-	// the registry it was built in.
+	// reg is the current region's registry (drops, the tunnel totals,
+	// the registration RTT histogram); the node reports its Stats as a
+	// metrics.Source to the registry it was built in.
 	reg           *metrics.Registry
 	regRTT        *metrics.Histogram
 	regExchangeAt vtime.Time
@@ -203,9 +202,6 @@ func NewMobileNode(host *stack.Host, ifc *stack.Iface, cfg MobileNodeConfig) (*M
 	if cfg.Selector == nil {
 		cfg.Selector = core.NewSelector(core.StartPessimistic)
 	}
-	// Count tunnel work (global Encaps/Decaps plus "mn/..." role
-	// counters) without touching the codec implementations.
-	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "mn")
 	reg := host.Sim().Metrics
 	mn := &MobileNode{
 		host:   host,
@@ -250,7 +246,8 @@ func (mn *MobileNode) Iface() *stack.Iface { return mn.ifc }
 // Home returns the permanent home address.
 func (mn *MobileNode) Home() ipv4.Addr { return mn.cfg.Home }
 
-// CareOf returns the current care-of address (== Home when at home).
+// CareOf returns the current care-of address (== Home when at home,
+// zero after a detach from home until the next attach).
 func (mn *MobileNode) CareOf() ipv4.Addr { return mn.careOf }
 
 // HomeAgentAddr returns the configured home agent's address (the
@@ -277,6 +274,8 @@ func (mn *MobileNode) Report(a *metrics.Adder) {
 	a.Counter("mn/renewals", mn.Stats.Renewals)
 	a.Counter("mn/recovery_probes", mn.Stats.RecoveryProbes)
 	a.Counter("mn/moves", mn.Stats.Moves)
+	a.Counter("mn/encaps", mn.Stats.Encaps)
+	a.Counter("mn/decaps", mn.Stats.Decaps)
 	reportGrid[core.OutMode](a, "grid/out_pkts", &mn.Stats.OutByMode)
 	reportGrid[core.OutMode](a, "grid/out_bytes", &mn.Stats.OutBytes)
 	reportGrid[core.OutMode](a, "grid/out_wire_bytes", &mn.Stats.OutWireBytes)
@@ -344,7 +343,7 @@ func (mn *MobileNode) GoHome(seg *netsim.Segment, gateway ipv4.Addr) {
 
 // MoveToRegional attaches the node to a new segment inside its current
 // metro without touching the home registration: the home agent keeps
-// tunneling to the stable regional care-of address (cfg.RegisterCareOf),
+// tunneling to the stable regional care-of address (cfg.RegionalAgent),
 // so only the regional agent needs to learn the new location — the
 // caller's local registrar does that. The binding and the renewal
 // schedule survive the move; if a migration (DetachRetain + Rehome)
@@ -405,7 +404,7 @@ func (mn *MobileNode) DetachRetain() {
 	} else {
 		mn.enter(stIdle)
 	}
-	mn.ifc.Detach()
+	mn.detach()
 }
 
 // Detach models the laptop going to sleep mid-move: connected to nothing.
@@ -414,6 +413,17 @@ func (mn *MobileNode) DetachRetain() {
 // (MoveTo/DHCP), or is explicitly returned home (GoHome).
 func (mn *MobileNode) Detach() {
 	mn.enter(stIdle)
+	mn.detach()
+}
+
+// detach takes the interface off its segment. A node detached from its
+// home network has no care-of address until the next attach names one,
+// so CareOf() == Home() holds exactly when AtHome(); away, the old
+// care-of address stays the one the home agent knows.
+func (mn *MobileNode) detach() {
+	if mn.careOf == mn.cfg.Home {
+		mn.careOf = ipv4.Zero
+	}
 	mn.ifc.Detach()
 }
 
@@ -424,9 +434,9 @@ func (mn *MobileNode) Detach() {
 //
 // Three kinds of state pin the old region and are rebuilt here:
 //
-//   - The registry-native instruments (drops, the registration RTT
-//     histogram, the codec wrapper's role counters) were resolved from
-//     the old region's registry; they are re-resolved from the new one.
+//   - The registry-native instruments (drops, the tunnel totals, the
+//     registration RTT histogram) were resolved from the old region's
+//     registry; they are re-resolved from the new one.
 //     The node's own counts stay a source of the registry it was built
 //     in, which only reads them after the shard workers have joined.
 //   - The timer handle carries the old region's *Scheduler inside it, so
@@ -452,9 +462,6 @@ func (mn *MobileNode) Rehome() {
 	reg := mn.host.Sim().Metrics
 	mn.reg = reg
 	mn.regRTT = reg.Histogram("mn/reg_rtt_ns", metrics.DefaultLatencyBuckets)
-	if w, ok := mn.cfg.Codec.(*encap.Instrumented); ok {
-		mn.cfg.Codec = encap.Instrument(w.Unwrap(), reg, "mn")
-	}
 	mn.timer = nil
 }
 
@@ -519,11 +526,11 @@ func (mn *MobileNode) ieDecapsulator() ipv4.Addr {
 }
 
 // registerCareOf is the care-of address advertised to the home agent:
-// the configured stable regional address when the hierarchical tier is
+// the regional gateway's stable address when the hierarchical tier is
 // on, the node's actual one otherwise.
 func (mn *MobileNode) registerCareOf() ipv4.Addr {
-	if !mn.cfg.RegisterCareOf.IsZero() {
-		return mn.cfg.RegisterCareOf
+	if !mn.cfg.RegionalAgent.IsZero() {
+		return mn.cfg.RegionalAgent
 	}
 	return mn.careOf
 }
@@ -718,7 +725,8 @@ func (mn *MobileNode) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	if err != nil {
 		return
 	}
-	mn.Stats.InTunneled++
+	mn.reg.Decaps.Inc()
+	mn.Stats.Decaps++
 	// In-IE when the tunnel entry point was the home agent, In-DE when a
 	// correspondent encapsulated directly to us (Section 4's columns).
 	inMode := core.InDE
@@ -790,7 +798,7 @@ func (mn *MobileNode) routeOverride(pkt ipv4.Packet) (stack.Route, ipv4.Addr, bo
 	// binds its socket to the source address of (any of) the machine's
 	// physical interface(s), then the packets sent through that socket
 	// are sent directly", §7.1.1) — is Out-DT by application request.
-	if pkt.Src == mn.careOf {
+	if pkt.Src == mn.careOf && !pkt.Src.IsZero() { // careOf is zero while detached from home
 		mn.countOut(core.OutDT, &pkt)
 		return stack.Route{}, pkt.Src, false
 	}
@@ -853,11 +861,13 @@ func (mn *MobileNode) tunnelOutput(inner ipv4.Packet, decapsulator ipv4.Addr, mo
 	}
 	careOf := mn.careOf
 	buf := netsim.GetBuf()
-	outer, err := mn.cfg.Codec.AppendEncap(inner, careOf, decapsulator, buf.B)
+	outer, err := mn.cfg.Codec.AppendEncap(inner, careOf, decapsulator, ipv4.Zero, buf.B)
 	if err != nil {
 		netsim.PutBuf(buf)
 		return
 	}
+	mn.reg.Encaps.Inc()
+	mn.Stats.Encaps++
 	mn.Stats.OutWireBytes[mode] += uint64(outer.TotalLen())
 	if tr := mn.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{

@@ -3,7 +3,6 @@ package mobileip
 import (
 	"fmt"
 
-	"mob4x4/internal/encap"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/netsim"
 	"mob4x4/internal/stack"
@@ -85,11 +84,13 @@ func (ha *HomeAgent) tapMulticast(ifc *stack.Iface, pkt ipv4.Packet) bool {
 		// Relay fan-out builds each copy in a pooled buffer; Resubmit
 		// copies it onward synchronously, so the buffer recycles per sub.
 		buf := netsim.GetBuf()
-		outer, err := encap.AppendEncapHome(ha.cfg.Codec, pkt, ha.Addr(), b.careOf, b.home, buf.B)
+		outer, err := ha.cfg.Codec.AppendEncap(pkt, ha.Addr(), b.careOf, b.home, buf.B)
 		if err != nil {
 			netsim.PutBuf(buf)
 			continue
 		}
+		ha.host.Sim().Metrics.Encaps.Inc()
+		ha.Stats.Encaps++
 		// Group traffic is link-scoped (TTL 1); the tunnel is a fresh
 		// unicast journey and needs its own TTL.
 		outer.TTL = ipv4.DefaultTTL

@@ -36,7 +36,7 @@ func TestMulticastLocalJoinBeatsTunnel(t *testing.T) {
 	if w.ha.Stats.MulticastRelayed != 0 {
 		t.Error("local join involved the home agent")
 	}
-	if w.mn.Stats.InTunneled != 0 {
+	if w.mn.Stats.Decaps != 0 {
 		t.Error("local join tunneled packets")
 	}
 }
@@ -72,8 +72,8 @@ func TestMulticastHomeRelayIsSelfDefeating(t *testing.T) {
 	if w.ha.Stats.MulticastRelayed != 3 {
 		t.Errorf("relayed = %d", w.ha.Stats.MulticastRelayed)
 	}
-	if w.mn.Stats.InTunneled != 3 {
-		t.Errorf("tunneled in = %d", w.mn.Stats.InTunneled)
+	if w.mn.Stats.Decaps != 3 {
+		t.Errorf("tunneled in = %d", w.mn.Stats.Decaps)
 	}
 	// The self-defeating part: every group packet crossed the backbone
 	// (forwarding events), where a local join would have crossed none.

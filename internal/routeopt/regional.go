@@ -35,6 +35,8 @@ type RegionalAgentStats struct {
 	UpRelayed       uint64 // MN→HA reverse tunnels relayed onward
 	Expired         uint64 // lazily-expired bindings dropped at lookup
 	NoBinding       uint64 // tunnels arriving for an unknown home
+	Encaps          uint64 // re-tunnel encapsulations, both directions
+	Decaps          uint64 // tunnel decapsulations, relayed or not
 }
 
 // regBinding is one regional binding. Expiry is lazy — checked at every
@@ -81,9 +83,6 @@ func NewRegionalAgent(host *stack.Host, addr ipv4.Addr, cfg RegionalAgentConfig)
 	if cfg.Codec == nil {
 		cfg.Codec = encap.IPIP{}
 	}
-	// Count tunnel work under the "gfa" role alongside the registry's
-	// global Encaps/Decaps totals.
-	cfg.Codec = encap.Instrument(cfg.Codec, host.Sim().Metrics, "gfa")
 	reg := host.Sim().Metrics
 	g := &RegionalAgent{
 		host: host, addr: addr, cfg: cfg,
@@ -112,6 +111,8 @@ func (g *RegionalAgent) Report(a *metrics.Adder) {
 	a.Counter("gfa/registrations", g.Stats.Registrations)
 	a.Counter("gfa/down_relayed", g.Stats.DownRelayed)
 	a.Counter("gfa/up_relayed", g.Stats.UpRelayed)
+	a.Counter("gfa/encaps", g.Stats.Encaps)
+	a.Counter("gfa/decaps", g.Stats.Decaps)
 }
 
 // Keys returns the gateway's security associations, provisioned per
@@ -237,6 +238,8 @@ func (g *RegionalAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 	if err != nil {
 		return
 	}
+	g.host.Sim().Metrics.Decaps.Inc()
+	g.Stats.Decaps++
 	if b := g.lookup(inner.Dst); b != nil {
 		g.Stats.DownRelayed++
 		g.retunnel(inner, b.careOf, inner.Dst)
@@ -254,11 +257,13 @@ func (g *RegionalAgent) handleTunneled(ifc *stack.Iface, outer ipv4.Packet) {
 // address, handed to home-aware codecs (compact) for header elision.
 func (g *RegionalAgent) retunnel(inner ipv4.Packet, dst, home ipv4.Addr) {
 	buf := netsim.GetBuf()
-	outer, err := encap.AppendEncapHome(g.cfg.Codec, inner, g.addr, dst, home, buf.B)
+	outer, err := g.cfg.Codec.AppendEncap(inner, g.addr, dst, home, buf.B)
 	if err != nil {
 		netsim.PutBuf(buf)
 		return
 	}
+	g.host.Sim().Metrics.Encaps.Inc()
+	g.Stats.Encaps++
 	if tr := g.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
 			Kind: netsim.EventEncap, Time: g.host.Sim().Now(), Where: g.host.Name(),

@@ -106,11 +106,10 @@ func buildMetro(t testing.TB, opts metroOpts) *metroWorld {
 
 	w.mhICMP = icmphost.Install(w.mhHost)
 	w.mn, err = mobileip.NewMobileNode(w.mhHost, w.mhIfc, mobileip.MobileNodeConfig{
-		Home:           w.mhIfc.Addr(),
-		HomePrefix:     w.homeLAN.Prefix,
-		HomeAgent:      w.haHost.Ifaces()[0].Addr(),
-		RegisterCareOf: gfaAddr,
-		RegionalAgent:  gfaAddr,
+		Home:          w.mhIfc.Addr(),
+		HomePrefix:    w.homeLAN.Prefix,
+		HomeAgent:     w.haHost.Ifaces()[0].Addr(),
+		RegionalAgent: gfaAddr,
 	})
 	if err != nil {
 		t.Fatalf("NewMobileNode: %v", err)
@@ -196,8 +195,8 @@ func TestHierarchicalDeliveryBothDirections(t *testing.T) {
 	if w.ha.Stats.Forwarded != 1 || w.ha.Stats.ReverseRelayed != 1 {
 		t.Errorf("ha forwarded=%d reverse=%d, want 1/1", w.ha.Stats.Forwarded, w.ha.Stats.ReverseRelayed)
 	}
-	if w.mn.Stats.InTunneled != 1 {
-		t.Errorf("MH tunneled-in = %d, want 1", w.mn.Stats.InTunneled)
+	if w.mn.Stats.Decaps != 1 {
+		t.Errorf("MH tunneled-in = %d, want 1", w.mn.Stats.Decaps)
 	}
 }
 
