@@ -110,7 +110,10 @@ smoke:
 # under -parallel for the fan-out drivers and once per DET_SHARDS value
 # for the entries under the sharded-engine contract, SHA-256 each run's full
 # stdout (tables, metrics dumps, report JSON, chaos series), fail on any
-# divergence — including sharded-vs-serial.
+# divergence — including sharded-vs-serial — and on any row at the
+# default seeds that is missing from, or differs from, the committed
+# scripts/determinism.sha256. A change that moves a hash on purpose edits
+# that file and says why.
 # DET_SEEDS is capped at two seeds in CI on purpose: each extra seed
 # re-runs the whole experiment surface three times over, and two seeds
 # already exercise the seed-dependent branches (loss draws, storm

@@ -177,14 +177,10 @@ func (s *Server) commit(clientID uint64, addr ipv4.Addr) {
 			}
 		}
 		l = &lease{addr: addr}
+		l.expiry = vtime.NewTimer(func() { s.release(clientID) })
 		s.leases[clientID] = l
-	} else if l.expiry != nil {
-		l.expiry.Stop()
 	}
-	id := clientID
-	l.expiry = s.host.Sched().After(vtime.Duration(s.LeaseSec)*1e9, func() {
-		s.release(id)
-	})
+	l.expiry.Reset(s.host.Sched(), vtime.Duration(s.LeaseSec)*1e9)
 }
 
 func (s *Server) release(clientID uint64) {
@@ -192,9 +188,7 @@ func (s *Server) release(clientID uint64) {
 	if !ok {
 		return
 	}
-	if l.expiry != nil {
-		l.expiry.Stop()
-	}
+	l.expiry.Stop()
 	delete(s.leases, clientID)
 	s.pool = append(s.pool, l.addr)
 }
@@ -233,6 +227,7 @@ type Client struct {
 // NewClient creates a DHCP client bound to the interface.
 func NewClient(host *stack.Host, ifc *stack.Iface) (*Client, error) {
 	c := &Client{host: host, ifc: ifc, Timeout: vtime.Duration(1e9), Retries: 4}
+	c.timer = vtime.NewTimer(c.onTimeout)
 	sock, err := host.OpenUDP(ipv4.Zero, udp.PortDHCPClient, c.receive)
 	if err != nil {
 		return nil, fmt.Errorf("dhcpsim: client: %w", err)
@@ -256,13 +251,13 @@ func (c *Client) clientID() uint64 { return uint64(c.ifc.NIC().MAC()) }
 func (c *Client) sendDiscover() {
 	m := message{mtype: typeDiscover, xid: c.xid, clientID: c.clientID()}
 	_ = c.sock.SendToFrom(c.ifc.Addr(), ipv4.Broadcast, udp.PortDHCPServer, m.marshal())
-	c.armTimer(func() { c.sendDiscover() })
+	c.timer.Reset(c.host.Sched(), c.Timeout)
 }
 
 func (c *Client) sendRequest() {
 	m := message{mtype: typeRequest, xid: c.xid, clientID: c.clientID(), addr: c.offer.addr}
 	_ = c.sock.SendToFrom(c.ifc.Addr(), ipv4.Broadcast, udp.PortDHCPServer, m.marshal())
-	c.armTimer(func() { c.sendRequest() })
+	c.timer.Reset(c.host.Sched(), c.Timeout)
 }
 
 // Release gives the lease back.
@@ -275,22 +270,23 @@ func (c *Client) Release() {
 	c.state = 0
 }
 
-func (c *Client) armTimer(resend func()) {
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	c.timer = c.host.Sched().After(c.Timeout, func() {
-		c.tries++
-		if c.tries >= c.Retries {
-			st := c.state
-			c.state = 0
-			if c.done != nil && st != 0 && st != 3 {
-				c.done(Lease{}, fmt.Errorf("dhcpsim: acquisition timed out"))
-			}
-			return
+// onTimeout resends the unanswered DISCOVER or REQUEST, or gives up
+// after Retries tries.
+func (c *Client) onTimeout() {
+	c.tries++
+	if c.tries >= c.Retries {
+		st := c.state
+		c.state = 0
+		if c.done != nil && st != 0 && st != 3 {
+			c.done(Lease{}, fmt.Errorf("dhcpsim: acquisition timed out"))
 		}
-		resend()
-	})
+		return
+	}
+	if c.state == 1 {
+		c.sendDiscover()
+	} else {
+		c.sendRequest()
+	}
 }
 
 func (c *Client) receive(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, payload []byte) {
@@ -306,9 +302,7 @@ func (c *Client) receive(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, payload [
 		c.sendRequest()
 	case m.mtype == typeAck && c.state == 2:
 		c.state = 3
-		if c.timer != nil {
-			c.timer.Stop()
-		}
+		c.timer.Stop()
 		if c.done != nil {
 			c.done(Lease{
 				Addr:    m.addr,

@@ -167,10 +167,8 @@ func (s *Server) AddA(name string, addr ipv4.Addr) {
 // lifetime; a zero lifetime removes it. This is what a mobile host's
 // dynamic update performs.
 func (s *Server) SetCA(name string, addr ipv4.Addr, ttlSec uint32) {
-	if t := s.caExpiry[name]; t != nil {
-		t.Stop()
-		delete(s.caExpiry, name)
-	}
+	t := s.caExpiry[name]
+	t.Stop()
 	recs := s.zone[name][:0]
 	for _, r := range s.zone[name] {
 		if r.Type != TypeCA {
@@ -182,10 +180,11 @@ func (s *Server) SetCA(name string, addr ipv4.Addr, ttlSec uint32) {
 		return
 	}
 	s.zone[name] = append(s.zone[name], Record{Type: TypeCA, Addr: addr, TTL: ttlSec})
-	s.caExpiry[name] = s.host.Sched().After(vtime.Duration(ttlSec)*1e9, func() {
-		delete(s.caExpiry, name)
-		s.SetCA(name, ipv4.Zero, 0)
-	})
+	if t == nil {
+		t = vtime.NewTimer(func() { s.SetCA(name, ipv4.Zero, 0) })
+		s.caExpiry[name] = t
+	}
+	t.Reset(s.host.Sched(), vtime.Duration(ttlSec)*1e9)
 }
 
 // Lookup returns the records for a name (server-side view, for tests).
@@ -283,23 +282,27 @@ func (r *Resolver) send(m message, done func([]Record, error)) {
 	r.nextID++
 	m.id = r.nextID
 	q := &query{msg: m, done: done}
+	q.timer = vtime.NewTimer(func() { r.onTimeout(q) })
 	r.pending[m.id] = q
 	r.transmit(q)
 }
 
 func (r *Resolver) transmit(q *query) {
 	_ = r.sock.SendTo(r.server, udp.PortDNS, q.msg.marshal())
-	q.timer = r.host.Sched().After(r.Timeout, func() {
-		q.tries++
-		if q.tries >= r.Retries {
-			delete(r.pending, q.msg.id)
-			if q.done != nil {
-				q.done(nil, fmt.Errorf("dnssim: query %q timed out", q.msg.name))
-			}
-			return
+	q.timer.Reset(r.host.Sched(), r.Timeout)
+}
+
+// onTimeout retransmits q, or fails it after Retries tries.
+func (r *Resolver) onTimeout(q *query) {
+	q.tries++
+	if q.tries >= r.Retries {
+		delete(r.pending, q.msg.id)
+		if q.done != nil {
+			q.done(nil, fmt.Errorf("dnssim: query %q timed out", q.msg.name))
 		}
-		r.transmit(q)
-	})
+		return
+	}
+	r.transmit(q)
 }
 
 func (r *Resolver) receive(src ipv4.Addr, srcPort uint16, dst ipv4.Addr, payload []byte) {

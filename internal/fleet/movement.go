@@ -91,18 +91,17 @@ func (f *Fleet) hop(n *Node) {
 // the node's current shard.
 func (f *Fleet) armMove(n *Node, d vtime.Duration) {
 	if n.moveTimer == nil {
-		n.moveTimer = n.Host.Sched().After(d, func() { f.hop(n) })
-	} else {
-		n.moveTimer.Reset(d)
+		n.moveTimer = vtime.NewTimer(func() { f.hop(n) })
 	}
+	n.moveTimer.Reset(n.Host.Sched(), d)
 }
 
 // migrate ships node n to cell c's region: the radio goes dark here, the
 // laptop is in transit for migrationTransit of virtual time, and arrival
-// on the destination shard completes the move. Everything that pins the
-// old shard — MIP timers, fleet timers, reassembly and ARP jobs — is torn
-// down before the node crosses; the timer handles are nilled because a
-// vtime.Timer is bound to the scheduler that created it.
+// on the destination shard completes the move. Everything pending on the
+// old shard — MIP timers, fleet timers, reassembly and ARP jobs — is
+// stopped before the node crosses; arrival re-arms the same handles on
+// the destination shard.
 func (f *Fleet) migrate(n *Node, c int, d vtime.Duration) {
 	src := n.Host.Sim()
 	if n.up != nil {
@@ -123,7 +122,6 @@ func (f *Fleet) migrate(n *Node, c int, d vtime.Duration) {
 	n.moveTimer.Stop()
 	n.tickTimer.Stop()
 	n.cmdTimer.Stop()
-	n.moveTimer, n.tickTimer, n.cmdTimer = nil, nil, nil
 	n.Host.Quiesce()
 	n.migCell = c
 	n.migDwell = d
@@ -139,19 +137,13 @@ func migrateArrive(a any) {
 }
 
 // arrive completes a migration on the destination shard: rehome the host
-// and the mobility daemon, attach to the drawn cell, and rebuild the
+// and the mobility daemon, attach to the drawn cell, and re-arm the
 // node's timers on the new scheduler.
 func (f *Fleet) arrive(n *Node) {
 	region := regionOf(n.migCell)
 	sim := f.Net.Regions()[region]
 	n.Host.Rehome(sim)
 	n.MN.Rehome()
-	if n.up != nil {
-		n.up.Rehome()
-	}
-	if n.lr != nil {
-		n.lr.Rehome()
-	}
 	n.region = region
 	f.move(n, n.migCell)
 	f.armMove(n, n.migDwell)
@@ -171,10 +163,9 @@ func (f *Fleet) arrive(n *Node) {
 func (f *Fleet) armCmd(n *Node) {
 	d := n.cmdAt.Sub(n.Host.Sim().Now())
 	if n.cmdTimer == nil {
-		n.cmdTimer = n.Host.Sched().After(d, func() { f.cmdFire(n) })
-	} else {
-		n.cmdTimer.Reset(d)
+		n.cmdTimer = vtime.NewTimer(func() { f.cmdFire(n) })
 	}
+	n.cmdTimer.Reset(n.Host.Sched(), d)
 }
 
 // cmdFire executes the commanded mass-move.

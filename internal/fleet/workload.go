@@ -22,12 +22,15 @@ func (f *Fleet) initPayloads() {
 
 // startTicker arms node n's workload tick on its current shard,
 // phase-offset by the node's RNG so ticks spread across the period
-// instead of bursting. Called at every migration arrival (the ticker does
-// not survive a region crossing; the fresh phase draw is deterministic
-// because it sits in the node's own event order).
+// instead of bursting. Called at every migration arrival (migrate stops
+// the ticker; the fresh phase draw is deterministic because it sits in
+// the node's own event order).
 func (f *Fleet) startTicker(n *Node) {
 	first := vtime.Duration(n.rng.Int64N(int64(second)))
-	n.tickTimer = n.Host.Sched().After(first, func() { f.tick(n) })
+	if n.tickTimer == nil {
+		n.tickTimer = vtime.NewTimer(func() { f.tick(n) })
+	}
+	n.tickTimer.Reset(n.Host.Sched(), first)
 }
 
 // tick sends one workload request and re-arms.
@@ -36,7 +39,7 @@ func (f *Fleet) tick(n *Node) {
 		return
 	}
 	f.sendWorkload(n)
-	n.tickTimer.Reset(second + vtime.Duration(n.rng.Int64N(int64(100*millisecond))))
+	n.tickTimer.Reset(n.Host.Sched(), second+vtime.Duration(n.rng.Int64N(int64(100*millisecond))))
 }
 
 // sendWorkload emits node n's class-specific request and records which

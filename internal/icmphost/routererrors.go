@@ -97,9 +97,7 @@ func Traceroute(h *stack.Host, src *ICMP, dst ipv4.Addr, maxTTL int,
 		if finished {
 			return
 		}
-		if pending != nil {
-			pending.Stop()
-		}
+		pending.Stop()
 		*hops = append(*hops, hop)
 		if hop.Reached || hop.TTL >= maxTTL {
 			finish()
@@ -139,9 +137,8 @@ func Traceroute(h *stack.Host, src *ICMP, dst ipv4.Addr, maxTTL int,
 		// A probe can vanish (expired inside a tunnel, whose errors go
 		// to the tunnel endpoint, not to us — Mobile IP hides hops).
 		// Record a silent hop and move on.
-		pending = h.Sched().After(probeTimeout, func() {
-			answered(TracerouteHop{TTL: ttl})
-		})
+		pending = vtime.NewTimer(func() { answered(TracerouteHop{TTL: ttl}) })
+		pending.Reset(h.Sched(), probeTimeout)
 	}
 	probe(1)
 }

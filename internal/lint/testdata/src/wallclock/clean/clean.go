@@ -18,7 +18,10 @@ func Backoff(d vtime.Duration) vtime.Duration {
 	return d
 }
 
-// Fire schedules on the virtual clock.
+// Fire schedules on the virtual clock: vtime.NewTimer is not
+// time.NewTimer.
 func Fire(s *vtime.Scheduler, d vtime.Duration, fn func()) *vtime.Timer {
-	return s.After(d, fn)
+	t := vtime.NewTimer(fn)
+	t.Reset(s, d)
+	return t
 }

@@ -30,10 +30,11 @@ type Sampler struct {
 // keeps the event queue non-empty forever.
 func NewSampler(sched *vtime.Scheduler, reg *Registry, every vtime.Duration) *Sampler {
 	s := &Sampler{reg: reg, every: every}
-	s.timer = sched.After(every, func() {
+	s.timer = vtime.NewTimer(func() {
 		s.samples = append(s.samples, Sample{At: sched.Now(), Snap: reg.Snapshot()})
-		s.timer.Reset(every)
+		s.timer.Reset(sched, every)
 	})
+	s.timer.Reset(sched, every)
 	return s
 }
 

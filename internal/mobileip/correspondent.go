@@ -132,16 +132,19 @@ func (c *Correspondent) LearnBinding(b core.Binding, lifetimeSec uint16) {
 	if c.OnLearn != nil {
 		c.OnLearn(b)
 	}
-	if t := c.expiry[b.Home]; t != nil {
-		t.Stop()
-	}
+	t := c.expiry[b.Home]
+	t.Stop()
 	if lifetimeSec > 0 {
-		home := b.Home
-		c.expiry[home] = c.host.Sched().After(vtime.Duration(lifetimeSec)*1e9, func() {
-			c.policy.ForgetBinding(home)
-			c.policy.NoteOnLink(home, false)
-			c.Stats.BindingsExpired++
-		})
+		if t == nil {
+			home := b.Home
+			t = vtime.NewTimer(func() {
+				c.policy.ForgetBinding(home)
+				c.policy.NoteOnLink(home, false)
+				c.Stats.BindingsExpired++
+			})
+			c.expiry[home] = t
+		}
+		t.Reset(c.host.Sched(), vtime.Duration(lifetimeSec)*1e9)
 	}
 	if tr := c.host.Sim().Trace; tr.On() {
 		tr.Record(netsim.Event{
@@ -153,10 +156,8 @@ func (c *Correspondent) LearnBinding(b core.Binding, lifetimeSec uint16) {
 
 // ForgetBinding drops what we know about a mobile host (delivery failure).
 func (c *Correspondent) ForgetBinding(home ipv4.Addr) {
-	if t := c.expiry[home]; t != nil {
-		t.Stop()
-		delete(c.expiry, home)
-	}
+	c.expiry[home].Stop()
+	delete(c.expiry, home)
 	c.policy.ForgetBinding(home)
 	c.policy.NoteOnLink(home, false)
 }

@@ -132,9 +132,7 @@ func (fa *ForeignAgent) Crash() {
 	fa.Stats.Crashes++
 	//mob4x4vet:allow mapiter Stop removes by handle and pop order is (time,seq); stop order cannot leak
 	for _, v := range fa.visitors {
-		if v.expiry != nil {
-			v.expiry.Stop()
-		}
+		v.expiry.Stop()
 	}
 	fa.visitors = make(map[ipv4.Addr]*visitor)
 	fa.windows = make(map[ipv4.Addr]*replayWindow)
@@ -216,19 +214,15 @@ func (fa *ForeignAgent) handleRegistration(src ipv4.Addr, srcPort uint16, dst ip
 			m.CareOf = fa.Addr()
 			m.Flags |= FlagViaForeignAgent
 		}
-		v := fa.visitors[m.Home]
+		home := m.Home
+		v := fa.visitors[home]
 		if v == nil {
-			v = &visitor{}
-			fa.visitors[m.Home] = v
-		} else if v.expiry != nil {
-			v.expiry.Stop()
+			v = &visitor{expiry: vtime.NewTimer(func() { delete(fa.visitors, home) })}
+			fa.visitors[home] = v
 		}
 		v.homeAgent = m.HomeAgent
 		v.port = srcPort
-		home := m.Home
-		v.expiry = fa.host.Sched().After(vtime.Duration(fa.cfg.VisitorLifetime)*1e9, func() {
-			delete(fa.visitors, home)
-		})
+		v.expiry.Reset(fa.host.Sched(), vtime.Duration(fa.cfg.VisitorLifetime)*1e9)
 		if m.IsDeregistration() {
 			v.expiry.Stop()
 			delete(fa.visitors, home)

@@ -432,21 +432,16 @@ func (mn *MobileNode) detach() {
 // detached with no registration exchange in flight — the fleet migration
 // protocol guarantees this by calling Detach before shipping the node.
 //
-// Three kinds of state pin the old region and are rebuilt here:
-//
-//   - The registry-native instruments (drops, the tunnel totals, the
-//     registration RTT histogram) were resolved from the old region's
-//     registry; they are re-resolved from the new one.
-//     The node's own counts stay a source of the registry it was built
-//     in, which only reads them after the shard workers have joined.
-//   - The timer handle carries the old region's *Scheduler inside it, so
-//     Reset would re-arm on a shard this node no longer runs on. It is
-//     nilled; the next arm lazily creates a fresh handle on the new
-//     scheduler.
-//   - The jitter rng is NOT touched: it is plain PRNG state, and the
-//     node's events are totally ordered in virtual time across
-//     migrations, so carrying the stream keeps the draw sequence — and
-//     with it cross-worker-count determinism — intact.
+// The registry-native instruments (drops, the tunnel totals, the
+// registration RTT histogram) were resolved from the old region's
+// registry; they are re-resolved from the new one. The node's own counts
+// stay a source of the registry it was built in, which only reads them
+// after the shard workers have joined. The timer handle needs nothing:
+// arm re-arms it on whichever scheduler the host runs on. Nor does the
+// jitter rng: it is plain PRNG state, and the node's events are totally
+// ordered in virtual time across migrations, so carrying the stream
+// keeps the draw sequence — and with it cross-worker-count determinism —
+// intact.
 func (mn *MobileNode) Rehome() {
 	// A preserved registration (DetachRetain, hierarchical tier) may ride
 	// along — its stable regional care-of address stays valid across the
@@ -462,7 +457,6 @@ func (mn *MobileNode) Rehome() {
 	reg := mn.host.Sim().Metrics
 	mn.reg = reg
 	mn.regRTT = reg.Histogram("mn/reg_rtt_ns", metrics.DefaultLatencyBuckets)
-	mn.timer = nil
 }
 
 // enter moves the registration state machine to s, stopping the timer:
@@ -486,14 +480,14 @@ func (mn *MobileNode) enter(s regState) {
 	mn.timer.Stop()
 }
 
-// arm (re)starts the timer d from now. Handles are reused via Reset so
-// re-arming never allocates (the tcplite retransmission idiom).
+// arm (re)starts the timer d from now on the host's scheduler. The one
+// handle is built on first use and re-armed via Reset, so re-arming never
+// allocates (the tcplite retransmission idiom).
 func (mn *MobileNode) arm(d vtime.Duration) {
 	if mn.timer == nil {
-		mn.timer = mn.host.Sched().After(d, mn.onTimer)
-	} else {
-		mn.timer.Reset(d)
+		mn.timer = vtime.NewTimer(mn.onTimer)
 	}
+	mn.timer.Reset(mn.host.Sched(), d)
 }
 
 // onTimer is the registration clock's one callback.

@@ -38,6 +38,7 @@ func NewAutoProber(mn *MobileNode, interval vtime.Duration) *AutoProber {
 		interval: interval,
 		active:   make(map[ipv4.Addr]bool),
 	}
+	p.timer = vtime.NewTimer(p.tick)
 	p.arm()
 	return p
 }
@@ -50,14 +51,11 @@ func (p *AutoProber) Track(dst ipv4.Addr) { p.active[dst] = true }
 // leaves nothing in the scheduler.
 func (p *AutoProber) Stop() {
 	p.stopped = true
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
+	p.timer.Stop()
 }
 
 func (p *AutoProber) arm() {
-	p.timer = p.mn.host.Sched().After(p.interval, p.tick)
+	p.timer.Reset(p.mn.host.Sched(), p.interval)
 }
 
 func (p *AutoProber) tick() {

@@ -78,10 +78,9 @@ func (w *expiryWheel) arm(sched *vtime.Scheduler, slot int64, fire func()) {
 	w.armed = slot
 	d := vtime.Time(slot * expiryGranularity).Sub(sched.Now())
 	if w.timer == nil {
-		w.timer = sched.After(d, fire)
-		return
+		w.timer = vtime.NewTimer(fire)
 	}
-	w.timer.Reset(d)
+	w.timer.Reset(sched, d)
 }
 
 // take removes and returns the bucket for the armed slot (nil when the
@@ -125,9 +124,7 @@ func (w *expiryWheel) rearm(sched *vtime.Scheduler, fire func()) {
 // bindings the entries referred to are gone, and the binding table's
 // generations restart, so stale entries must not survive).
 func (w *expiryWheel) reset() {
-	if w.timer != nil {
-		w.timer.Stop()
-	}
+	w.timer.Stop()
 	// Drain in slot order so the spare pool is rebuilt identically every
 	// run — recycle order decides which capacities later slots inherit.
 	slots := make([]int64, 0, len(w.slots))

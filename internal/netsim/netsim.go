@@ -532,16 +532,17 @@ func (seg *Segment) send(from *NIC, f Frame) {
 	d := deliveryPool.Get().(*delivery)
 	d.seg = seg
 	d.frame = f
+	dst := seg.sim.Sched
 	if r := seg.remote; r != nil {
 		// Split link: the frame crosses a shard boundary. The delivery
 		// executes on the peer's scheduler; the link latency ≤ delay is
 		// the lookahead slack SplitPair registered for this pair.
 		//mob4x4vet:allow shardpin handing the peer half to its own shard's delivery queue is the sanctioned crossing
 		d.seg = r.peer
-		seg.sim.Sched.SendTo(r.sched, seg.sim.Now().Add(delay), runDelivery, d)
-	} else {
-		seg.sim.Sched.AfterArg(delay, runDelivery, d)
+		dst = r.sched
 	}
+	at := seg.sim.Now().Add(delay)
+	seg.sim.Sched.SendTo(dst, at, runDelivery, d)
 	if imp.Duplicate {
 		// Deliver an independent copy at the same delay: its payload is
 		// cloned into a fresh pooled buffer because the original is
@@ -555,11 +556,7 @@ func (seg *Segment) send(from *NIC, f Frame) {
 		dd.frame = f
 		dd.frame.Payload = db.B
 		dd.frame.Buf = db
-		if r := seg.remote; r != nil {
-			seg.sim.Sched.SendTo(r.sched, seg.sim.Now().Add(delay), runDelivery, dd)
-		} else {
-			seg.sim.Sched.AfterArg(delay, runDelivery, dd)
-		}
+		seg.sim.Sched.SendTo(dst, at, runDelivery, dd)
 	}
 }
 

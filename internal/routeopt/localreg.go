@@ -123,10 +123,9 @@ func (lr *LocalRegistrar) sendLifetime(lifetime uint16) {
 
 func (lr *LocalRegistrar) arm() {
 	if lr.timer == nil {
-		lr.timer = lr.mn.Host().Sched().After(regionalRetry, lr.onRetry)
-	} else {
-		lr.timer.Reset(regionalRetry)
+		lr.timer = vtime.NewTimer(lr.onRetry)
 	}
+	lr.timer.Reset(lr.mn.Host().Sched(), regionalRetry)
 }
 
 func (lr *LocalRegistrar) onRetry() {
@@ -187,8 +186,3 @@ func (lr *LocalRegistrar) Close() {
 	lr.Quiesce()
 	lr.sock.Close()
 }
-
-// Rehome rebinds region-pinned state after the node's host migrated:
-// the timer handle is dropped (the next arm recreates it on the new
-// scheduler). Quiesce first.
-func (lr *LocalRegistrar) Rehome() { lr.timer = nil }

@@ -170,16 +170,15 @@ func (p *pusher) sendUpdate(i int, lifetime uint16, retransmit bool) {
 	p.armRetry(i)
 }
 
-// armRetry schedules slot i's retransmission. Timer handles are created
-// once per slot and reused via Reset — the repo's timer idiom — with the
-// retry closure binding the slot index.
+// armRetry schedules slot i's retransmission. Timer handles are built
+// once per slot, on first use, and re-armed via Reset — the repo's timer
+// idiom — with the retry closure binding the slot index.
 func (p *pusher) armRetry(i int) {
 	s := &p.slots[i]
 	if s.timer == nil {
-		s.timer = p.host.Sched().After(pushRetry, func() { p.onRetry(i) })
-	} else {
-		s.timer.Reset(pushRetry)
+		s.timer = vtime.NewTimer(func() { p.onRetry(i) })
 	}
+	s.timer.Reset(p.host.Sched(), pushRetry)
 }
 
 // onRetry fires when slot i's update has gone unacked for one retry
@@ -251,14 +250,6 @@ func (p *pusher) quiesce() {
 		p.slots[i].timer.Stop()
 		p.slots[i].awaiting = false
 		p.slots[i].tries = 0
-	}
-}
-
-// rehome drops the old region's timer handles; the next arm lazily
-// recreates them on the new scheduler.
-func (p *pusher) rehome() {
-	for i := range p.slots {
-		p.slots[i].timer = nil
 	}
 }
 

@@ -89,14 +89,12 @@ func TestPusherQuiesceAndRehome(t *testing.T) {
 		t.Errorf("quiesced slot retried: retransmits=%d abandons=%d",
 			p.stats.Retransmits, p.stats.Abandons)
 	}
-	p.rehome()
-	if p.slots[0].timer != nil {
-		t.Error("rehome kept a region-pinned timer handle")
-	}
-	// The next send lazily recreates the timer on the (new) scheduler.
+	// After a migration the next send re-arms the same handle on the
+	// scheduler the host runs on now.
+	tm := p.slots[0].timer
 	p.sendUpdate(0, 20, false)
-	if p.slots[0].timer == nil {
-		t.Error("send after rehome did not recreate the timer")
+	if p.slots[0].timer != tm || !tm.Pending() {
+		t.Error("send after quiesce did not re-arm the slot's timer")
 	}
 }
 

@@ -469,7 +469,7 @@ func TestRegionalAgentPortConflict(t *testing.T) {
 // TestLocalRegistrarSupersedeQuiesceRehome: a Register in flight is
 // superseded by the next one (the stale reply's ID no longer matches),
 // the accepted-hook reports the registered care-of address, and the
-// registrar survives a quiesce/rehome migration round trip.
+// registrar survives a quiesce-and-re-register migration round trip.
 func TestLocalRegistrarSupersedeQuiesceRehome(t *testing.T) {
 	w := buildMetro(t, metroOpts{})
 	careOf := w.cellA.NextAddr()
@@ -489,11 +489,10 @@ func TestLocalRegistrarSupersedeQuiesceRehome(t *testing.T) {
 	}
 
 	w.lr.Quiesce()
-	w.lr.Rehome()
 	w.lr.Register()
 	w.net.RunFor(2e9)
 	if w.lr.Stats.Registrations != 2 {
-		t.Errorf("registrations = %d after rehome, want 2", w.lr.Stats.Registrations)
+		t.Errorf("registrations = %d after quiesce, want 2", w.lr.Stats.Registrations)
 	}
 	if w.lr.Stats.Retransmits != 0 {
 		t.Errorf("retransmits = %d on a clean LAN", w.lr.Stats.Retransmits)

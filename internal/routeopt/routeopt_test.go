@@ -464,8 +464,7 @@ func TestHAUpdaterPushesOnHandoff(t *testing.T) {
 }
 
 // TestUpdaterQuiesceRehome: the migration round trip. A push in flight
-// is quiesced, the updater rehomed, and the push after arrival
-// supersedes it — the straggler ack for the superseded ID matches no
+// is quiesced, and the push after arrival supersedes it — the straggler ack for the superseded ID matches no
 // slot and is ignored.
 func TestUpdaterQuiesceRehome(t *testing.T) {
 	w := buildROWorld(t, roOpts{})
@@ -474,7 +473,6 @@ func TestUpdaterQuiesceRehome(t *testing.T) {
 
 	w.up.PushBinding()
 	w.up.Quiesce()
-	w.up.Rehome()
 	w.up.PushBinding()
 	w.net.RunFor(3e9)
 

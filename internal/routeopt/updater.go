@@ -109,15 +109,6 @@ func (u *Updater) ActivePeers() int { return u.p.activePeers() }
 // anything that was in flight.
 func (u *Updater) Quiesce() { u.p.quiesce() }
 
-// Rehome rebinds region-pinned state after the node's host migrated to
-// a new shard: timer handles are dropped (the next arm recreates them on
-// the new scheduler). Its Stats stay a source of the registry it was
-// built in. The updater must be quiesced first.
-func (u *Updater) Rehome() {
-	u.p.host = u.mn.Host()
-	u.p.rehome()
-}
-
 // Close quiesces the updater and releases its socket (fleet cleanup).
 func (u *Updater) Close() {
 	u.p.quiesce()

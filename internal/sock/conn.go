@@ -68,6 +68,8 @@ func newConn(d *Driver, tc *tcplite.Conn, proto string) *Conn {
 		local:  Addr{IP: tc.LocalAddr(), Port: tc.LocalPort(), Proto: proto},
 		remote: Addr{IP: tc.RemoteAddr(), Port: tc.RemotePort(), Proto: proto},
 	}
+	c.rdTimer = vtime.NewTimer(c.onReadDeadline)
+	c.wrTimer = vtime.NewTimer(c.onWriteDeadline)
 	c.established = tc.Established()
 	tc.OnEstablished = c.onEstablished
 	tc.OnData = c.onData
@@ -323,12 +325,8 @@ func (c *Conn) closeCore() {
 	c.estWaiters = nil
 	c.pumpReaders() // releases all: closed wins
 	c.failWriters(c.opErr("write", net.ErrClosed))
-	if c.rdTimer != nil {
-		c.rdTimer.Stop()
-	}
-	if c.wrTimer != nil {
-		c.wrTimer.Stop()
-	}
+	c.rdTimer.Stop()
+	c.wrTimer.Stop()
 	c.tc.Close()
 }
 
@@ -379,51 +377,35 @@ func (c *Conn) SetWriteDeadline(t time.Time) error {
 func (c *Conn) setReadDeadlineCore(t time.Time) {
 	if t.IsZero() {
 		c.rdHas = false
-		if c.rdTimer != nil {
-			c.rdTimer.Stop()
-		}
+		c.rdTimer.Stop()
 		return
 	}
 	vt := vtimeOf(t)
 	c.rdHas, c.rdDeadline = true, vt
 	now := c.d.sched.Now()
 	if !vt.After(now) {
-		if c.rdTimer != nil {
-			c.rdTimer.Stop()
-		}
+		c.rdTimer.Stop()
 		c.expireReaders()
 		return
 	}
-	c.armTimer(&c.rdTimer, vt.Sub(now), c.onReadDeadline)
+	c.rdTimer.Reset(c.d.sched, vt.Sub(now))
 }
 
 func (c *Conn) setWriteDeadlineCore(t time.Time) {
 	if t.IsZero() {
 		c.wrHas = false
-		if c.wrTimer != nil {
-			c.wrTimer.Stop()
-		}
+		c.wrTimer.Stop()
 		return
 	}
 	vt := vtimeOf(t)
 	c.wrHas, c.wrDeadline = true, vt
 	now := c.d.sched.Now()
 	if !vt.After(now) {
-		if c.wrTimer != nil {
-			c.wrTimer.Stop()
-		}
+		c.wrTimer.Stop()
 		c.expireWriters()
 		return
 	}
-	c.armTimer(&c.wrTimer, vt.Sub(now), c.onWriteDeadline)
-}
-
-func (c *Conn) armTimer(t **vtime.Timer, d vtime.Duration, fn func()) {
-	if *t == nil {
-		*t = c.d.sched.After(d, fn)
-		return
-	}
-	(*t).Reset(d)
+	c.wrTimer.Reset(c.d.sched, vt.Sub(now))
 }
 
 func (c *Conn) onReadDeadline() {

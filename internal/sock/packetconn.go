@@ -279,9 +279,7 @@ func (p *PacketConn) closeCore() {
 		p.d.noteActivity()
 	}
 	p.readers = nil
-	if p.rdTimer != nil {
-		p.rdTimer.Stop()
-	}
+	p.rdTimer.Stop()
 }
 
 // --- deadlines ---
@@ -329,26 +327,22 @@ func (p *PacketConn) SetWriteDeadline(t time.Time) error {
 func (p *PacketConn) setReadDeadlineCore(t time.Time) {
 	if t.IsZero() {
 		p.rdHas = false
-		if p.rdTimer != nil {
-			p.rdTimer.Stop()
-		}
+		p.rdTimer.Stop()
 		return
 	}
 	vt := vtimeOf(t)
 	p.rdHas, p.rdDeadline = true, vt
 	now := p.d.sched.Now()
 	if !vt.After(now) {
-		if p.rdTimer != nil {
-			p.rdTimer.Stop()
-		}
+		p.rdTimer.Stop()
 		p.expireReaders()
 		return
 	}
 	if p.rdTimer == nil {
-		p.rdTimer = p.d.sched.After(vt.Sub(now), p.onReadDeadline)
-	} else {
-		p.rdTimer.Reset(vt.Sub(now))
+		// Built on first use: a fleet opens a facade socket per node.
+		p.rdTimer = vtime.NewTimer(p.onReadDeadline)
 	}
+	p.rdTimer.Reset(p.d.sched, vt.Sub(now))
 }
 
 func (p *PacketConn) setWriteDeadlineCore(t time.Time) {

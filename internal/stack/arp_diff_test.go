@@ -158,7 +158,7 @@ func (w *diffWorld) hear(seg *netsim.Segment, f netsim.Frame) {
 		}
 	}
 	// Runs after the delivery (and its duplicate, if any) at this instant.
-	w.sim.Sched.Post(func() {
+	w.sim.Sched.After(0, func() {
 		for _, ifc := range waiting {
 			if _, ok := ifc.pending[msg.SenderIP]; ok {
 				w.t.Fatalf("%s: at %v %s still waits for %v after hearing it", w.name, w.sim.Now(), ifc.nic.Name(), msg.SenderIP)

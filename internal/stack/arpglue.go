@@ -57,7 +57,7 @@ func (i *Iface) resolveAndSend(nexthop ipv4.Addr, pkt ipv4.Packet) {
 }
 
 func (i *Iface) armARPTimer(target ipv4.Addr, job *resolveJob) {
-	job.timer = i.host.sim.Sched.After(i.host.ARPTimeout, func() {
+	job.timer = vtime.NewTimer(func() {
 		cur, ok := i.pending[target]
 		if !ok || cur != job {
 			return
@@ -65,7 +65,7 @@ func (i *Iface) armARPTimer(target ipv4.Addr, job *resolveJob) {
 		job.retries--
 		if job.retries > 0 {
 			i.sendARPRequest(target)
-			job.timer.Reset(i.host.ARPTimeout)
+			job.timer.Reset(i.host.sim.Sched, i.host.ARPTimeout)
 			return
 		}
 		delete(i.pending, target)
@@ -81,6 +81,7 @@ func (i *Iface) armARPTimer(target ipv4.Addr, job *resolveJob) {
 			}
 		}
 	})
+	job.timer.Reset(i.host.sim.Sched, i.host.ARPTimeout)
 }
 
 func (i *Iface) sendARPRequest(target ipv4.Addr) {

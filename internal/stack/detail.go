@@ -120,5 +120,5 @@ func (h *Host) postLocal(pkt ipv4.Packet) {
 		}
 		d.pkt.Payload = b[optEnd:]
 	}
-	h.sim.Sched.AfterArg(0, runLocalDelivery, d)
+	h.sim.Sched.SendTo(h.sim.Sched, h.sim.Now(), runLocalDelivery, d)
 }

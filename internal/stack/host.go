@@ -361,9 +361,7 @@ func (h *Host) NextIPID() uint16 {
 // region shard. Timers owned by layers above the stack (registration,
 // renewal, probing, transports) are those layers' to stop.
 func (h *Host) Quiesce() {
-	if h.reasmTimer != nil {
-		h.reasmTimer.Stop()
-	}
+	h.reasmTimer.Stop()
 	if h.reasm != nil {
 		h.reasm.Expire()
 	}

@@ -6,6 +6,7 @@ import (
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/metrics"
 	"mob4x4/internal/netsim"
+	"mob4x4/internal/vtime"
 )
 
 // SendIP routes and transmits a locally-generated packet. Zero-valued
@@ -339,12 +340,8 @@ func (h *Host) armReassemblyTimer() {
 		return
 	}
 	if h.reasmTimer == nil {
-		// First arm allocates the one Timer this host ever uses; later
-		// arms reuse it via Reset.
-		h.reasmTimer = h.sim.Sched.After(ReassemblyTimeout, func() {
-			h.reasm.Expire()
-		})
-		return
+		// Built on first use: the one Timer this host ever uses.
+		h.reasmTimer = vtime.NewTimer(func() { h.reasm.Expire() })
 	}
-	h.reasmTimer.Reset(ReassemblyTimeout)
+	h.reasmTimer.Reset(h.sim.Sched, ReassemblyTimeout)
 }

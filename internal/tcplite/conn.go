@@ -271,13 +271,11 @@ func (c *Conn) sendSeg(seg segment) {
 
 func (c *Conn) armRTO() {
 	if c.rtoTimer == nil {
-		// The connection's one retransmit Timer, reused via Reset for
-		// every subsequent re-arm (per-segment Stop+After churned a
-		// timer allocation for each write burst).
-		c.rtoTimer = c.ep.host.Sched().After(c.rto, c.onRTO)
-		return
+		// The connection's one retransmit Timer, built on first use and
+		// re-armed via Reset ever after.
+		c.rtoTimer = vtime.NewTimer(c.onRTO)
 	}
-	c.rtoTimer.Reset(c.rto)
+	c.rtoTimer.Reset(c.ep.host.Sched(), c.rto)
 }
 
 func (c *Conn) stopRTO() {

@@ -49,30 +49,19 @@ import (
 // not correctness; Group.Sends counts how often it happens.
 const ringCap = 32
 
-// xevent is a cross-shard event in flight: the intrinsic key plus the
-// handle-free callback form (cross-shard senders use package-level
-// functions with pooled args, same as the AtArg fast path).
-type xevent struct {
-	at     Time
-	seq    uint64
-	origin int32
-	afn    func(any)
-	arg    any
-}
-
 // ring is a bounded single-producer single-consumer queue. The producer
 // is the sending shard's worker, the consumer the receiving shard's
 // worker; head/tail are indices into an always-power-of-two buffer.
 type ring struct {
 	head atomic.Uint64 // next slot to pop (consumer-owned)
 	tail atomic.Uint64 // next slot to push (producer-owned)
-	buf  [ringCap]xevent
+	buf  [ringCap]event
 }
 
 // push appends e; it reports false when the ring is full (the caller
 // falls back to the overflow inbox — never blocks, so a stalled consumer
 // cannot deadlock its producers).
-func (r *ring) push(e xevent) bool {
+func (r *ring) push(e event) bool {
 	t := r.tail.Load()
 	if t-r.head.Load() == ringCap {
 		return false
@@ -83,13 +72,13 @@ func (r *ring) push(e xevent) bool {
 }
 
 // pop removes the oldest entry; ok is false when the ring is empty.
-func (r *ring) pop() (xevent, bool) {
+func (r *ring) pop() (event, bool) {
 	h := r.head.Load()
 	if h == r.tail.Load() {
-		return xevent{}, false
+		return event{}, false
 	}
 	e := r.buf[h%ringCap]
-	r.buf[h%ringCap] = xevent{} // drop refs before the slot is reused
+	r.buf[h%ringCap] = event{} // drop refs before the slot is reused
 	r.head.Store(h + 1)
 	return e, true
 }
@@ -134,8 +123,8 @@ type shardState struct {
 	// inbox is the overflow / undeclared-pair path: mutex-guarded MPSC
 	// slice, drained by swapping with spare.
 	inboxMu sync.Mutex
-	inbox   []xevent
-	spare   []xevent
+	inbox   []event
+	spare   []event
 }
 
 // Group is a set of region shards executing one simulation under
@@ -263,19 +252,25 @@ func (g *Group) SetDefaultLookahead(d Duration) error {
 	return nil
 }
 
-// SendTo schedules fn(arg) at instant t on dst, from another shard of the
-// same group. It must be called from an event executing on s (or from the
-// build/measure phases, when no workers run), and t must respect the
-// pair's lookahead: the conservative synchronizer's safety rests on that
-// slack. The declared link's ring carries the event without allocating;
-// the overflow inbox (ring full, or pair covered only by the default
+// SendTo schedules fn(arg) at instant t on dst. It must be called from
+// an event executing on s (or from the build/measure phases, when no
+// workers run). dst == s is a local schedule on any scheduler, grouped
+// or standalone; otherwise dst must share s's group and t must respect
+// the pair's lookahead: the conservative synchronizer's safety rests on
+// that slack. With a package-level fn and a pointer-typed arg the call
+// allocates nothing, locally or over a declared link's ring; the
+// overflow inbox (ring full, or pair covered only by the default
 // lookahead) may grow a slice.
 func (s *Scheduler) SendTo(dst *Scheduler, t Time, fn func(any), arg any) {
-	if s.sh == nil || dst.sh == nil || s.sh.group != dst.sh.group {
-		assert.Unreachable("vtime: SendTo across schedulers that do not share a group")
-	}
 	if fn == nil {
 		assert.Unreachable("vtime: nil event function")
+	}
+	if dst == s {
+		s.schedule(t, fn, arg, false)
+		return
+	}
+	if s.sh == nil || dst.sh == nil || s.sh.group != dst.sh.group {
+		assert.Unreachable("vtime: SendTo across schedulers that do not share a group")
 	}
 	g := s.sh.group
 	var la Time
@@ -291,7 +286,7 @@ func (s *Scheduler) SendTo(dst *Scheduler, t Time, fn func(any), arg any) {
 		}
 		s.checkSlack(dst, t, la)
 		s.seq++
-		e := xevent{at: t, seq: s.seq, origin: s.origin, afn: fn, arg: arg}
+		e := event{at: t, seq: s.seq, origin: s.origin, fn: fn, arg: arg}
 		if r.push(e) {
 			s.sh.ringSends++
 			return
@@ -307,7 +302,7 @@ func (s *Scheduler) SendTo(dst *Scheduler, t Time, fn func(any), arg any) {
 	}
 	s.checkSlack(dst, t, la)
 	s.seq++
-	dst.sh.pushInbox(xevent{at: t, seq: s.seq, origin: s.origin, afn: fn, arg: arg})
+	dst.sh.pushInbox(event{at: t, seq: s.seq, origin: s.origin, fn: fn, arg: arg})
 }
 
 // lookaheadFrom returns the declared lookahead of the src→dst link.
@@ -330,7 +325,7 @@ func (s *Scheduler) checkSlack(dst *Scheduler, t Time, la Time) {
 }
 
 // pushInbox appends to the overflow inbox under its mutex.
-func (sh *shardState) pushInbox(e xevent) {
+func (sh *shardState) pushInbox(e event) {
 	sh.inboxMu.Lock()
 	sh.inbox = append(sh.inbox, e)
 	sh.inboxMu.Unlock()
@@ -349,7 +344,7 @@ func (s *Scheduler) drainInbox() {
 			if !ok {
 				break
 			}
-			s.push(event{at: e.at, seq: e.seq, origin: e.origin, afn: e.afn, arg: e.arg})
+			s.push(e)
 		}
 	}
 	sh.inboxMu.Lock()
@@ -357,9 +352,8 @@ func (s *Scheduler) drainInbox() {
 	sh.inbox = sh.spare[:0]
 	sh.inboxMu.Unlock()
 	for i := range pend {
-		e := &pend[i]
-		s.push(event{at: e.at, seq: e.seq, origin: e.origin, afn: e.afn, arg: e.arg})
-		*e = xevent{}
+		s.push(pend[i])
+		pend[i] = event{}
 	}
 	sh.spare = pend[:0]
 }
@@ -430,7 +424,9 @@ func (s *Scheduler) scan(untilX Time) bool {
 }
 
 // worker services the shards owned by index w (round-robin) until all of
-// them reach untilX.
+// them reach untilX. The per-shard execution order is the same for any
+// workers value because scan's bound logic is; only the interleaving of
+// different shards' batches changes, and shards share no state.
 func (g *Group) worker(w, workers int, untilX Time) {
 	var owned []*Scheduler
 	for i := w; i < len(g.shards); i += workers {
@@ -463,6 +459,13 @@ func (g *Group) worker(w, workers int, untilX Time) {
 		// shard publishes (version moves); re-check under the lock to
 		// avoid sleeping through a publication that raced the scan.
 		g.mu.Lock()
+		if workers == 1 && g.version == ver {
+			// A lone worker's pass that ran nothing and published no
+			// horizon cannot be woken by anyone: a deadlock, impossible
+			// with the positive lookaheads Link enforces.
+			g.mu.Unlock()
+			assert.Unreachable("vtime: no shard can advance toward %v", untilX-1)
+		}
 		for g.version == ver {
 			g.parked++
 			g.cond.Wait()
@@ -489,8 +492,7 @@ func (g *Group) RunUntil(deadline Time, workers int) Time {
 		s.sh.horizon.Store(int64(s.now))
 	}
 	if workers == 1 {
-		// Single worker: same algorithm, no goroutines to park.
-		g.runSerial(untilX)
+		g.worker(0, 1, untilX)
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(workers)
@@ -508,40 +510,6 @@ func (g *Group) RunUntil(deadline Time, workers int) Time {
 		}
 	}
 	return deadline
-}
-
-// runSerial is the workers==1 loop: one goroutine round-robins every
-// shard. The per-shard execution order is identical to the parallel
-// path's because scan's bound logic is the same; only the interleaving of
-// *different* shards' batches changes, and shards share no state.
-func (g *Group) runSerial(untilX Time) {
-	for {
-		progress := false
-		done := true
-		for _, s := range g.shards {
-			if Time(s.sh.horizon.Load()) >= untilX {
-				continue
-			}
-			if s.scan(untilX) {
-				progress = true
-			}
-			if Time(s.sh.horizon.Load()) < untilX {
-				done = false
-			}
-		}
-		if done {
-			return
-		}
-		if !progress {
-			// With one worker a no-progress pass can only mean horizons
-			// still ratcheting toward untilX (empty shards bounding each
-			// other); the next pass continues from the new horizons. A
-			// full pass with no horizon movement at all would be a
-			// deadlock — impossible with positive lookaheads, which the
-			// constructor enforces.
-			continue
-		}
-	}
 }
 
 // Run drains every shard: repeated bounded windows until no shard holds a

@@ -191,10 +191,11 @@ func TestTimerResetAcrossLookaheadBoundary(t *testing.T) {
 		// shard 1 that land between the original and the reset deadline.
 		var tm *Timer
 		b.At(0, func() {
-			tm = b.After(la/2, func() { note(b, "timer-fired") })
+			tm = NewTimer(func() { note(b, "timer-fired") })
+			tm.Reset(b, la/2)
 		})
 		b.At(Time(la/4), func() {
-			tm.Reset(10 * la) // re-arm across many lookahead windows
+			tm.Reset(b, 10*la) // re-arm across many lookahead windows
 			note(b, "timer-reset")
 		})
 		for i := 1; i <= 8; i++ {
@@ -230,6 +231,46 @@ func TestTimerResetAcrossLookaheadBoundary(t *testing.T) {
 	if !strings.Contains(want, "timer-reset") {
 		t.Fatalf("reset event missing:\n%s", want)
 	}
+}
+
+// TestTimerMigrates pins that a Timer is bound to no scheduler: stopped
+// on shard 0 and re-armed on shard 1 after a cross-shard hop, it fires on
+// shard 1, for any worker count. Re-arming it on one shard while it is
+// still pending on another is an invariant violation.
+func TestTimerMigrates(t *testing.T) {
+	const la = Duration(1e6)
+	for _, workers := range []int{1, 2} {
+		g := NewGroup(1, 2)
+		if err := g.Link(0, 1, la); err != nil {
+			t.Fatal(err)
+		}
+		a, b := g.Shard(0), g.Shard(1)
+		var fired []string
+		var tm *Timer
+		tm = NewTimer(func() { fired = append(fired, fmt.Sprintf("shard%d %v", tm.s.ShardID(), tm.s.Now())) })
+		a.At(0, func() { tm.Reset(a, 10*la) })
+		a.At(Time(la), func() {
+			if !tm.Stop() {
+				t.Error("timer armed on shard 0 was not pending there")
+			}
+			a.SendTo(b, a.Now().Add(la), func(any) { tm.Reset(b, la) }, nil)
+		})
+		g.RunUntil(Time(20*la), workers)
+		if want := fmt.Sprintf("shard1 %v", Time(3*la)); len(fired) != 1 || fired[0] != want {
+			t.Fatalf("workers=%d: fired %v, want [%s]", workers, fired, want)
+		}
+	}
+
+	g := NewGroup(1, 2)
+	tm := NewTimer(func() {})
+	tm.Reset(g.Shard(0), la)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "pending on shard 0") {
+			t.Fatalf("Reset on shard 1 of a timer pending on shard 0: recovered %q, want the invariant panic", msg)
+		}
+	}()
+	tm.Reset(g.Shard(1), la)
 }
 
 // TestSendToDrain pins Group.Run: cross-shard events queued beyond the

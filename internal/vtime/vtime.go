@@ -37,36 +37,64 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // An event is a callback scheduled at a virtual instant. Events are stored
 // by value inside the scheduler's heap slice — no per-event allocation and
-// no interface boxing. The (origin, seq) pair breaks timestamp ties so
-// that events scheduled earlier run earlier, keeping the simulation
-// deterministic. origin is the shard that scheduled the event (always 0
-// for a standalone Scheduler) and seq is that shard's scheduling counter;
-// both are intrinsic to the schedule — they never depend on how many
-// worker goroutines a sharded run uses — so the execution order of every
-// shard's queue is identical for any worker count. Exactly one of fn/afn
-// is set; afn carries its argument in arg so that hot paths can schedule
-// package-level functions without allocating a closure.
+// no interface boxing beyond arg. The (origin, seq) pair breaks timestamp
+// ties so that events scheduled earlier run earlier, keeping the
+// simulation deterministic. origin is the shard that scheduled the event
+// (always 0 for a standalone Scheduler) and seq is that shard's scheduling
+// counter; both are intrinsic to the schedule — they never depend on how
+// many worker goroutines a sharded run uses — so the execution order of
+// every shard's queue is identical for any worker count. The same value
+// travels between shards: a cross-shard event sits in a ring or inbox
+// until its destination drains it into the heap. timed marks an event
+// armed by Timer.Reset, whose arg is the *Timer; the heap keeps that
+// handle's pos in sync. The flag sits in origin's padding, so an event
+// is 48 bytes.
 type event struct {
 	at     Time
 	seq    uint64
 	origin int32
-	fn     func()
-	afn    func(any)
+	timed  bool
+	fn     func(any)
 	arg    any
-	timer  *Timer // backpointer kept in sync by the heap, nil for AtArg events
 }
 
-// Timer is a handle to a scheduled callback. Stopping a Timer that has
-// already fired (or was already stopped) is a harmless no-op. The zero
-// Timer is valid and behaves like an already-fired one.
+// setPos records heap slot pos-1 (0: not queued) on the event's handle,
+// if it has one.
+func (e *event) setPos(pos int) {
+	if e.timed {
+		e.arg.(*Timer).pos = pos
+	}
+}
+
+// callFunc runs a func() stored as an event's arg: At and After schedule
+// through it, and since a func value is pointer-shaped, storing one in an
+// interface does not allocate.
+func callFunc(fn any) { fn.(func())() }
+
+// fireTimer runs the callback of the *Timer stored as an event's arg.
+func fireTimer(t any) { t.(*Timer).fn() }
+
+// Timer is a re-armable handle to one callback. It is bound to no
+// scheduler: Reset arms it on the scheduler its owner runs on now, so an
+// entity that migrates between shards keeps its handles. Stopping a Timer
+// that has already fired (or was already stopped) is a harmless no-op,
+// and Stop and Pending accept a nil *Timer.
 type Timer struct {
-	s  *Scheduler
-	fn func() // retained so Reset can re-arm without a fresh closure
+	s  *Scheduler // the scheduler the callback was last armed on
+	fn func()
 	// pos is the event's heap index + 1; 0 means not pending (fired,
-	// stopped, or never scheduled). The heap updates it on every move,
-	// which is what makes Stop a true O(log n) removal rather than a
+	// stopped, or never armed). The heap updates it on every move, which
+	// is what makes Stop a true O(log n) removal rather than a
 	// mark-and-skip.
 	pos int
+}
+
+// NewTimer returns an unarmed handle that runs fn each time it fires.
+func NewTimer(fn func()) *Timer {
+	if fn == nil {
+		assert.Unreachable("vtime: nil event function")
+	}
+	return &Timer{fn: fn}
 }
 
 // Pending reports whether the callback is still scheduled.
@@ -82,23 +110,27 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Reset re-arms the timer to run its callback d after the current instant,
-// cancelling the pending run if there is one. It reuses the handle and the
-// original callback, so re-arming allocates nothing — retransmission timers
-// (tcplite) reset on every ACK without churning the heap allocator.
-func (t *Timer) Reset(d Duration) {
-	if t == nil || t.s == nil || t.fn == nil {
-		assert.Unreachable("vtime: Reset on a timer that was never scheduled")
+// Reset arms the timer on s to run its callback d after s's current
+// instant, cancelling the pending run if there is one. s must be the
+// scheduler the caller runs on; re-arming a timer still pending on
+// another scheduler is a logic error (stop it there first). Re-arming
+// allocates nothing — retransmission timers (tcplite) reset on every ACK
+// without churning the heap allocator.
+func (t *Timer) Reset(s *Scheduler, d Duration) {
+	if t.fn == nil {
+		assert.Unreachable("vtime: Reset of a timer with no callback (build it with NewTimer)")
+	}
+	if t.pos > 0 {
+		if t.s != s {
+			assert.Unreachable("vtime: Reset on shard %d of a timer pending on shard %d", s.origin, t.s.origin)
+		}
+		s.removeAt(t.pos - 1)
 	}
 	if d < 0 {
 		d = 0
 	}
-	if t.pos > 0 {
-		t.s.removeAt(t.pos - 1)
-	}
-	s := t.s
-	s.seq++
-	s.push(event{at: s.now.Add(d), seq: s.seq, origin: s.origin, fn: t.fn, timer: t})
+	t.s = s
+	s.schedule(s.now.Add(d), fireTimer, t, true)
 }
 
 // Scheduler is a discrete-event executor. It is not safe for concurrent use;
@@ -167,53 +199,32 @@ func (s *Scheduler) NewStream() *rand.Rand {
 }
 
 // At schedules fn to run at instant t. Scheduling in the past (before Now)
-// panics: it is always a logic error in a discrete-event simulation.
-func (s *Scheduler) At(t Time, fn func()) *Timer {
-	if t < s.now {
-		assert.Unreachable("vtime: scheduling event at %v before now %v", t, s.now)
-	}
+// panics: it is always a logic error in a discrete-event simulation. At
+// returns no handle and allocates nothing beyond the caller's closure;
+// use NewTimer for a callback that may be cancelled or re-armed.
+func (s *Scheduler) At(t Time, fn func()) {
 	if fn == nil {
 		assert.Unreachable("vtime: nil event function")
 	}
-	tm := &Timer{s: s, fn: fn}
-	s.seq++
-	s.push(event{at: t, seq: s.seq, origin: s.origin, fn: fn, timer: tm})
-	return tm
+	s.schedule(t, callFunc, fn, false)
 }
 
-// After schedules fn to run d after the current instant.
-func (s *Scheduler) After(d Duration, fn func()) *Timer {
+// After schedules fn to run d after the current instant; see At.
+func (s *Scheduler) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now.Add(d), fn)
+	s.At(s.now.Add(d), fn)
 }
 
-// Post schedules fn to run at the current instant, after all callbacks
-// already queued for this instant. It is the simulation's equivalent of
-// "go fn()": useful to break deep synchronous call chains.
-func (s *Scheduler) Post(fn func()) *Timer { return s.At(s.now, fn) }
-
-// AtArg schedules fn(arg) at instant t without allocating a Timer handle.
-// With a package-level fn and a pointer-typed arg the whole call is
-// allocation-free, which is what the per-frame delivery path needs.
-func (s *Scheduler) AtArg(t Time, fn func(any), arg any) {
+// schedule enqueues fn(arg) at instant t on s with the next sequence
+// number; timed marks arg as the *Timer whose pos the heap maintains.
+func (s *Scheduler) schedule(t Time, fn func(any), arg any, timed bool) {
 	if t < s.now {
 		assert.Unreachable("vtime: scheduling event at %v before now %v", t, s.now)
 	}
-	if fn == nil {
-		assert.Unreachable("vtime: nil event function")
-	}
 	s.seq++
-	s.push(event{at: t, seq: s.seq, origin: s.origin, afn: fn, arg: arg})
-}
-
-// AfterArg schedules fn(arg) to run d after the current instant; see AtArg.
-func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	s.AtArg(s.now.Add(d), fn, arg)
+	s.push(event{at: t, seq: s.seq, origin: s.origin, timed: timed, fn: fn, arg: arg})
 }
 
 // Stop makes the currently executing Run return after the active callback
@@ -265,9 +276,7 @@ func (s *Scheduler) NextAt() (Time, bool) {
 
 func (s *Scheduler) step() {
 	e := s.events[0]
-	if e.timer != nil {
-		e.timer.pos = 0
-	}
+	e.setPos(0)
 	n := len(s.events) - 1
 	s.events[0] = s.events[n]
 	s.events[n] = event{}
@@ -275,19 +284,13 @@ func (s *Scheduler) step() {
 	if n > 1 {
 		s.siftDown(0)
 	} else if n == 1 {
-		if t := s.events[0].timer; t != nil {
-			t.pos = 1
-		}
+		s.events[0].setPos(1)
 	}
 	if e.at > s.now {
 		s.now = e.at
 	}
 	s.Processed++
-	if e.fn != nil {
-		e.fn()
-	} else {
-		e.afn(e.arg)
-	}
+	e.fn(e.arg)
 }
 
 // less orders heap elements by (at, origin, seq). origin before seq:
@@ -315,9 +318,7 @@ func (s *Scheduler) push(e event) {
 // container/heap implementation marked events cancelled and skipped them at
 // pop time, leaving dead entries — and their closures — queued).
 func (s *Scheduler) removeAt(i int) {
-	if t := s.events[i].timer; t != nil {
-		t.pos = 0
-	}
+	s.events[i].setPos(0)
 	n := len(s.events) - 1
 	if i != n {
 		s.events[i] = s.events[n]
@@ -339,15 +340,11 @@ func (s *Scheduler) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		if t := h[i].timer; t != nil {
-			t.pos = i + 1
-		}
+		h[i].setPos(i + 1)
 		i = p
 	}
 	h[i] = e
-	if t := e.timer; t != nil {
-		t.pos = i + 1
-	}
+	e.setPos(i + 1)
 }
 
 func (s *Scheduler) siftDown(i int) {
@@ -373,13 +370,9 @@ func (s *Scheduler) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		if t := h[i].timer; t != nil {
-			t.pos = i + 1
-		}
+		h[i].setPos(i + 1)
 		i = best
 	}
 	h[i] = e
-	if t := e.timer; t != nil {
-		t.pos = i + 1
-	}
+	e.setPos(i + 1)
 }

@@ -12,9 +12,13 @@ import (
 func TestTimerReset(t *testing.T) {
 	s := NewScheduler(1)
 	var fired []Time
-	tm := s.After(100, func() { fired = append(fired, s.Now()) })
+	tm := NewTimer(func() { fired = append(fired, s.Now()) })
+	if tm.Pending() || s.Pending() != 0 {
+		t.Fatal("NewTimer scheduled something")
+	}
+	tm.Reset(s, 100)
 
-	tm.Reset(250) // supersedes the pending 100ns run
+	tm.Reset(s, 250) // supersedes the pending 100ns run
 	s.Run()
 	if len(fired) != 1 || fired[0] != 250 {
 		t.Fatalf("after Reset of pending timer, fired = %v, want [250]", fired)
@@ -23,7 +27,7 @@ func TestTimerReset(t *testing.T) {
 		t.Fatal("timer still pending after firing")
 	}
 
-	tm.Reset(50) // re-arm after fire, reusing the same handle
+	tm.Reset(s, 50) // re-arm after fire, reusing the same handle
 	if !tm.Pending() {
 		t.Fatal("timer not pending after Reset")
 	}
@@ -37,7 +41,8 @@ func TestTimerReset(t *testing.T) {
 // the queue immediately instead of lingering as a cancelled entry.
 func TestTimerStopRemoves(t *testing.T) {
 	s := NewScheduler(1)
-	tm := s.After(100, func() { t.Fatal("stopped timer fired") })
+	tm := NewTimer(func() { t.Fatal("stopped timer fired") })
+	tm.Reset(s, 100)
 	s.After(200, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("Pending() = %d, want 2", s.Pending())
@@ -54,40 +59,53 @@ func TestTimerStopRemoves(t *testing.T) {
 	s.Run()
 }
 
-// TestAtArgOrdering checks the handle-free path interleaves with At in
-// strict submission order at the same instant.
-func TestAtArgOrdering(t *testing.T) {
+// TestSendToLocalOrdering checks that a local SendTo interleaves with At
+// and After in strict submission order at the same instant.
+func TestSendToLocalOrdering(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
-	s.AtArg(10, func(a any) { got = append(got, a.(int)) }, 1)
+	s.SendTo(s, 10, func(a any) { got = append(got, a.(int)) }, 1)
 	s.At(10, func() { got = append(got, 2) })
-	s.AfterArg(10, func(a any) { got = append(got, a.(int)) }, 3)
+	s.After(10, func() { got = append(got, 3) })
+	s.SendTo(s, s.Now().Add(10), func(a any) { got = append(got, a.(int)) }, 4)
 	s.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v, want [1 2 3]", got)
+	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("got %v, want [1 2 3 4]", got)
 	}
 }
 
-// TestAtArgNoAlloc pins the zero-allocation contract of the handle-free
-// scheduling path once the heap slice has warmed up.
-func TestAtArgNoAlloc(t *testing.T) {
+// TestScheduleAllocs pins the zero-allocation contract of the three ways
+// to schedule once the heap slice has warmed up: After with a prebuilt
+// func (no handle is made), a local SendTo, and re-arming a Timer.
+func TestScheduleAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	s := NewScheduler(1)
-	fn := func(any) {}
+	fn := func() {}
+	afn := func(any) {}
 	arg := new(int)
+	tm := NewTimer(fn)
 	// Warm the heap slice so append growth is out of the picture.
 	for i := 0; i < 64; i++ {
-		s.AfterArg(1, fn, arg)
+		s.After(1, fn)
 	}
 	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		s.AfterArg(1, fn, arg)
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("AfterArg+Run allocates %v per op, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"After", func() { s.After(1, fn) }},
+		{"SendTo", func() { s.SendTo(s, s.Now().Add(1), afn, arg) }},
+		{"Timer.Reset", func() { tm.Reset(s, 1) }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			c.op()
+			s.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("%s+Run allocates %v per op, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -99,7 +117,9 @@ func TestRemoveMiddleKeepsOrder(t *testing.T) {
 	var timers []*Timer
 	for i := 100; i > 0; i-- {
 		at := Time(i * 10)
-		timers = append(timers, s.At(at, func() { got = append(got, at) }))
+		tm := NewTimer(func() { got = append(got, at) })
+		tm.Reset(s, Duration(at))
+		timers = append(timers, tm)
 	}
 	// Stop every third timer.
 	stopped := map[Time]bool{}

@@ -45,7 +45,11 @@ func TestTieBreakBySubmissionOrder(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	s := NewScheduler(1)
 	fired := false
-	tm := s.After(1e9, func() { fired = true })
+	tm := NewTimer(func() { fired = true })
+	if tm.Stop() {
+		t.Error("Stop on an unarmed timer returned true")
+	}
+	tm.Reset(s, 1e9)
 	if !tm.Stop() {
 		t.Error("Stop on pending timer returned false")
 	}
@@ -58,7 +62,8 @@ func TestTimerStop(t *testing.T) {
 	}
 	// Stopping a fired timer.
 	fired = false
-	tm2 := s.After(1e9, func() { fired = true })
+	tm2 := NewTimer(func() { fired = true })
+	tm2.Reset(s, 1e9)
 	s.Run()
 	if !fired {
 		t.Fatal("timer did not fire")
@@ -119,11 +124,11 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestPostRunsAfterCurrentInstantQueue(t *testing.T) {
+func TestAfterZeroRunsAfterCurrentInstantQueue(t *testing.T) {
 	s := NewScheduler(1)
 	var seq []string
 	s.At(Time(1e9), func() {
-		s.Post(func() { seq = append(seq, "posted") })
+		s.After(0, func() { seq = append(seq, "posted") })
 		seq = append(seq, "first")
 	})
 	s.At(Time(1e9), func() { seq = append(seq, "second") })

@@ -56,7 +56,7 @@ func main() {
 	coverFloor := flag.Float64("cover-floor", 0, "minimum total statement coverage percent (cover mode)")
 	coverPkgFloors := flag.String("cover-pkg-floor", "", "comma-separated per-package floors, pkg=percent (cover mode)")
 	determinism := flag.Bool("determinism", false, "run the runtime determinism gate over every experiment (see determinismdiff.go)")
-	detSeeds := flag.String("determinism-seeds", "1,7", "comma-separated seeds for the determinism gate")
+	detSeeds := flag.String("determinism-seeds", defaultDetSeeds, "comma-separated seeds for the determinism gate")
 	detParallel := flag.Int("determinism-parallel", 4, "worker count for the parallel-vs-serial comparison (determinism mode)")
 	detShards := flag.String("determinism-shards", "1,2,4", "comma-separated -shards values for the sharded-vs-serial comparison (determinism mode)")
 	flag.Parse()

@@ -13,6 +13,12 @@ package main
 // analyzers: the analyzers prove the sources of nondeterminism are
 // absent, this proves the composed system actually emits byte-identical
 // output per seed, worker count included.
+//
+// Runs inside one build agreeing says nothing about a change that moves
+// every run alike, so the hash of each (experiment, seed) row at the
+// default seeds is also committed in pinnedHashes, and the gate fails
+// when a row there is missing or differs. A change that moves a hash on
+// purpose edits its row and says why.
 
 import (
 	"crypto/sha256"
@@ -27,10 +33,25 @@ import (
 	"mob4x4/internal/experiments"
 )
 
-// runDeterminism executes the gate; it returns false on any divergence
-// or run failure.
+// defaultDetSeeds are the gate's default seeds, the ones whose rows
+// pinnedHashes holds.
+const defaultDetSeeds = "1,7"
+
+// pinnedHashes holds the committed full SHA-256 of every (experiment,
+// seed) row at the default seeds, one "<experiment> <seed> <sha256>" line
+// each; blank lines and lines starting with # are ignored.
+const pinnedHashes = "scripts/determinism.sha256"
+
+// runDeterminism executes the gate; it returns false on any divergence,
+// run failure, or disagreement with pinnedHashes.
 func runDeterminism(seedList string, parallel int, shardList string) bool {
 	seeds, err := parseSeeds(seedList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "determinism:", err)
+		return false
+	}
+	pinnedSeeds, _ := parseSeeds(defaultDetSeeds)
+	pinned, err := readPinned(pinnedHashes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "determinism:", err)
 		return false
@@ -93,12 +114,59 @@ func runDeterminism(seedList string, parallel int, shardList string) bool {
 				}
 				first = h
 			}
-			if first != "" {
+			key := fmt.Sprintf("%s %d", e.Name, seed)
+			want, pin := pinned[key], slices.Contains(pinnedSeeds, seed)
+			delete(pinned, key)
+			switch {
+			case first == "":
+			case pin && want != first:
+				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: output hash %s, committed %q in %s "+
+					"(if the change is intended, commit the row \"%s %s\" and say why)\n",
+					e.Name, seed, first, want, pinnedHashes, key, first)
+				ok = false
+			case pin:
+				fmt.Printf("determinism: %-12s seed=%-3d %s (%s, matches %s)\n", e.Name, seed, first[:12], status, pinnedHashes)
+			default:
 				fmt.Printf("determinism: %-12s seed=%-3d %s (%s)\n", e.Name, seed, first[:12], status)
 			}
 		}
 	}
+	// A row left over names an (experiment, seed) pair this run should
+	// have produced and did not: the experiment left the registry.
+	var stale []string
+	for key := range pinned {
+		_, seed, _ := strings.Cut(key, " ")
+		if n, err := strconv.ParseInt(seed, 10, 64); err == nil && slices.Contains(seeds, n) {
+			stale = append(stale, key)
+		}
+	}
+	slices.Sort(stale)
+	for _, key := range stale {
+		fmt.Fprintf(os.Stderr, "determinism: FAIL row %q in %s names no registry entry\n", key, pinnedHashes)
+		ok = false
+	}
 	return ok
+}
+
+// readPinned parses pinnedHashes into a map from "<experiment> <seed>"
+// to the full hex SHA-256.
+func readPinned(path string) (map[string]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	pinned := map[string]string{}
+	for n, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		if len(f) != 3 || len(f[2]) != 2*sha256.Size {
+			return nil, fmt.Errorf("%s:%d: want \"<experiment> <seed> <sha256>\", got %q", path, n+1, line)
+		}
+		pinned[f[0]+" "+f[1]] = f[2]
+	}
+	return pinned, nil
 }
 
 // hashRun executes the experiment binary with args and returns the
