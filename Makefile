@@ -8,6 +8,7 @@ GO ?= go
 FUZZ_TIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/ipv4:FuzzHeaderParse \
+	./internal/ipv4:FuzzReassemble \
 	./internal/encap:FuzzDecapsulateIPIP \
 	./internal/encap:FuzzDecapsulateMinEnc \
 	./internal/encap:FuzzDecapsulateGRE \

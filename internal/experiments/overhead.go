@@ -32,6 +32,7 @@ func RunOverhead(payloadSizes []int, mtu int) []OverheadRow {
 	src := ipv4.MustParseAddr("128.9.1.4")
 	ha := ipv4.MustParseAddr("36.1.1.2")
 	dst := ipv4.MustParseAddr("17.5.0.2")
+	var frags []ipv4.Packet // reused: only the counts are kept
 	for _, codec := range encap.All() {
 		for _, size := range payloadSizes {
 			inner := ipv4.Packet{
@@ -40,11 +41,12 @@ func RunOverhead(payloadSizes []int, mtu int) []OverheadRow {
 			}
 			row := OverheadRow{Codec: codec.Name(), PayloadBytes: size}
 			row.PlainBytes = inner.TotalLen()
-			plainFrags, err := ipv4.Fragment(inner, mtu)
+			var err error
+			frags, err = ipv4.AppendFragments(frags[:0], inner, mtu)
 			if err != nil {
 				continue
 			}
-			row.PlainFragments = len(plainFrags)
+			row.PlainFragments = len(frags)
 
 			outer, err := codec.AppendEncap(inner, src, ha, ipv4.Zero, nil)
 			if err != nil {
@@ -52,11 +54,11 @@ func RunOverhead(payloadSizes []int, mtu int) []OverheadRow {
 			}
 			row.EncapBytes = outer.TotalLen()
 			row.OverheadBytes = row.EncapBytes - row.PlainBytes
-			encFrags, err := ipv4.Fragment(outer, mtu)
+			frags, err = ipv4.AppendFragments(frags[:0], outer, mtu)
 			if err != nil {
 				continue
 			}
-			row.EncapFragments = len(encFrags)
+			row.EncapFragments = len(frags)
 			rows = append(rows, row)
 		}
 	}

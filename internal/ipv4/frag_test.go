@@ -23,7 +23,7 @@ func bigPacket(n int) Packet {
 
 func TestFragmentFits(t *testing.T) {
 	p := bigPacket(100)
-	frags, err := Fragment(p, 1500)
+	frags, err := AppendFragments(nil, p, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFragmentFits(t *testing.T) {
 
 func TestFragmentSplits(t *testing.T) {
 	p := bigPacket(3000)
-	frags, err := Fragment(p, 1500)
+	frags, err := AppendFragments(nil, p, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +65,22 @@ func TestFragmentSplits(t *testing.T) {
 func TestFragmentDFRejected(t *testing.T) {
 	p := bigPacket(3000)
 	p.DontFrag = true
-	if _, err := Fragment(p, 1500); err != ErrFragNeeded {
+	if _, err := AppendFragments(nil, p, 1500); err != ErrFragNeeded {
 		t.Errorf("err = %v, want ErrFragNeeded", err)
 	}
 	// DF packet that fits is fine.
 	p.Payload = p.Payload[:100]
-	if _, err := Fragment(p, 1500); err != nil {
+	if _, err := AppendFragments(nil, p, 1500); err != nil {
 		t.Errorf("DF packet that fits rejected: %v", err)
 	}
 }
 
 func TestFragmentTinyMTU(t *testing.T) {
 	p := bigPacket(100)
-	if _, err := Fragment(p, 20); err == nil {
+	if _, err := AppendFragments(nil, p, 20); err == nil {
 		t.Error("mtu 20 accepted")
 	}
-	frags, err := Fragment(p, 28) // room for exactly 8 payload bytes
+	frags, err := AppendFragments(nil, p, 28) // room for exactly 8 payload bytes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +89,28 @@ func TestFragmentTinyMTU(t *testing.T) {
 	}
 }
 
+func TestAppendFragmentsAppends(t *testing.T) {
+	// Fragments go after what dst already holds; an error leaves dst as
+	// it was.
+	keep := bigPacket(10)
+	dst := []Packet{keep}
+	dst, err := AppendFragments(dst, bigPacket(3000), 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dst) != 4 || len(dst[0].Payload) != 10 || dst[1].FragOffset != 0 || !dst[1].MoreFrags {
+		t.Fatalf("got %d packets (first %d bytes), want the kept packet then 3 fragments", len(dst), len(dst[0].Payload))
+	}
+	df := bigPacket(3000)
+	df.DontFrag = true
+	if got, err := AppendFragments(dst, df, 1500); err != ErrFragNeeded || len(got) != 4 {
+		t.Errorf("DF packet: %d packets, err %v; want dst unchanged and ErrFragNeeded", len(got), err)
+	}
+}
+
 func TestReassembleInOrder(t *testing.T) {
 	p := bigPacket(5000)
-	frags, _ := Fragment(p, 1500)
+	frags, _ := AppendFragments(nil, p, 1500)
 	r := NewReassembler()
 	for i, f := range frags {
 		out, done, err := r.Add(f)
@@ -120,7 +139,7 @@ func TestReassembleInOrder(t *testing.T) {
 
 func TestReassembleOutOfOrderAndDuplicates(t *testing.T) {
 	p := bigPacket(5000)
-	frags, _ := Fragment(p, 1500)
+	frags, _ := AppendFragments(nil, p, 1500)
 	rng := rand.New(rand.NewSource(3))
 	order := rng.Perm(len(frags))
 	r := NewReassembler()
@@ -165,8 +184,8 @@ func TestReassembleDistinctContexts(t *testing.T) {
 	for i := range b.Payload {
 		b.Payload[i] = byte(i * 7)
 	}
-	fa, _ := Fragment(a, 1500)
-	fb, _ := Fragment(b, 1500)
+	fa, _ := AppendFragments(nil, a, 1500)
+	fb, _ := AppendFragments(nil, b, 1500)
 	r := NewReassembler()
 	var gotA, gotB Packet
 	var doneA, doneB bool
@@ -188,7 +207,7 @@ func TestReassembleDistinctContexts(t *testing.T) {
 
 func TestReassembleExpire(t *testing.T) {
 	p := bigPacket(3000)
-	frags, _ := Fragment(p, 1500)
+	frags, _ := AppendFragments(nil, p, 1500)
 	r := NewReassembler()
 	_, _, _ = r.Add(frags[0])
 	if n := r.Expire(); n != 1 {
@@ -230,7 +249,7 @@ func TestFragmentReassembleIdentityProperty(t *testing.T) {
 		mtu := int(mtuRaw)%1472 + 28 // 28..1500
 		p := bigPacket(n)
 		rng.Read(p.Payload)
-		frags, err := Fragment(p, mtu)
+		frags, err := AppendFragments(nil, p, mtu)
 		if err != nil {
 			return false
 		}
@@ -258,14 +277,13 @@ func TestRefragmentFragment(t *testing.T) {
 	// Fragmenting a fragment (smaller MTU downstream) must preserve
 	// offsets relative to the original packet.
 	p := bigPacket(4000)
-	first, _ := Fragment(p, 1500)
+	first, _ := AppendFragments(nil, p, 1500)
 	var all []Packet
 	for _, f := range first {
-		sub, err := Fragment(f, 576)
-		if err != nil {
+		var err error
+		if all, err = AppendFragments(all, f, 576); err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, sub...)
 	}
 	r := NewReassembler()
 	for i, f := range all {
@@ -288,17 +306,21 @@ func TestRefragmentFragment(t *testing.T) {
 
 func BenchmarkFragment(b *testing.B) {
 	p := bigPacket(8000)
+	var dst []Packet
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fragment(p, 1500); err != nil {
+		var err error
+		if dst, err = AppendFragments(dst[:0], p, 1500); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkReassemble measures a cold reassembler: a new one per packet,
+// so every context and assembly buffer is allocated.
 func BenchmarkReassemble(b *testing.B) {
 	p := bigPacket(8000)
-	frags, _ := Fragment(p, 1500)
+	frags, _ := AppendFragments(nil, p, 1500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := NewReassembler()
@@ -307,5 +329,23 @@ func BenchmarkReassemble(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkReassembleSteady measures the steady state a host sees: one
+// reassembler reused across packets, each payload handed back with
+// Release, so contexts and buffers come from its free list.
+func BenchmarkReassembleSteady(b *testing.B) {
+	p := bigPacket(8000)
+	frags, _ := AppendFragments(nil, p, 1500)
+	r := NewReassembler()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, f := range frags {
+			if _, _, err := r.Add(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		r.Release()
 	}
 }

@@ -40,13 +40,21 @@ func BenchmarkRegistration(b *testing.B) {
 // BenchmarkTunnelForwarding measures the home agent's per-packet capture
 // + encapsulate + resubmit path, end to end through the simulated
 // internet to the mobile host.
-func BenchmarkTunnelForwarding(b *testing.B) {
+func BenchmarkTunnelForwarding(b *testing.B) { benchTunnel(b, 1000) }
+
+// BenchmarkTunnelForwardingFragmented is BenchmarkTunnelForwarding with a
+// payload that fits a 1500-byte link plain but not once the home agent
+// adds its IPIP header: every packet is fragmented at the home agent and
+// reassembled at the mobile host (§3.3's "doubles the packet count").
+func BenchmarkTunnelForwardingFragmented(b *testing.B) { benchTunnel(b, 1472) }
+
+func benchTunnel(b *testing.B, size int) {
 	w := buildWorld(b, worldOpts{selector: core.NewSelector(core.StartOptimistic)})
 	w.roam(b)
 	var delivered int
 	w.mhHost.Handle(99, func(_ *stack.Iface, pkt ipv4.Packet) { delivered++ })
-	payload := make([]byte, 1000)
-	b.SetBytes(1000)
+	payload := make([]byte, size)
+	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = w.chFar.SendIP(ipv4.Packet{

@@ -21,6 +21,9 @@ import (
 //   - Receive callbacks may read the payload only until they return.
 //     Anything retained past the callback (reassembly pieces, ARP pending
 //     queues, delivery deferred through the scheduler) must be copied.
+//     Fragments are copied into storage the host's ipv4.Reassembler owns
+//     and reuses; a reassembled payload is borrowed from it by the same
+//     rule, until the stack's demux returns.
 //   - A Buf used as scratch (marshal, send synchronously, recycle) is
 //     returned by the same function that got it.
 //

@@ -396,9 +396,6 @@ func (h *Host) Rehome(sim *netsim.Sim) {
 		ifc.nic.Rehome(sim)
 		ifc.cache.Flush()
 	}
-	// The reassembly timer handle is bound to the old scheduler; drop it
-	// so the next fragment arms a fresh one on the new region's clock.
-	h.reasmTimer = nil
 	h.sim = sim
 	h.metrics = sim.Metrics
 	sim.SetARPResolvers(newSegARP)

@@ -113,12 +113,19 @@ func (h *Host) transmit(ifc *Iface, nexthop ipv4.Addr, pkt ipv4.Packet) error {
 	}
 	mtu := ifc.nic.MTU()
 	if pkt.TotalLen() <= mtu {
-		// Steady-state fast path: the packet fits, so skip Fragment's
-		// single-element slice allocation.
 		ifc.resolveAndSend(nexthop, pkt)
 		return nil
 	}
-	frags, err := ipv4.Fragment(pkt, mtu)
+	return h.fragmentAndSend(ifc, nexthop, pkt, mtu)
+}
+
+// fragmentAndSend is transmit's path for a packet larger than the MTU. The
+// fragments alias pkt's payload and live in a stack array (a 1500-byte
+// link splits a tunnel-sized packet in two), so fragmenting allocates
+// nothing; resolveAndSend copies each onto the wire.
+func (h *Host) fragmentAndSend(ifc *Iface, nexthop ipv4.Addr, pkt ipv4.Packet, mtu int) error {
+	var store [4]ipv4.Packet
+	frags, err := ipv4.AppendFragments(store[:0], pkt, mtu)
 	if err != nil {
 		if err == ipv4.ErrFragNeeded {
 			h.metrics.Drop(metrics.DropFragNeeded)
@@ -130,9 +137,7 @@ func (h *Host) transmit(ifc *Iface, nexthop ipv4.Addr, pkt ipv4.Packet) error {
 		}
 		return err
 	}
-	if len(frags) > 1 {
-		h.Stats.FragsCreated += uint64(len(frags))
-	}
+	h.Stats.FragsCreated += uint64(len(frags))
 	for _, f := range frags {
 		ifc.resolveAndSend(nexthop, f)
 	}
@@ -279,12 +284,16 @@ func (h *Host) forward(in *Iface, pkt ipv4.Packet) {
 }
 
 // deliverLocal reassembles and demultiplexes a packet destined for this
-// host.
+// host. A reassembled packet's payload is borrowed from the reassembler,
+// like a frame's from the link layer: it is handed back once the demux
+// returns, so handlers copy what they keep either way.
 func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
-	// Add returns an unfragmented packet without touching a nil
-	// reassembler, so a host builds one only for its first fragment.
-	if h.reasm == nil && (pkt.MoreFrags || pkt.FragOffset != 0) {
-		h.reasm = ipv4.NewReassembler()
+	if !pkt.MoreFrags && pkt.FragOffset == 0 {
+		h.demux(ifc, pkt)
+		return
+	}
+	if h.reasm == nil {
+		h.reasm = ipv4.NewReassembler() // built on this host's first fragment
 	}
 	full, done, err := h.reasm.Add(pkt)
 	if err != nil {
@@ -295,17 +304,16 @@ func (h *Host) deliverLocal(ifc *Iface, pkt ipv4.Packet) {
 		h.armReassemblyTimer()
 		return
 	}
-	if full.MoreFrags || full.FragOffset != 0 {
-		// Cannot happen: Add returns only whole packets. Defensive.
-		h.metrics.Drop(metrics.DropMalformed)
-		return
-	}
-	if full.TraceID == 0 {
-		full.TraceID = pkt.TraceID
-	}
-	if pkt.FragOffset != 0 || pkt.MoreFrags {
-		h.Stats.Reassembled++
-	}
+	full.TraceID = pkt.TraceID
+	h.Stats.Reassembled++
+	h.demux(ifc, full)
+	h.reasm.Release()
+}
+
+// demux accounts a whole packet as delivered and hands it to the first
+// consumer that claims it: the multicast tap, an address claim, a protocol
+// handler, a UDP socket.
+func (h *Host) demux(ifc *Iface, full ipv4.Packet) {
 	h.metrics.IPDelivered.Inc()
 	if tr := h.sim.Trace; tr.On() {
 		tr.Record(netsim.Event{

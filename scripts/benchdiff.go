@@ -29,7 +29,8 @@ import (
 )
 
 // Benchmark is one `go test -bench` result line. Metrics holds the
-// b.ReportMetric custom units (the reproduced paper numbers).
+// b.ReportMetric custom units (the reproduced paper numbers). Note says
+// why a row was added to a baseline without re-pinning the others.
 type Benchmark struct {
 	Pkg         string             `json:"pkg"`
 	Name        string             `json:"name"`
@@ -38,6 +39,7 @@ type Benchmark struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Note        string             `json:"note,omitempty"`
 }
 
 // File is the persisted BENCH_<date>.json shape.
