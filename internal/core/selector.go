@@ -59,6 +59,7 @@ const RetransmissionThreshold = 2
 // build up a history, for each correspondent host, of which communication
 // methods have proven to be successful and which have not."
 type methodState struct {
+	dst  ipv4.Addr
 	mode OutMode
 	// active is the mode the conversation's packets are actually using
 	// right now. It usually equals mode, but diverges when the port
@@ -88,7 +89,12 @@ type Selector struct {
 	// DefaultPolicy applies where no rule matches.
 	DefaultPolicy StartPolicy
 	rules         []Rule
-	cache         map[ipv4.Addr]*methodState
+	// states is the method cache, one entry per correspondent. A mobile
+	// host talks to a few correspondents between moves, so it is
+	// scanned; past stateIndexMin entries index finds an entry instead.
+	// Reset keeps the storage of both, so a move allocates nothing.
+	states []methodState
+	index  map[ipv4.Addr]int
 
 	// CHCanDecapsulate reports (or guesses) whether a given
 	// correspondent can decapsulate; when it returns false the selector
@@ -106,12 +112,13 @@ type Selector struct {
 	DTDemotions uint64
 }
 
+// stateIndexMin is how many cached correspondents the selector scans
+// before it looks them up in an index.
+const stateIndexMin = 8
+
 // NewSelector returns a selector with the given default start policy.
 func NewSelector(def StartPolicy) *Selector {
-	return &Selector{
-		DefaultPolicy: def,
-		cache:         make(map[ipv4.Addr]*methodState),
-	}
+	return &Selector{DefaultPolicy: def}
 }
 
 // AddRule installs a prefix rule. Longer prefixes take precedence.
@@ -162,29 +169,54 @@ func (s *Selector) ForcedMode(dst ipv4.Addr) (OutMode, bool) {
 // saves it from having to make the decision afresh for every packet").
 func (s *Selector) ModeFor(dst ipv4.Addr) OutMode {
 	s.Decisions++
-	if st, ok := s.cache[dst]; ok {
+	if i := s.find(dst); i >= 0 {
+		st := &s.states[i]
 		s.CacheHits++
 		st.active = st.mode
 		return st.mode
 	}
-	st := s.newState(dst)
-	s.cache[dst] = st
-	return st.mode
+	return s.state(dst).mode
 }
 
-func (s *Selector) newState(dst ipv4.Addr) *methodState {
-	m := s.initialMode(dst)
-	return &methodState{mode: m, active: m}
-}
-
-// state returns (creating if needed) the cache entry for dst.
-func (s *Selector) state(dst ipv4.Addr) *methodState {
-	st, ok := s.cache[dst]
-	if !ok {
-		st = s.newState(dst)
-		s.cache[dst] = st
+// find returns the index of dst's cache entry, or -1.
+func (s *Selector) find(dst ipv4.Addr) int {
+	if len(s.states) > stateIndexMin {
+		if i, ok := s.index[dst]; ok {
+			return i
+		}
+		return -1
 	}
-	return st
+	for i := range s.states {
+		if s.states[i].dst == dst {
+			return i
+		}
+	}
+	return -1
+}
+
+// state returns (creating if needed) the cache entry for dst. The pointer
+// is valid until the next entry is created.
+func (s *Selector) state(dst ipv4.Addr) *methodState {
+	if i := s.find(dst); i >= 0 {
+		return &s.states[i]
+	}
+	m := s.initialMode(dst)
+	s.states = append(s.states, methodState{dst: dst, mode: m, active: m})
+	n := len(s.states)
+	switch {
+	case n == stateIndexMin+1:
+		// Crossing the threshold (again): rebuild the index.
+		if s.index == nil {
+			s.index = make(map[ipv4.Addr]int, 2*n)
+		}
+		clear(s.index)
+		for i := range s.states {
+			s.index[s.states[i].dst] = i
+		}
+	case n > stateIndexMin+1:
+		s.index[dst] = n - 1
+	}
+	return &s.states[n-1]
 }
 
 // ReportSuccess records that the current method delivered (an
@@ -332,8 +364,8 @@ func (s *Selector) NoteTemporary(dst ipv4.Addr) {
 // Unknown correspondents default to usable; a correspondent whose
 // shortcut blackholed reports false until RetryTemporary clears it.
 func (s *Selector) TemporaryUsable(dst ipv4.Addr) bool {
-	if st, ok := s.cache[dst]; ok {
-		return !st.failed[OutDT]
+	if i := s.find(dst); i >= 0 {
+		return !s.states[i].failed[OutDT]
 	}
 	return true
 }
@@ -343,29 +375,44 @@ func (s *Selector) TemporaryUsable(dst ipv4.Addr) bool {
 // the demotion in ReportRetransmission). It reports whether a mark was
 // actually cleared.
 func (s *Selector) RetryTemporary(dst ipv4.Addr) bool {
-	st, ok := s.cache[dst]
-	if !ok || !st.failed[OutDT] {
+	i := s.find(dst)
+	if i < 0 || !s.states[i].failed[OutDT] {
 		return false
 	}
-	st.failed[OutDT] = false
+	s.states[i].failed[OutDT] = false
 	return true
 }
 
 // Forget drops the cache entry for dst (e.g. after moving to a network
 // with different filtering, the old history may be invalid).
-func (s *Selector) Forget(dst ipv4.Addr) { delete(s.cache, dst) }
+func (s *Selector) Forget(dst ipv4.Addr) {
+	i := s.find(dst)
+	if i < 0 {
+		return
+	}
+	last := len(s.states) - 1
+	if len(s.states) > stateIndexMin {
+		delete(s.index, dst)
+		if i != last {
+			s.index[s.states[last].dst] = i
+		}
+	}
+	s.states[i] = s.states[last]
+	s.states = s.states[:last]
+}
 
 // Reset clears the whole cache (used when the mobile host moves).
-func (s *Selector) Reset() { s.cache = make(map[ipv4.Addr]*methodState) }
+func (s *Selector) Reset() { s.states = s.states[:0] }
 
 // CacheLen reports the number of cached correspondents.
-func (s *Selector) CacheLen() int { return len(s.cache) }
+func (s *Selector) CacheLen() int { return len(s.states) }
 
 // Snapshot renders the cache entry for dst for debugging.
 func (s *Selector) Snapshot(dst ipv4.Addr) string {
-	st, ok := s.cache[dst]
-	if !ok {
+	i := s.find(dst)
+	if i < 0 {
 		return fmt.Sprintf("%s: (no entry)", dst)
 	}
+	st := &s.states[i]
 	return fmt.Sprintf("%s: mode=%s probing=%v switches=%d failed=%v", dst, st.mode, st.probing, st.switches, st.failed)
 }

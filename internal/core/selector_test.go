@@ -183,6 +183,49 @@ func TestForgetAndReset(t *testing.T) {
 	}
 }
 
+// TestSelectorCacheIndex drives the method cache back and forth across
+// the size where it starts using its index, with forgets, resets and
+// upgrades, against a map of the mode each correspondent should hold.
+func TestSelectorCacheIndex(t *testing.T) {
+	s := NewSelector(StartPessimistic)
+	want := map[ipv4.Addr]OutMode{}
+	seed := uint32(1)
+	next := func(n uint32) uint32 { // xorshift: a fixed, repeatable sequence
+		seed ^= seed << 13
+		seed ^= seed >> 17
+		seed ^= seed << 5
+		return seed % n
+	}
+	for step := 0; step < 5000; step++ {
+		dst := ipv4.AddrFromUint32(0x0a000001 + next(3*stateIndexMin))
+		switch op := next(20); {
+		case op == 0:
+			s.Reset()
+			clear(want)
+		case op < 5:
+			s.Forget(dst)
+			delete(want, dst)
+		case op < 8:
+			_, m := s.TryUpgrade(dst)
+			want[dst] = m
+		default:
+			got := s.ModeFor(dst)
+			if m, ok := want[dst]; ok && got != m {
+				t.Fatalf("step %d: ModeFor(%s) = %s, want %s", step, dst, got, m)
+			}
+			want[dst] = got
+		}
+		if s.CacheLen() != len(want) {
+			t.Fatalf("step %d: cache holds %d entries, want %d", step, s.CacheLen(), len(want))
+		}
+		for a, m := range want {
+			if i := s.find(a); i < 0 || s.states[i].dst != a || s.states[i].mode != m {
+				t.Fatalf("step %d: entry for %s lost or wrong (%s)", step, a, s.Snapshot(a))
+			}
+		}
+	}
+}
+
 func TestSnapshot(t *testing.T) {
 	s := NewSelector(StartOptimistic)
 	if got := s.Snapshot(chAddr); got == "" {

@@ -243,6 +243,34 @@ func TestFleetBytesPerNode(t *testing.T) {
 // headroom.
 const fleetBytesPerNode = 4370
 
+// TestFleetAllocsPerMove pins what a 64-node, 4-cell storm allocates per
+// move, fleet.New excluded. The ARP-miss queue, ICMP, facade datagrams and
+// the mode selector reuse their storage from move to move, so what is left
+// is mostly first use and growth of long-lived state: ARP tables, binding
+// tables, scheduler heaps.
+func TestFleetAllocsPerMove(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	f := New(Options{Seed: 1, Nodes: 64, Cells: 4})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := f.Run()
+	runtime.ReadMemStats(&after)
+	if r.Moves == 0 {
+		t.Fatal("storm moved nothing")
+	}
+	if got := float64(after.Mallocs-before.Mallocs) / float64(r.Moves); got > fleetAllocsPerMove {
+		t.Errorf("fleet.Run allocates %.2f times per move, want <= %v", got, fleetAllocsPerMove)
+	}
+}
+
+// fleetAllocsPerMove bounds TestFleetAllocsPerMove: 6.67-6.72 allocations
+// per move over 408 moves on linux/amd64 (24.4 with a fresh ARP job,
+// timer and packet copy per miss, a fresh ICMP and datagram slice per
+// message, and a new selector map per attach).
+const fleetAllocsPerMove = 7.0
+
 // BenchmarkFleetBuild is fleet.New alone at BenchmarkFleetHandoffStorm's
 // size: the build half of the storm, reported apart from the run.
 func BenchmarkFleetBuild(b *testing.B) {

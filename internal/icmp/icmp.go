@@ -73,23 +73,39 @@ type Message struct {
 	Lifetime uint16 // seconds
 }
 
-// Marshal serializes the message with its checksum.
+// Marshal serializes the message with its checksum into a fresh slice.
+// Hot paths should use AppendMarshal with a pooled buffer instead.
 func (m *Message) Marshal() []byte {
-	var b []byte
+	return m.AppendMarshal(nil)
+}
+
+// AppendMarshal appends the serialized message, checksum included, to dst
+// and returns the extended slice. Every wire byte is written explicitly,
+// so dst may come from a pool with dirty spare capacity.
+func (m *Message) AppendMarshal(dst []byte) []byte {
+	n := 8 + len(m.Body)
+	if m.Type == TypeMobilityBinding {
+		n = 8 + 10
+	}
+	start := len(dst)
+	if cap(dst)-start < n {
+		grown := make([]byte, start, start+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	b := dst[start : start+n]
+	clear(b[2:8]) // checksum and the rest-of-header word
 	switch m.Type {
 	case TypeMobilityBinding:
-		b = make([]byte, 8+10)
 		copy(b[8:12], m.Home[:])
 		copy(b[12:16], m.CareOf[:])
 		binary.BigEndian.PutUint16(b[16:], m.Lifetime)
 	case TypeDestUnreachable, TypeTimeExceeded:
-		b = make([]byte, 8+len(m.Body))
 		if m.Code == CodeFragNeeded {
 			binary.BigEndian.PutUint16(b[6:], m.MTU)
 		}
 		copy(b[8:], m.Body)
 	default: // echo & friends
-		b = make([]byte, 8+len(m.Body))
 		binary.BigEndian.PutUint16(b[4:], m.ID)
 		binary.BigEndian.PutUint16(b[6:], m.Seq)
 		copy(b[8:], m.Body)
@@ -97,7 +113,7 @@ func (m *Message) Marshal() []byte {
 	b[0] = uint8(m.Type)
 	b[1] = m.Code
 	binary.BigEndian.PutUint16(b[2:], ipv4.Checksum(b))
-	return b
+	return dst[:start+n]
 }
 
 // Unmarshal parses and checksums an ICMP message.
@@ -149,9 +165,11 @@ func BindingNotice(home, careOf ipv4.Addr, lifetimeSec uint16) Message {
 }
 
 // FragNeeded builds the "fragmentation needed and DF set" error for the
-// offending packet, quoting its header and first 8 payload bytes.
-func FragNeeded(orig ipv4.Packet, mtu int) (Message, error) {
-	quoted, err := quote(orig)
+// offending packet, quoting its header and first 8 payload bytes. The
+// quote is appended to dst, whose storage the message's Body then
+// aliases.
+func FragNeeded(dst []byte, orig ipv4.Packet, mtu int) (Message, error) {
+	quoted, err := quote(dst, orig)
 	if err != nil {
 		return Message{}, err
 	}
@@ -163,23 +181,23 @@ func FragNeeded(orig ipv4.Packet, mtu int) (Message, error) {
 	}, nil
 }
 
-// TimeExceeded builds the TTL-expired error quoting the offending packet.
-func TimeExceeded(orig ipv4.Packet) (Message, error) {
-	quoted, err := quote(orig)
+// TimeExceeded builds the TTL-expired error quoting the offending packet,
+// appending the quote to dst as FragNeeded does.
+func TimeExceeded(dst []byte, orig ipv4.Packet) (Message, error) {
+	quoted, err := quote(dst, orig)
 	if err != nil {
 		return Message{}, err
 	}
 	return Message{Type: TypeTimeExceeded, Body: quoted}, nil
 }
 
-func quote(orig ipv4.Packet) ([]byte, error) {
-	b, err := orig.Marshal()
+// quote appends orig's header and first 8 payload bytes to dst and
+// returns the appended bytes.
+func quote(dst []byte, orig ipv4.Packet) ([]byte, error) {
+	start := len(dst)
+	b, err := orig.AppendMarshal(dst)
 	if err != nil {
 		return nil, err
 	}
-	max := orig.Header.Len() + 8
-	if len(b) > max {
-		b = b[:max]
-	}
-	return b, nil
+	return b[start:min(len(b), start+orig.Header.Len()+8)], nil
 }

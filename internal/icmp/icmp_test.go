@@ -43,6 +43,44 @@ func TestEchoRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestAppendMarshalDirtyBuffer checks that AppendMarshal writes every
+// byte of each message kind itself: appended after a prefix into spare
+// capacity full of junk, it produces what Marshal produces into fresh
+// storage, and leaves the prefix alone.
+func TestAppendMarshalDirtyBuffer(t *testing.T) {
+	orig := ipv4.Packet{
+		Header:  ipv4.Header{Protocol: ipv4.ProtoUDP, TTL: 1, Src: ipv4.MustParseAddr("1.2.3.4"), Dst: ipv4.MustParseAddr("5.6.7.8")},
+		Payload: []byte("abcdefgh-tail"),
+	}
+	frag, err := FragNeeded(nil, orig, 576)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exceeded, err := TimeExceeded(nil, orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Message{
+		EchoRequest(0x1234, 7, []byte("ping payload")),
+		EchoReplyTo(EchoRequest(1, 2, nil)),
+		BindingNotice(ipv4.MustParseAddr("36.1.1.3"), ipv4.MustParseAddr("128.9.1.4"), 60),
+		frag,
+		exceeded,
+	} {
+		junk := bytes.Repeat([]byte{0xff}, 256)
+		got := m.AppendMarshal(junk[:3])
+		if want := m.Marshal(); !bytes.Equal(got[3:], want) {
+			t.Errorf("%v: appended % x, want % x", m.Type, got[3:], want)
+		}
+		if !bytes.Equal(got[:3], []byte{0xff, 0xff, 0xff}) {
+			t.Errorf("%v: prefix overwritten", m.Type)
+		}
+		if _, err := Unmarshal(got[3:]); err != nil {
+			t.Errorf("%v: %v", m.Type, err)
+		}
+	}
+}
+
 func TestChecksumRejection(t *testing.T) {
 	m := EchoRequest(1, 2, []byte("x"))
 	b := m.Marshal()
@@ -89,7 +127,7 @@ func TestFragNeededQuotesOriginal(t *testing.T) {
 		},
 		Payload: make([]byte, 500),
 	}
-	m, err := FragNeeded(orig, 576)
+	m, err := FragNeeded(nil, orig, 576)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +159,7 @@ func TestTimeExceededQuote(t *testing.T) {
 			Src: ipv4.MustParseAddr("1.2.3.4"), Dst: ipv4.MustParseAddr("5.6.7.8")},
 		Payload: []byte("abcdefgh-tail"),
 	}
-	m, err := TimeExceeded(orig)
+	m, err := TimeExceeded(nil, orig)
 	if err != nil {
 		t.Fatal(err)
 	}

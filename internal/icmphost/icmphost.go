@@ -7,6 +7,7 @@ package icmphost
 import (
 	"mob4x4/internal/icmp"
 	"mob4x4/internal/ipv4"
+	"mob4x4/internal/netsim"
 	"mob4x4/internal/stack"
 )
 
@@ -56,10 +57,7 @@ func (ic *ICMP) receive(ifc *stack.Iface, pkt ipv4.Packet) {
 			if src.IsBroadcast() || src.IsMulticast() {
 				src = ipv4.Zero
 			}
-			_ = ic.host.SendIP(ipv4.Packet{
-				Header:  ipv4.Header{Protocol: ipv4.ProtoICMP, Src: src, Dst: pkt.Src},
-				Payload: reply.Marshal(),
-			})
+			_ = Send(ic.host, src, pkt.Src, &reply)
 		}
 		if ic.OnEchoRequest != nil {
 			ic.OnEchoRequest(pkt.Src, msg)
@@ -83,8 +81,19 @@ func (ic *ICMP) receive(ifc *stack.Iface, pkt ipv4.Packet) {
 // Ping sends one echo request from src (zero = routing chooses) to dst.
 func (ic *ICMP) Ping(src, dst ipv4.Addr, id, seq uint16, payload []byte) error {
 	msg := icmp.EchoRequest(id, seq, payload)
-	return ic.host.SendIP(ipv4.Packet{
+	return Send(ic.host, src, dst, &msg)
+}
+
+// Send marshals msg into a pooled buffer and sends it from src (zero =
+// routing chooses) to dst. SendIP copies the payload before it returns,
+// so the buffer is recycled at once.
+func Send(h *stack.Host, src, dst ipv4.Addr, msg *icmp.Message) error {
+	buf := netsim.GetBuf()
+	buf.B = msg.AppendMarshal(buf.B)
+	err := h.SendIP(ipv4.Packet{
 		Header:  ipv4.Header{Protocol: ipv4.ProtoICMP, Src: src, Dst: dst},
-		Payload: msg.Marshal(),
+		Payload: buf.B,
 	})
+	netsim.PutBuf(buf)
+	return err
 }

@@ -87,7 +87,7 @@ func TestErrorDispatch(t *testing.T) {
 	var gotErr *icmp.Message
 	ica.OnError = func(src ipv4.Addr, m icmp.Message) { gotErr = &m }
 	orig := ipv4.Packet{Header: ipv4.Header{Protocol: 99, TTL: 1, Src: aAddr, Dst: bAddr}}
-	msg, err := icmp.TimeExceeded(orig)
+	msg, err := icmp.TimeExceeded(nil, orig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package icmphost
 import (
 	"mob4x4/internal/icmp"
 	"mob4x4/internal/ipv4"
+	"mob4x4/internal/netsim"
 	"mob4x4/internal/stack"
 	"mob4x4/internal/vtime"
 )
@@ -23,35 +24,29 @@ func EnableRouterErrors(h *stack.Host) {
 			// arrangement, so nothing is lost.)
 			return
 		}
-		msg, err := icmp.TimeExceeded(pkt)
-		if err != nil {
-			return
-		}
 		src := routerErrorSource(h, in)
 		if src.IsZero() {
 			return
 		}
-		_ = h.SendIP(ipv4.Packet{
-			Header:  ipv4.Header{Protocol: ipv4.ProtoICMP, Src: src, Dst: pkt.Src},
-			Payload: msg.Marshal(),
-		})
+		quote := netsim.GetBuf()
+		if msg, err := icmp.TimeExceeded(quote.B, pkt); err == nil {
+			_ = Send(h, src, pkt.Src, &msg)
+		}
+		netsim.PutBuf(quote)
 	}
 	h.FragNeeded = func(out *stack.Iface, pkt ipv4.Packet, mtu int) {
 		if pkt.Protocol == ipv4.ProtoICMP {
-			return
-		}
-		msg, err := icmp.FragNeeded(pkt, mtu)
-		if err != nil {
 			return
 		}
 		src := routerErrorSource(h, nil)
 		if src.IsZero() {
 			return
 		}
-		_ = h.SendIP(ipv4.Packet{
-			Header:  ipv4.Header{Protocol: ipv4.ProtoICMP, Src: src, Dst: pkt.Src},
-			Payload: msg.Marshal(),
-		})
+		quote := netsim.GetBuf()
+		if msg, err := icmp.FragNeeded(quote.B, pkt, mtu); err == nil {
+			_ = Send(h, src, pkt.Src, &msg)
+		}
+		netsim.PutBuf(quote)
 	}
 }
 

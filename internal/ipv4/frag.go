@@ -19,9 +19,10 @@ var ErrFragNeeded = fmt.Errorf("ipv4: fragmentation needed but DF set")
 // alias p.Payload; nothing is copied, so with a dst of enough capacity
 // (a stack array in the sender) fragmentation allocates nothing. Options
 // are carried only in the first fragment (the simulation does not model
-// copied options). Re-fragmenting a fragment is legal in IPv4: its offset
-// is the base of the new fragments' offsets. On error dst is returned
-// unchanged.
+// copied options). Each fragment carries p's TraceID, so the tracer
+// follows a fragmented packet as one packet. Re-fragmenting a fragment is
+// legal in IPv4: its offset is the base of the new fragments' offsets. On
+// error dst is returned unchanged.
 func AppendFragments(dst []Packet, p Packet, mtu int) ([]Packet, error) {
 	if mtu < HeaderLen+8 {
 		return dst, fmt.Errorf("ipv4: mtu %d too small", mtu)
@@ -44,7 +45,7 @@ func AppendFragments(dst []Packet, p Packet, mtu int) ([]Packet, error) {
 	payload := p.Payload
 	chunk := chunk0
 	for off := 0; off < len(payload); off += chunk {
-		f := Packet{Header: p.Header}
+		f := Packet{Header: p.Header, TraceID: p.TraceID}
 		if off > 0 {
 			chunk = chunkN
 			f.Options = nil

@@ -124,8 +124,8 @@ func Checksum(b []byte) uint16 {
 //
 // Marshal allocates a fresh buffer per call. Hot paths (per-hop framing,
 // tunnel encapsulation) must use AppendMarshal into a pooled buffer
-// instead; the hotpathalloc analyzer enforces this in internal/netsim,
-// internal/stack and internal/encap.
+// instead; the hotpathalloc analyzer enforces this in the datapath
+// packages (internal/netsim, internal/stack, internal/encap and others).
 func (p *Packet) Marshal() ([]byte, error) {
 	b, err := p.AppendMarshal(nil)
 	if err != nil {

@@ -23,7 +23,8 @@ var hotpathallocMethods = map[string]string{
 // list because registration processing runs once per handoff and a
 // fleet-scale storm performs tens of thousands of handoffs per trial;
 // internal/fleet because its workload ticker fires once per node per
-// simulated second.
+// simulated second; internal/icmphost because every ping, echo reply and
+// router error of the fleet's workload passes through it.
 var hotpathallocPkgs = map[string]bool{
 	"internal/netsim":   true,
 	"internal/stack":    true,
@@ -32,16 +33,16 @@ var hotpathallocPkgs = map[string]bool{
 	"internal/fleet":    true,
 	"internal/pcap":     true,
 	"internal/routeopt": true,
+	"internal/icmphost": true,
 }
 
 // HotPathAlloc returns the analyzer keeping allocating codec calls out of
-// the packet datapath. Sites that must allocate (e.g. queueing a packet
-// while ARP resolves) carry a //mob4x4vet:allow hotpathalloc directive
-// stating why.
+// the packet datapath. Sites that must allocate carry a
+// //mob4x4vet:allow hotpathalloc directive stating why.
 func HotPathAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotpathalloc",
-		Doc:  "no allocating Marshal/Clone calls in the packet datapath (internal/netsim, internal/stack, internal/encap, internal/mobileip, internal/fleet, internal/pcap, internal/routeopt); use the Append* forms with pooled buffers",
+		Doc:  "no allocating Marshal/Clone calls in the packet datapath (internal/netsim, internal/stack, internal/encap, internal/mobileip, internal/fleet, internal/pcap, internal/routeopt, internal/icmphost); use the Append* forms with pooled buffers",
 	}
 	a.Run = func(pass *Pass) {
 		pkg := pass.Pkg

@@ -15,7 +15,8 @@
 //   - panicpolicy: library code never calls bare panic; invariants go
 //     through internal/assert and input errors are returned.
 //   - hotpathalloc: the packet datapath (internal/netsim, internal/stack,
-//     internal/encap) never calls the allocating Marshal/Clone codecs;
+//     internal/encap and the other packages in hotpathallocPkgs) never
+//     calls the allocating Marshal/Clone codecs;
 //     the zero-allocation fast path uses AppendMarshal and AppendEncap
 //     with pooled buffers, and deliberate retention points are annotated.
 //

@@ -5,6 +5,7 @@ import (
 
 	"mob4x4/internal/encap"
 	"mob4x4/internal/icmp"
+	"mob4x4/internal/icmphost"
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/metrics"
 	"mob4x4/internal/netsim"
@@ -437,12 +438,7 @@ func (ha *HomeAgent) forwardToMobile(home ipv4.Addr, pkt ipv4.Packet) {
 func (ha *HomeAgent) sendBindingNotice(to, home, careOf ipv4.Addr) {
 	msg := icmp.BindingNotice(home, careOf, ha.cfg.NoticeLifetime)
 	ha.Stats.NoticesSent++
-	//mob4x4vet:allow hotpathalloc binding notices are rate-limited to one per correspondent per binding generation
-	payload := msg.Marshal()
-	_ = ha.host.SendIP(ipv4.Packet{
-		Header:  ipv4.Header{Protocol: ipv4.ProtoICMP, Src: ha.Addr(), Dst: to},
-		Payload: payload,
-	})
+	_ = icmphost.Send(ha.host, ha.Addr(), to, &msg)
 }
 
 // handleTunneled serves the reverse tunnel (Out-IE, Figure 3): packets

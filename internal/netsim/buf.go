@@ -23,7 +23,10 @@ import (
 //     queues, delivery deferred through the scheduler) must be copied.
 //     Fragments are copied into storage the host's ipv4.Reassembler owns
 //     and reuses; a reassembled payload is borrowed from it by the same
-//     rule, until the stack's demux returns.
+//     rule, until the stack's demux returns. An ARP pending queue holds
+//     each waiting packet marshalled into a Buf of its own, which the
+//     drain hands to the link layer and shedding, expiry and
+//     Host.Quiesce return to the pool.
 //   - A Buf used as scratch (marshal, send synchronously, recycle) is
 //     returned by the same function that got it.
 //

@@ -110,7 +110,9 @@ func (p *PacketConn) opErr(op string, err error) error {
 }
 
 // onDatagram is the stack delivery callback: copy (the payload aliases
-// a pooled buffer) and queue. Event-loop context.
+// a pooled buffer) and queue. The copy goes into the storage of a slot
+// an earlier datagram left behind (see popInto), so a socket that reads
+// as fast as it receives stops allocating. Event-loop context.
 func (p *PacketConn) onDatagram(src ipv4.Addr, srcPort uint16, _ ipv4.Addr, payload []byte) {
 	if p.closed {
 		return
@@ -123,7 +125,15 @@ func (p *PacketConn) onDatagram(src ipv4.Addr, srcPort uint16, _ ipv4.Addr, payl
 		p.dropped++
 		return
 	}
-	p.queue = append(p.queue, dgram{payload: append([]byte(nil), payload...), src: from})
+	n := len(p.queue)
+	if n < cap(p.queue) {
+		p.queue = p.queue[:n+1]
+	} else {
+		p.queue = append(p.queue, dgram{})
+	}
+	d := &p.queue[n]
+	d.payload = append(d.payload[:0], payload...)
+	d.src = from
 	p.pumpReaders()
 	if p.event != nil {
 		p.event()
@@ -177,10 +187,17 @@ func (p *PacketConn) startRead(b []byte) (int, Addr, error, *pcWaiter) {
 	return 0, Addr{}, nil, w
 }
 
+// popInto reads the oldest queued datagram into b. Its payload storage
+// is parked in the slot just past the queue's end for onDatagram to
+// reuse.
 func (p *PacketConn) popInto(b []byte) (int, Addr) {
 	d := p.queue[0]
-	p.queue = p.queue[1:]
-	return copy(b, d.payload), d.src
+	n := copy(b, d.payload)
+	last := len(p.queue) - 1
+	copy(p.queue, p.queue[1:])
+	p.queue[last] = dgram{payload: d.payload[:0]}
+	p.queue = p.queue[:last]
+	return n, d.src
 }
 
 // TryReadFrom is the core-layer read: pops one queued datagram without

@@ -148,7 +148,7 @@ func (w *diffWorld) hear(seg *netsim.Segment, f netsim.Frame) {
 		ifc := n.Owner().(*Iface)
 		if !msg.SenderIP.IsZero() && msg.SenderIP != ifc.addr {
 			w.ref[ifc].learn(msg.SenderIP, msg.SenderMAC, now)
-			if _, ok := ifc.pending[msg.SenderIP]; ok {
+			if ifc.job(msg.SenderIP) != nil {
 				waiting = append(waiting, ifc)
 			}
 		}
@@ -160,7 +160,7 @@ func (w *diffWorld) hear(seg *netsim.Segment, f netsim.Frame) {
 	// Runs after the delivery (and its duplicate, if any) at this instant.
 	w.sim.Sched.After(0, func() {
 		for _, ifc := range waiting {
-			if _, ok := ifc.pending[msg.SenderIP]; ok {
+			if ifc.job(msg.SenderIP) != nil {
 				w.t.Fatalf("%s: at %v %s still waits for %v after hearing it", w.name, w.sim.Now(), ifc.nic.Name(), msg.SenderIP)
 			}
 		}

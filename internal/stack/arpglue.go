@@ -8,12 +8,30 @@ import (
 	"mob4x4/internal/vtime"
 )
 
-// resolveJob tracks packets queued while an address resolution is in
-// flight on an interface.
+// resolveJob is an address resolution in flight on an interface, with the
+// packets queued behind it. A job is on one of its interface's two lists,
+// linked through next: pending while it runs, free after. Finished jobs
+// keep their timer and queue storage, so a miss on a warm interface
+// allocates nothing.
 type resolveJob struct {
-	pkts    []ipv4.Packet
+	ifc     *Iface
+	target  ipv4.Addr
 	retries int
 	timer   *vtime.Timer
+	// queue holds the waiting packets marshalled into pooled frame
+	// buffers: a packet may alias a buffer the link layer recycles when
+	// the receive callback returns. Drain hands the buffers to the link
+	// layer; shedding, expiry and Quiesce return them to the pool.
+	queue []queued
+	next  *resolveJob
+}
+
+// queued is one packet waiting for its nexthop's address. buf is nil for
+// a packet that could not be marshalled: it still counts toward the queue
+// bound and the drop totals, but nothing is sent for it.
+type queued struct {
+	buf     *netsim.Buf
+	traceID uint64
 }
 
 // resolveAndSend link-transmits pkt out of the interface, resolving
@@ -28,60 +46,105 @@ func (i *Iface) resolveAndSend(nexthop ipv4.Addr, pkt ipv4.Packet) {
 		i.sendIPFrame(mac, pkt)
 		return
 	}
-	job, inFlight := i.pending[nexthop]
-	if !inFlight {
-		job = &resolveJob{retries: i.host.ARPRetries}
-		if i.pending == nil {
-			i.pending = make(map[ipv4.Addr]*resolveJob)
-		}
-		i.pending[nexthop] = job
+	job := i.job(nexthop)
+	if job == nil {
+		job = i.newJob(nexthop)
+		job.next = i.pending
+		i.pending = job
 		i.watch()
 		i.sendARPRequest(nexthop)
-		i.armARPTimer(nexthop, job)
+		job.timer.Reset(i.host.sim.Sched, i.host.ARPTimeout)
 	}
 	// Bound the per-nexthop queue: an unresolvable nexthop fed by a fast
-	// sender would otherwise pin copied payloads without limit until the
+	// sender would otherwise pin buffers without limit until the
 	// resolution times out. Real stacks keep just one packet; ours keeps
 	// a small window and sheds the oldest.
-	if limit := i.host.ARPQueueLimit; limit > 0 && len(job.pkts) >= limit {
-		drop := len(job.pkts) - limit + 1
+	if limit := i.host.ARPQueueLimit; limit > 0 && len(job.queue) >= limit {
+		drop := len(job.queue) - limit + 1
 		i.host.metrics.DropN(metrics.DropARPExpired, uint64(drop))
-		copy(job.pkts, job.pkts[drop:])
-		job.pkts = job.pkts[:len(job.pkts)-drop]
+		putBufs(job.queue[:drop])
+		n := copy(job.queue, job.queue[drop:])
+		clear(job.queue[n:])
+		job.queue = job.queue[:n]
 	}
-	// The queued packet may alias a pooled frame buffer (forwarding path)
-	// that is recycled when the receive callback returns, while the queue
-	// waits for the ARP reply — take a private copy.
-	//mob4x4vet:allow hotpathalloc ARP-miss queueing must retain the packet
-	job.pkts = append(job.pkts, pkt.Clone())
+	job.queue = append(job.queue, queued{buf: marshalIP(&pkt), traceID: pkt.TraceID})
 }
 
-func (i *Iface) armARPTimer(target ipv4.Addr, job *resolveJob) {
-	job.timer = vtime.NewTimer(func() {
-		cur, ok := i.pending[target]
-		if !ok || cur != job {
-			return
+// job returns the resolution in flight on the interface for ip, or nil.
+// A scan: an interface has at most a few resolutions in flight.
+func (i *Iface) job(ip ipv4.Addr) *resolveJob {
+	for j := i.pending; j != nil; j = j.next {
+		if j.target == ip {
+			return j
 		}
-		job.retries--
-		if job.retries > 0 {
-			i.sendARPRequest(target)
-			job.timer.Reset(i.host.sim.Sched, i.host.ARPTimeout)
-			return
+	}
+	return nil
+}
+
+// unpend takes j off the interface's pending list.
+func (i *Iface) unpend(j *resolveJob) {
+	for p := &i.pending; *p != nil; p = &(*p).next {
+		if *p == j {
+			*p = j.next
+			j.next = nil
+			break
 		}
-		delete(i.pending, target)
-		i.watch()
-		i.host.metrics.DropN(metrics.DropNoARP, uint64(len(job.pkts)))
-		if tr := i.host.sim.Trace; tr.On() {
-			detail := "ARP resolution failed for " + target.String()
-			for _, p := range job.pkts {
-				tr.Record(netsim.Event{
-					Kind: netsim.EventDropNoRoute, Time: i.host.sim.Now(),
-					Where: i.host.name, PktID: p.TraceID, Detail: detail,
-				})
-			}
+	}
+	i.watch()
+}
+
+// newJob returns a job for target from the interface's free list, or a
+// new one with its timer.
+func (i *Iface) newJob(target ipv4.Addr) *resolveJob {
+	j := i.freeJobs
+	if j != nil {
+		i.freeJobs, j.next = j.next, nil
+	} else {
+		j = &resolveJob{ifc: i}
+		j.timer = vtime.NewTimer(j.expire)
+	}
+	j.target, j.retries = target, i.host.ARPRetries
+	return j
+}
+
+// freeJob puts a finished job on the interface's free list. Its queued
+// buffers have been sent or returned to the pool.
+func (i *Iface) freeJob(j *resolveJob) {
+	clear(j.queue)
+	j.queue = j.queue[:0]
+	j.next, i.freeJobs = i.freeJobs, j
+}
+
+// expire is the job's timer: it asks again while retries remain, then
+// gives up and drops the queue as drop/no_arp.
+func (j *resolveJob) expire() {
+	i := j.ifc
+	j.retries--
+	if j.retries > 0 {
+		i.sendARPRequest(j.target)
+		j.timer.Reset(i.host.sim.Sched, i.host.ARPTimeout)
+		return
+	}
+	i.unpend(j)
+	i.host.metrics.DropN(metrics.DropNoARP, uint64(len(j.queue)))
+	if tr := i.host.sim.Trace; tr.On() {
+		detail := "ARP resolution failed for " + j.target.String()
+		for _, q := range j.queue {
+			tr.Record(netsim.Event{
+				Kind: netsim.EventDropNoRoute, Time: i.host.sim.Now(),
+				Where: i.host.name, PktID: q.traceID, Detail: detail,
+			})
 		}
-	})
-	job.timer.Reset(i.host.sim.Sched, i.host.ARPTimeout)
+	}
+	putBufs(j.queue)
+	i.freeJob(j)
+}
+
+// putBufs returns the queued packets' buffers to the pool.
+func putBufs(q []queued) {
+	for _, p := range q {
+		netsim.PutBuf(p.buf)
+	}
 }
 
 func (i *Iface) sendARPRequest(target ipv4.Addr) {
@@ -155,36 +218,52 @@ func (i *Iface) answers(msg *arp.Message) bool {
 // waitsFor reports whether a broadcast from ip drains a resolution the
 // interface has in flight.
 func (i *Iface) waitsFor(ip ipv4.Addr) bool {
-	_, ok := i.pending[ip]
-	return ok && !ip.IsZero() && ip != i.addr
+	return !ip.IsZero() && ip != i.addr && i.job(ip) != nil
 }
 
+// drainPending sends the packets queued for ip, now resolved to mac.
 func (i *Iface) drainPending(ip ipv4.Addr, mac netsim.MAC) {
-	job, ok := i.pending[ip]
-	if !ok {
+	job := i.job(ip)
+	if job == nil {
 		return
 	}
-	delete(i.pending, ip)
-	i.watch()
+	i.unpend(job)
 	job.timer.Stop()
-	for _, pkt := range job.pkts {
-		i.sendIPFrame(mac, pkt)
+	for _, q := range job.queue {
+		if q.buf != nil {
+			i.sendIPBuf(mac, q.buf, q.traceID)
+		}
 	}
+	i.freeJob(job)
 }
 
 func (i *Iface) sendIPFrame(dst netsim.MAC, pkt ipv4.Packet) {
+	if buf := marshalIP(&pkt); buf != nil {
+		i.sendIPBuf(dst, buf, pkt.TraceID)
+	}
+}
+
+// marshalIP marshals pkt into a pooled buffer, or returns nil if it
+// cannot be marshalled.
+func marshalIP(pkt *ipv4.Packet) *netsim.Buf {
 	buf := netsim.GetBuf()
 	b, err := pkt.AppendMarshal(buf.B)
 	if err != nil {
 		netsim.PutBuf(buf)
-		return
+		return nil
 	}
 	buf.B = b
+	return buf
+}
+
+// sendIPBuf hands a marshalled packet to the link layer, which owns buf
+// from then on.
+func (i *Iface) sendIPBuf(dst netsim.MAC, buf *netsim.Buf, traceID uint64) {
 	i.nic.Send(netsim.Frame{
 		Dst:     dst,
 		Type:    netsim.EtherTypeIPv4,
-		Payload: b,
-		TraceID: pkt.TraceID,
+		Payload: buf.B,
+		TraceID: traceID,
 		Buf:     buf,
 	})
 }
@@ -332,7 +411,7 @@ func without(list []*Iface, i *Iface) []*Iface {
 
 // watchable reports whether the interface belongs on its segment's
 // watched list.
-func (i *Iface) watchable() bool { return len(i.pending) > 0 || i.proxy.Len() > 0 }
+func (i *Iface) watchable() bool { return i.pending != nil || i.proxy.Len() > 0 }
 
 // join makes the interface a member of the segment its NIC is attached to
 // (if any) and flushes its cache into a view of that segment's table.

@@ -178,7 +178,9 @@ type Iface struct {
 	// domain; the filter policy distinguishes inside from outside.
 	Outside bool
 
-	pending map[ipv4.Addr]*resolveJob
+	// pending lists the resolutions in flight and freeJobs the finished
+	// ones kept for reuse (see resolveJob).
+	pending, freeJobs *resolveJob
 	// sameAddr links the members of a segment's ARP index that hold the
 	// same address (see arpIndex).
 	sameAddr *Iface
@@ -366,12 +368,14 @@ func (h *Host) Quiesce() {
 		h.reasm.Expire()
 	}
 	for _, ifc := range h.ifaces {
-		//mob4x4vet:allow mapiter only commutative drop counters escape; the jobs are discarded wholesale
-		for _, job := range ifc.pending {
+		for ifc.pending != nil {
+			job := ifc.pending
+			ifc.pending = job.next
 			job.timer.Stop()
-			h.metrics.DropN(metrics.DropARPExpired, uint64(len(job.pkts)))
+			h.metrics.DropN(metrics.DropARPExpired, uint64(len(job.queue)))
+			putBufs(job.queue)
+			ifc.freeJob(job)
 		}
-		ifc.pending = nil
 		ifc.watch()
 	}
 }
@@ -390,7 +394,7 @@ func (h *Host) Rehome(sim *netsim.Sim) {
 		if ifc.nic.Attached() {
 			assert.Unreachable("stack: Rehome of %s while iface %s is attached", h.name, ifc.nic.Name())
 		}
-		if len(ifc.pending) > 0 {
+		if ifc.pending != nil {
 			assert.Unreachable("stack: Rehome of %s with in-flight ARP resolutions (call Quiesce first)", h.name)
 		}
 		ifc.nic.Rehome(sim)

@@ -1,12 +1,21 @@
 package stack
 
 import (
-	"fmt"
+	"errors"
 
 	"mob4x4/internal/ipv4"
 	"mob4x4/internal/metrics"
 	"mob4x4/internal/netsim"
 	"mob4x4/internal/vtime"
+)
+
+// Errors SendIP and Resubmit return for a packet dropped before it reaches
+// a link. They are fixed values, not formatted per packet: a handoff storm
+// drops thousands of packets at egress filters alone.
+var (
+	ErrNoBroadcastIface = errors.New("stack: no attached interface for broadcast")
+	ErrNoRoute          = errors.New("stack: no route to destination")
+	ErrEgressFiltered   = errors.New("stack: egress filter dropped packet")
 )
 
 // SendIP routes and transmits a locally-generated packet. Zero-valued
@@ -67,7 +76,7 @@ func (h *Host) output(pkt ipv4.Packet, useOverride bool) error {
 				return h.transmit(ifc, pkt.Dst, pkt)
 			}
 		}
-		return fmt.Errorf("%s: no attached interface for broadcast", h.name)
+		return ErrNoBroadcastIface
 	}
 
 	var rt Route
@@ -86,7 +95,7 @@ func (h *Host) output(pkt ipv4.Packet, useOverride bool) error {
 				Detail: dstDetail(pkt.Dst),
 			})
 		}
-		return fmt.Errorf("%s: no route to %s", h.name, pkt.Dst)
+		return ErrNoRoute
 	}
 
 	if rt.IsVirtual() {
@@ -109,7 +118,7 @@ func (h *Host) output(pkt ipv4.Packet, useOverride bool) error {
 func (h *Host) transmit(ifc *Iface, nexthop ipv4.Addr, pkt ipv4.Packet) error {
 	if h.Filter != nil && !h.Filter.checkEgress(ifc, &pkt) {
 		h.traceFilterDrop("egress", ifc, &pkt)
-		return fmt.Errorf("%s: egress filter dropped packet src=%s", h.name, pkt.Src)
+		return ErrEgressFiltered
 	}
 	mtu := ifc.nic.MTU()
 	if pkt.TotalLen() <= mtu {

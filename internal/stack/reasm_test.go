@@ -199,3 +199,37 @@ func TestRehomeReassemblesAfterQuiesce(t *testing.T) {
 		t.Errorf("region A still holds %d events for the migrated host", simA.Sched.Pending())
 	}
 }
+
+// TestFragmentedPacketKeepsTraceID traces one 2,000-byte SendIP over a
+// 576-byte segment: every fragment and the reassembled packet carry the id
+// it was sent with, so its delivery is logged under that id.
+func TestFragmentedPacketKeepsTraceID(t *testing.T) {
+	sim, a, b := lanPair(t, netsim.SegmentOpts{MTU: 576, Latency: 1e6})
+	got := capture(b, 99)
+	log, stop := sim.Trace.Capture()
+	err := a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: b.FirstAddr()}, Payload: make([]byte, 2000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Sched.Run()
+	stop()
+	if len(*got) != 1 || a.Stats.FragsCreated < 2 || b.Stats.Reassembled != 1 {
+		t.Fatalf("delivered %d, fragments %d, reassembled %d; want one packet sent in fragments",
+			len(*got), a.Stats.FragsCreated, b.Stats.Reassembled)
+	}
+	id := log.Send("a", 0)
+	if id == 0 {
+		t.Fatal("no send event")
+	}
+	if d, to := log.Transit(id); to != "b" || d <= 0 {
+		t.Errorf("packet %d: no delivery logged at b under its id (path %q)", id, log.Path(id))
+	}
+	if (*got)[0].TraceID != id {
+		t.Errorf("reassembled packet has trace id %d, want %d", (*got)[0].TraceID, id)
+	}
+	for _, e := range *log {
+		if e.Kind == netsim.EventDeliver && e.PktID != id {
+			t.Errorf("delivery logged under id %d, want %d", e.PktID, id)
+		}
+	}
+}
